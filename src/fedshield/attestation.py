@@ -257,7 +257,10 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
             raise HandshakeError("decode", "short HELLO")
         peer_nonce = peer_hello_body[:QUOTE_NONCE_LEN]
         role_len = peer_hello_body[QUOTE_NONCE_LEN]
-        peer_role = peer_hello_body[QUOTE_NONCE_LEN + 1:QUOTE_NONCE_LEN + 1 + role_len].decode("utf-8")
+        try:
+            peer_role = peer_hello_body[QUOTE_NONCE_LEN + 1:QUOTE_NONCE_LEN + 1 + role_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise HandshakeError("decode", "HELLO role is not UTF-8") from exc
         if peer_role == role:
             raise HandshakeError("binding", f"peer claims the same role {role!r}")
         if expected_peer_role is not None and peer_role != expected_peer_role:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attestation import AttestationPolicy
 from .audit import verify_audit
 from .counters import CounterService
-from .demo import author_policy, run_demo
+from .demo import author_policy, run_demo, scan_capture, scan_tree
 from .enclave import (
     generate_platform,
     generate_signing_key,
@@ -41,7 +42,7 @@ from .shield import (
     verified_stable_lookup,
     write_shielded,
 )
-from .transport import TcpListener, tcp_connect
+from .transport import CaptureLog, TcpListener, tcp_connect
 
 
 def _apply_session_file(args, keys: tuple[str, ...]) -> None:
@@ -89,14 +90,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_policy_new(args) -> int:
-    session = SessionConfig(
-        min_clients=args.min_clients, max_rounds=args.max_rounds,
-        target_accuracy=args.target_accuracy,
-        convergence_epsilon=args.convergence_epsilon, patience=args.patience,
-        learning_rate=args.learning_rate, local_epochs=args.local_epochs,
-        batch_size=args.batch_size, clone_count=args.clone_count,
-        clone_subset_size=args.clone_subset_size,
-        outlier_threshold=args.outlier_threshold, rng_seed=args.rng_seed)
+    session = SessionConfig.from_dict(vars(args))
     roster = []
     for item in args.client:
         client_id, _, dataset = item.partition("=")
@@ -121,7 +115,14 @@ def cmd_policy_new(args) -> int:
     return 0
 
 
-def _manager_channel(args, platform, bundle, config, role):
+def _role_enclave(args):
+    """The platform from ``--key-file`` and this role process's one enclave."""
+    platform = load_platform(args.key_file)
+    return platform, spawn_enclave(platform, Path(args.bundle).read_bytes(),
+                                   Path(args.config).read_bytes())
+
+
+def _manager_channel(args, platform, enclave, role):
     policy_doc = parse_policy(Path(args.policy).read_text())
     pinned = getattr(args, "policy_hash", None)
     if pinned and policy_doc.policy_hash.hex() != pinned:
@@ -129,7 +130,6 @@ def _manager_channel(args, platform, bundle, config, role):
             f"policy file hashes to {policy_doc.policy_hash.hex()}, "
             f"session file pins {pinned}")
     manager_measurement = policy_doc.allowed_measurements["policy_manager_self"]
-    enclave = spawn_enclave(platform, bundle, config)
     policy = AttestationPolicy(
         trusted_root=bytes.fromhex(args.trusted_root)
         if args.trusted_root else platform.root_public_key,
@@ -141,10 +141,8 @@ def _manager_channel(args, platform, bundle, config, role):
 
 
 def cmd_policy_upload(args) -> int:
-    platform = load_platform(args.key_file)
-    bundle = Path(args.bundle).read_bytes()
-    config = Path(args.config).read_bytes()
-    _, manager = _manager_channel(args, platform, bundle, config, role="client")
+    platform, enclave = _role_enclave(args)
+    _, manager = _manager_channel(args, platform, enclave, role="client")
     document = Path(args.policy).read_text()
     policy_hash = manager.upload_policy(document)
     print(f"uploaded: {policy_hash.hex()}")
@@ -201,10 +199,7 @@ def cmd_decrypt_data(args) -> int:
 
 
 def cmd_run_manager(args) -> int:
-    platform = load_platform(args.key_file)
-    bundle = Path(args.bundle).read_bytes()
-    config = Path(args.config).read_bytes()
-    enclave = spawn_enclave(platform, bundle, config)
+    platform, enclave = _role_enclave(args)
     Path(args.store_dir).mkdir(parents=True, exist_ok=True)
     counters = CounterService(Path(args.store_dir) / "counters.wal",
                               load_signing_key(args.counter_key))
@@ -230,11 +225,8 @@ def cmd_run_coordinator(args) -> int:
                                "validation", "state_dir"))
     _require(args, "manager", "policy", "counter_public_key", "validation",
              "state_dir")
-    platform = load_platform(args.key_file)
-    bundle = Path(args.bundle).read_bytes()
-    config = Path(args.config).read_bytes()
-    enclave = spawn_enclave(platform, bundle, config)
-    policy_doc, manager = _manager_channel(args, platform, bundle, config,
+    platform, enclave = _role_enclave(args)
+    policy_doc, manager = _manager_channel(args, platform, enclave,
                                            role="coordinator")
     bundle_secrets = manager.request_secrets(policy_doc.policy_hash, "coordinator")
     checkpoint_key = bundle_secrets.key_bytes("CHECKPOINT_KEY")
@@ -267,11 +259,8 @@ def cmd_run_client(args) -> int:
                                "policy_hash", "counter_public_key",
                                "trusted_root"))
     _require(args, "manager", "coordinator", "policy", "counter_public_key")
-    platform = load_platform(args.key_file)
-    bundle = Path(args.bundle).read_bytes()
-    config = Path(args.config).read_bytes()
-    enclave = spawn_enclave(platform, bundle, config)
-    policy_doc, manager = _manager_channel(args, platform, bundle, config,
+    platform, enclave = _role_enclave(args)
+    policy_doc, manager = _manager_channel(args, platform, enclave,
                                            role="client")
     bundle_secrets = manager.request_secrets(policy_doc.policy_hash, "client")
     dataset_key = bundle_secrets.key_bytes("DATASET_KEY")
@@ -304,8 +293,6 @@ def cmd_audit_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from .transport import CaptureLog
-
     capture = CaptureLog() if args.capture else None
     result = run_demo(args.workdir, num_clients=args.clients,
                       rows_per_client=args.rows, dim=args.dim, seed=args.seed,
@@ -322,8 +309,6 @@ def cmd_demo(args) -> int:
         status = "ok" if verdict.ok else f"BROKEN at {verdict.first_break}"
         print(f"audit[{name}]: {verdict.entries} entries, {status}")
     if capture is not None:
-        from .demo import scan_capture, scan_tree
-
         findings = (scan_capture(capture, result.sensitive)
                     + scan_tree(result.workdir, result.sensitive))
         label = "clean" if not findings else f"LEAKED {findings}"
@@ -358,18 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client", action="append", default=[],
                    metavar="ID=DATASET.CSV", required=True)
     p.add_argument("--validation")
-    p.add_argument("--min-clients", type=int, default=1)
-    p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument("--target-accuracy", type=float, default=0.95)
-    p.add_argument("--convergence-epsilon", type=float, default=1e-4)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--local-epochs", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--clone-count", type=int, default=0)
-    p.add_argument("--clone-subset-size", type=int, default=0)
-    p.add_argument("--outlier-threshold", type=float, default=0.02)
-    p.add_argument("--rng-seed", type=int, default=0)
+    for f in fields(SessionConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
     p.set_defaults(func=cmd_policy_new)
 
     p = policy_sub.add_parser("upload", help="upload a policy over an attested channel")

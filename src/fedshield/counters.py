@@ -87,7 +87,7 @@ class CounterService:
         self._lock = threading.RLock()
         self._stable: dict[bytes, int] = {}
         self._latest: dict[bytes, int] = {}
-        self._buffer: list[bytes] = []
+        self._buffer: list[tuple[bytes, int]] = []
         self._replay()
         self._fh = open(self._path, "ab")
 
@@ -117,7 +117,7 @@ class CounterService:
         self._latest = dict(self._stable)
 
     def _token(self, counter_id: bytes, value: int, stable: bool) -> CounterToken:
-        payload = counter_id + struct.pack(">Q", value) + bytes([int(stable)])
+        payload = CounterToken(counter_id, value, stable, b"").signed_payload()
         return CounterToken(counter_id, value, stable, self._key.sign(payload))
 
     def create_counter(self) -> bytes:
@@ -127,7 +127,7 @@ class CounterService:
             while counter_id in self._latest:
                 counter_id = os.urandom(COUNTER_ID_LEN)
             self._latest[counter_id] = 1
-            self._buffer.append(_record(counter_id, 1))
+            self._buffer.append((counter_id, 1))
             self._flush()  # creation is synchronous
             return counter_id
 
@@ -142,7 +142,7 @@ class CounterService:
                 raise NotFoundError("unknown counter")
             value = self._latest[counter_id] + 1
             self._latest[counter_id] = value
-            self._buffer.append(_record(counter_id, value))
+            self._buffer.append((counter_id, value))
             if self._auto:
                 self._flush()
             return self._token(counter_id, value, stable=False)
@@ -167,15 +167,12 @@ class CounterService:
     def _flush(self) -> None:
         if not self._buffer:
             return
-        records = b"".join(self._buffer)
-        self._buffer.clear()
-        self._fh.write(records)
+        pending, self._buffer = self._buffer, []
+        self._fh.write(b"".join(_record(cid, value) for cid, value in pending))
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())
-        for off in range(0, len(records), _RECORD_LEN):
-            counter_id = records[off:off + COUNTER_ID_LEN]
-            (value,) = struct.unpack(">Q", records[off + COUNTER_ID_LEN:off + COUNTER_ID_LEN + 8])
+        for counter_id, value in pending:
             self._stable[counter_id] = max(self._stable.get(counter_id, 0), value)
 
     def stabilize(self) -> None:

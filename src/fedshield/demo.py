@@ -1,10 +1,10 @@
 """One-process desk-scale deployment wiring every component together.
 
-Builds a simulated platform, spawns manager/coordinator/client enclaves,
-authors and uploads a policy, provisions secrets, encrypts datasets with
-counter-bound freshness, and runs a full federated session over attested
-in-process channels. Optionally records every wire frame in a capture log
-and collects the sensitive byte patterns (dataset rows, update vectors,
+``Deployment`` builds a simulated platform, spawns manager/coordinator/client
+enclaves, uploads a policy, provisions secrets and encrypts datasets with
+counter-bound freshness; ``run_demo`` runs a full federated session on it over
+attested in-process channels. Optionally records every wire frame in a capture
+log and collects the sensitive byte patterns (dataset rows, update vectors,
 released secrets) that confidentiality scans search for.
 
 All plaintext staging happens in memory: the only artifacts that reach
@@ -14,16 +14,24 @@ the audit logs.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attestation import AttestationPolicy
 from .counters import CounterService
-from .enclave import generate_platform, generate_signing_key, measure, spawn_enclave
+from .enclave import (
+    Enclave,
+    generate_platform,
+    generate_signing_key,
+    measure,
+    spawn_enclave,
+)
 from .encoding import canonical_bytes, sha256
 from .errors import FedShieldError
 from .fl import (
+    Dataset,
     GlobalModel,
     dataset_from_csv_bytes,
     dataset_to_csv_bytes,
@@ -31,8 +39,15 @@ from .fl import (
     synthetic_dataset,
 )
 from .orchestrator import ClientAgent, Coordinator
-from .policy import PolicyManager, SessionConfig, secret_key_id
-from .services import ServiceEndpoint, connect_manager
+from .policy import (
+    CHECKPOINT_SECRET,
+    DATASET_SECRET,
+    VALIDATION_SECRET,
+    PolicyManager,
+    SessionConfig,
+    secret_key_id,
+)
+from .services import ManagerChannel, ServiceEndpoint, connect_manager
 from .shield import (
     read_shielded,
     shield_decrypt,
@@ -46,10 +61,9 @@ MANAGER_BUNDLE = b"fedshield service bundle: policy manager + counter service"
 COORDINATOR_BUNDLE = b"fedshield service bundle: session coordinator"
 CLIENT_BUNDLE = b"fedshield service bundle: client training agent"
 ROLE_CONFIG = b"profile=desk-scale\n"
+JOIN_DEADLINE = 60.0  # seconds for admission and for thread joins
 
-DATASET_SECRET = "dataset-key"
-CHECKPOINT_SECRET = "checkpoint-key"
-VALIDATION_SECRET = "validation-key"
+logger = logging.getLogger(__name__)
 
 
 def role_measurements() -> dict[str, bytes]:
@@ -62,8 +76,7 @@ def role_measurements() -> dict[str, bytes]:
 
 def author_policy(name: str, measurements: dict[str, bytes],
                   roster: list[tuple[str, bytes]], session: SessionConfig,
-                  validation_hash: bytes | None = None,
-                  extra_secrets: list[dict] | None = None) -> str:
+                  validation_hash: bytes | None = None) -> str:
     """Compose a policy document for the standard three-secret deployment."""
     doc = {
         "name": name,
@@ -76,7 +89,7 @@ def author_policy(name: str, measurements: dict[str, bytes],
             {"secret_name": DATASET_SECRET, "kind": "symmetric-key-256"},
             {"secret_name": CHECKPOINT_SECRET, "kind": "symmetric-key-256"},
             {"secret_name": VALIDATION_SECRET, "kind": "symmetric-key-256"},
-        ] + (extra_secrets or []),
+        ],
         "injection": [
             {"role": "client", "mechanism": "environment-variable",
              "name": "DATASET_KEY", "template": f"$${DATASET_SECRET}$$"},
@@ -123,6 +136,157 @@ def _partition_seeds(seed: int, labels: list[str]) -> dict[str, int]:
     }
 
 
+class Deployment:
+    """Manager and counter service, coordinator and roster client enclaves
+    on one in-process ``Hub``. Construction runs the whole set-up; tests and
+    ``run_demo`` admit clients and run rounds through the helpers below.
+    """
+
+    def __init__(self, workdir: str | Path, datasets: dict[str, Dataset],
+                 validation: Dataset, session: SessionConfig, *,
+                 capture: CaptureLog | None = None,
+                 round_deadline: float = 30.0):
+        workdir = Path(workdir)
+        self.manager_dir = workdir / "manager"
+        self.state_dir = workdir / "coordinator"
+        self.session = session
+        self.threads: list[threading.Thread] = []
+
+        self.platform = generate_platform()
+        root = self.platform.root_public_key
+        manager_enclave = spawn_enclave(self.platform, MANAGER_BUNDLE, ROLE_CONFIG)
+        self.coordinator_enclave = spawn_enclave(self.platform, COORDINATOR_BUNDLE,
+                                                 ROLE_CONFIG)
+        self.counters = CounterService(self.manager_dir / "counters.wal",
+                                       generate_signing_key())
+        self.manager = PolicyManager(self.manager_dir, manager_enclave, root)
+        self.hub = Hub(capture)
+        self.endpoint = ServiceEndpoint(self.hub.listen("manager"), self.manager,
+                                        self.counters, manager_enclave, root)
+        self.endpoint.start()
+
+        self.client_ids = list(datasets)
+        self.csv_blobs = {cid: dataset_to_csv_bytes(ds) for cid, ds in datasets.items()}
+        self.validation_csv = dataset_to_csv_bytes(validation)
+        measurements = role_measurements()
+        roster = [(cid, sha256(self.csv_blobs[cid])) for cid in self.client_ids]
+        document = author_policy("desk-scale-session", measurements, roster, session,
+                                 validation_hash=sha256(self.validation_csv))
+        self.manager_policy = AttestationPolicy(
+            trusted_root=root,
+            expected_measurements=frozenset({measurements["policy_manager_self"]}))
+        self.coordinator_policy = AttestationPolicy(
+            trusted_root=root,
+            expected_measurements=frozenset({measurements["coordinator"]}))
+
+        # Client platforms share the deployment root in this desk simulation.
+        self.client_enclaves = {
+            cid: spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG)
+            for cid in self.client_ids}
+        uploader = self.connect_manager(self.client_enclaves[self.client_ids[0]],
+                                        role="client")
+        self.policy_hash = uploader.upload_policy(document)
+        uploader.generate_secrets(self.policy_hash)
+        uploader.close()
+
+        self.datasets: dict[str, Dataset] = {}
+        self.dataset_hashes: dict[str, bytes] = {}
+        for cid in self.client_ids:
+            mgr = self.connect_manager(self.client_enclaves[cid], role="client")
+            bundle = mgr.request_secrets(self.policy_hash, "client")
+            self.dataset_key = bundle.key_bytes("DATASET_KEY")
+            plaintext = self._shield_and_open(
+                mgr, self.csv_blobs[cid], self.dataset_key, DATASET_SECRET,
+                workdir / "clients" / cid / "data.sfl")
+            mgr.close()
+            self.datasets[cid] = dataset_from_csv_bytes(plaintext)
+            self.dataset_hashes[cid] = sha256(plaintext)
+
+        mgr = self.connect_manager(self.coordinator_enclave, role="coordinator")
+        bundle = mgr.request_secrets(self.policy_hash, "coordinator")
+        self.checkpoint_key = bundle.key_bytes("CHECKPOINT_KEY")
+        self.validation_key = bundle.key_bytes("VALIDATION_KEY")
+        self.validation = dataset_from_csv_bytes(self._shield_and_open(
+            mgr, self.validation_csv, self.validation_key, VALIDATION_SECRET,
+            self.state_dir / "validation.sfl"))
+        self.policy = self.manager.get_policy(self.policy_hash)
+        self.coordinator = Coordinator(self.policy, self.coordinator_enclave,
+                                       self.state_dir, root, self.validation,
+                                       self.checkpoint_key, mgr,
+                                       round_deadline=round_deadline)
+        self.listener = self.hub.listen("coordinator")
+
+    def _shield_and_open(self, mgr: ManagerChannel, plaintext: bytes, key: bytes,
+                         secret_name: str, path: Path) -> bytes:
+        """Write ``plaintext`` shielded under a new counter, then read it
+        back the way its consumer does: freshness from a verified stable read."""
+        token = mgr.counter_create()
+        shielded = shield_encrypt(plaintext, key,
+                                  secret_key_id(self.policy_hash, secret_name),
+                                  token, self.counters.public_key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_shielded(path, shielded)
+        freshness = verified_stable_lookup(mgr.counter_read, self.counters.public_key)
+        return shield_decrypt(read_shielded(path), key, freshness)
+
+    def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
+        return connect_manager(enclave, self.hub.connect("manager"),
+                               self.manager_policy, role, self.counters.public_key)
+
+    def make_agent(self, client_id: str, *, enclave: Enclave | None = None,
+                   dataset: Dataset | None = None, **kwargs) -> ClientAgent:
+        """A client agent; by default the roster client's own enclave and
+        its opened dataset under the roster hash. Extra keyword arguments
+        go to ``ClientAgent``."""
+        if dataset is None:
+            dataset = self.datasets[client_id]
+            dataset_hash = self.dataset_hashes[client_id]
+        else:
+            dataset_hash = sha256(dataset_to_csv_bytes(dataset))
+        if enclave is None:
+            enclave = (self.client_enclaves.get(client_id)
+                       or spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG))
+        return ClientAgent(client_id, enclave, dataset, dataset_hash,
+                           self.session, self.coordinator_policy, **kwargs)
+
+    def accept_async(self, expected: int) -> threading.Thread:
+        thread = threading.Thread(
+            target=self.coordinator.accept_clients,
+            kwargs={"listener": self.listener, "expected": expected,
+                    "deadline": JOIN_DEADLINE},
+            daemon=True)
+        thread.start()
+        return thread
+
+    def join_all(self, agents: list[ClientAgent]) -> None:
+        accept = self.accept_async(len(agents))
+        for agent in agents:
+            agent.join(self.hub.connect(self.listener.name,
+                                        label=f"client:{agent.client_id}"))
+        accept.join(timeout=JOIN_DEADLINE)
+
+    def start_agents(self, agents: list[ClientAgent]) -> None:
+        for agent in agents:
+            thread = threading.Thread(target=_run_agent, args=(agent,), daemon=True)
+            thread.start()
+            self.threads.append(thread)
+
+    def close(self) -> None:
+        self.coordinator._close_clients()
+        for thread in self.threads:
+            thread.join(timeout=JOIN_DEADLINE)
+        self.coordinator.manager.close()
+        self.endpoint.stop()
+        self.counters.close()
+
+
+def _run_agent(agent: ClientAgent) -> None:
+    try:
+        agent.run()
+    except FedShieldError as exc:
+        logger.info("agent %s stopped: %s", agent.client_id, exc)
+
+
 def run_demo(workdir: str | Path, *, num_clients: int = 3,
              rows_per_client: int = 200, dim: int = 8, seed: int = 7,
              separation: float = 2.0, session: SessionConfig | None = None,
@@ -136,27 +300,6 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     ``attack_factor``; ``unpinned_client_id`` adds an extra, non-roster
     participant running a modified code bundle (its admission must fail).
     """
-    workdir = Path(workdir)
-    manager_dir = workdir / "manager"
-    coordinator_dir = workdir / "coordinator"
-    clients_dir = workdir / "clients"
-    for d in (manager_dir, coordinator_dir, clients_dir):
-        d.mkdir(parents=True, exist_ok=True)
-
-    platform = generate_platform()
-    root = platform.root_public_key
-    manager_enclave = spawn_enclave(platform, MANAGER_BUNDLE, ROLE_CONFIG)
-    coordinator_enclave = spawn_enclave(platform, COORDINATOR_BUNDLE, ROLE_CONFIG)
-
-    counter_service = CounterService(manager_dir / "counters.wal",
-                                     generate_signing_key())
-    manager = PolicyManager(manager_dir, manager_enclave, root)
-
-    hub = Hub(capture)
-    endpoint = ServiceEndpoint(hub.listen("manager"), manager, counter_service,
-                               manager_enclave, root)
-    endpoint.start()
-
     client_ids = [f"client-{i + 1}" for i in range(num_clients)]
     data_seeds = _partition_seeds(seed, client_ids + ["validation"])
     datasets = {cid: synthetic_dataset(rows_per_client, dim, data_seeds[cid],
@@ -165,10 +308,6 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     validation = synthetic_dataset(rows_per_client * 2, dim,
                                    data_seeds["validation"],
                                    separation=separation)
-    csv_blobs = {cid: dataset_to_csv_bytes(ds) for cid, ds in datasets.items()}
-    validation_csv = dataset_to_csv_bytes(validation)
-
-    measurements = role_measurements()
     if session is None:
         session = SessionConfig(
             min_clients=min(2, num_clients), max_rounds=5,
@@ -176,175 +315,86 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             learning_rate=0.1, local_epochs=2, batch_size=32,
             clone_count=num_clients, clone_subset_size=num_clients - 1,
             outlier_threshold=0.02, rng_seed=seed)
-    roster = [(cid, sha256(csv_blobs[cid])) for cid in client_ids]
-    document = author_policy("desk-scale-session", measurements, roster, session,
-                             validation_hash=sha256(validation_csv))
-
-    manager_policy = AttestationPolicy(
-        trusted_root=root,
-        expected_measurements=frozenset({measurements["policy_manager_self"]}))
-    coordinator_policy = AttestationPolicy(
-        trusted_root=root,
-        expected_measurements=frozenset({measurements["coordinator"]}))
+    dep = Deployment(workdir, datasets, validation, session, capture=capture,
+                     round_deadline=round_deadline)
 
     sensitive: dict[str, bytes] = {}
     for cid in client_ids:
-        lines = csv_blobs[cid].split(b"\n")
+        lines = dep.csv_blobs[cid].split(b"\n")
         sensitive[f"dataset-row:{cid}"] = lines[1]
         sensitive[f"dataset-tail:{cid}"] = lines[-2]
-    sensitive["validation-row"] = validation_csv.split(b"\n")[1]
+    sensitive["validation-row"] = dep.validation_csv.split(b"\n")[1]
+    sensitive["secret:dataset-key"] = dep.dataset_key
+    sensitive["secret:dataset-key-hex"] = dep.dataset_key.hex().encode("ascii")
+    sensitive["secret:checkpoint-key"] = dep.checkpoint_key
+    sensitive["secret:checkpoint-key-hex"] = dep.checkpoint_key.hex().encode("ascii")
+    sensitive["secret:validation-key"] = dep.validation_key
 
-    # Client platforms share the deployment root in this desk simulation;
-    # the first roster client uploads the agreed policy after attesting the
-    # manager, then secrets are generated inside the manager enclave.
-    client_enclaves = {cid: spawn_enclave(platform, CLIENT_BUNDLE, ROLE_CONFIG)
-                       for cid in client_ids}
-    uploader = connect_manager(
-        client_enclaves[client_ids[0]], hub.connect("manager"),
-        manager_policy, role="client",
-        counter_public_key=counter_service.public_key)
-    policy_hash = uploader.upload_policy(document)
-    uploader.generate_secrets(policy_hash)
-    uploader.close()
-
-    agents: list[ClientAgent] = []
-    for cid in client_ids:
-        mgr = connect_manager(client_enclaves[cid], hub.connect("manager"),
-                              manager_policy, role="client",
-                              counter_public_key=counter_service.public_key)
-        bundle = mgr.request_secrets(policy_hash, "client")
-        dataset_key = bundle.key_bytes("DATASET_KEY")
-        sensitive.setdefault("secret:dataset-key", dataset_key)
-        sensitive.setdefault("secret:dataset-key-hex",
-                             dataset_key.hex().encode("ascii"))
-        token = mgr.counter_create()
-        shielded = shield_encrypt(csv_blobs[cid], dataset_key,
-                                  secret_key_id(policy_hash, DATASET_SECRET),
-                                  token, counter_service.public_key)
-        data_path = clients_dir / cid / "data.sfl"
-        data_path.parent.mkdir(parents=True, exist_ok=True)
-        write_shielded(data_path, shielded)
-        freshness = verified_stable_lookup(mgr.counter_read,
-                                           counter_service.public_key)
-        plaintext = shield_decrypt(read_shielded(data_path), dataset_key, freshness)
-        mgr.close()
-        agent = ClientAgent(
-            cid, client_enclaves[cid], dataset_from_csv_bytes(plaintext),
-            sha256(plaintext), session, coordinator_policy,
-            update_transform=(scaling_attack(attack_factor)
-                              if cid == attacker_id else None))
-        agents.append(agent)
-
-    coordinator_manager = connect_manager(
-        coordinator_enclave, hub.connect("manager"), manager_policy,
-        role="coordinator", counter_public_key=counter_service.public_key)
-    coord_bundle = coordinator_manager.request_secrets(policy_hash, "coordinator")
-    checkpoint_key = coord_bundle.key_bytes("CHECKPOINT_KEY")
-    validation_key = coord_bundle.key_bytes("VALIDATION_KEY")
-    sensitive["secret:checkpoint-key"] = checkpoint_key
-    sensitive["secret:checkpoint-key-hex"] = checkpoint_key.hex().encode("ascii")
-    sensitive["secret:validation-key"] = validation_key
-
-    val_token = coordinator_manager.counter_create()
-    val_shielded = shield_encrypt(validation_csv, validation_key,
-                                  secret_key_id(policy_hash, VALIDATION_SECRET),
-                                  val_token, counter_service.public_key)
-    write_shielded(coordinator_dir / "validation.sfl", val_shielded)
-    val_freshness = verified_stable_lookup(coordinator_manager.counter_read,
-                                           counter_service.public_key)
-    validation_plain = shield_decrypt(read_shielded(coordinator_dir / "validation.sfl"),
-                                      validation_key, val_freshness)
-    validation_ds = dataset_from_csv_bytes(validation_plain)
-
-    policy = manager.get_policy(policy_hash)
-    coordinator = Coordinator(policy, coordinator_enclave, coordinator_dir,
-                              root, validation_ds, checkpoint_key,
-                              coordinator_manager,
-                              round_deadline=round_deadline)
-
-    listener = hub.listen("coordinator")
-    expected = num_clients
-    accept_thread = threading.Thread(
-        target=coordinator.accept_clients,
-        kwargs={"listener": listener, "expected": expected, "deadline": 60.0},
-        daemon=True)
-    accept_thread.start()
-
+    agents = [dep.make_agent(cid, update_transform=(scaling_attack(attack_factor)
+                                                    if cid == attacker_id else None))
+              for cid in client_ids]
+    accept = dep.accept_async(expected=num_clients)
     rejected: dict[str, str] = {}
     if unpinned_client_id is not None:
-        bad_enclave = spawn_enclave(platform, CLIENT_BUNDLE + b" (modified)",
+        bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" (modified)",
                                     ROLE_CONFIG)
-        bad_agent = ClientAgent(unpinned_client_id, bad_enclave,
-                                datasets[client_ids[0]], roster[0][1],
-                                session, coordinator_policy)
+        bad_agent = dep.make_agent(unpinned_client_id, enclave=bad_enclave,
+                                   dataset=dep.datasets[client_ids[0]])
         try:
-            bad_agent.join(hub.connect("coordinator", label="unpinned"))
+            bad_agent.join(dep.hub.connect("coordinator", label="unpinned"))
         except FedShieldError as exc:
             rejected[unpinned_client_id] = type(exc).__name__
-
     for agent in agents:
-        agent.join(hub.connect("coordinator", label=f"client:{agent.client_id}"))
-    accept_thread.join(timeout=60.0)
+        agent.join(dep.hub.connect("coordinator", label=f"client:{agent.client_id}"))
+    accept.join(timeout=JOIN_DEADLINE)
 
-    agent_threads = [threading.Thread(target=agent.run, daemon=True)
-                     for agent in agents]
-    for thread in agent_threads:
-        thread.start()
-
-    model = coordinator.run_session()
-    for thread in agent_threads:
-        thread.join(timeout=60.0)
-    coordinator_manager.close()
-    endpoint.stop()
-    counter_service.close()
+    dep.start_agents(agents)
+    model = dep.coordinator.run_session()
+    dep.close()
 
     for agent in agents:
         for i, blob in enumerate(agent.sent_update_blobs):
             sensitive[f"update:{agent.client_id}:{i}"] = blob
 
     return DemoResult(
-        workdir=workdir,
+        workdir=Path(workdir),
         model=model,
-        policy_hash=policy_hash,
-        coordinator=coordinator,
+        policy_hash=dep.policy_hash,
+        coordinator=dep.coordinator,
         agents=agents,
         capture=capture,
         audit_paths={
-            "coordinator": coordinator_dir / "audit.log",
-            "manager": manager_dir / "audit.log",
+            "coordinator": dep.state_dir / "audit.log",
+            "manager": dep.manager_dir / "audit.log",
         },
         sensitive=sensitive,
         rejected=rejected,
     )
 
 
+def _matches(blob: bytes, patterns: dict[str, bytes]) -> list[str]:
+    """Names of the patterns found in ``blob``. Patterns shorter than 16
+    bytes are rejected because short strings can collide by chance."""
+    for name, pattern in patterns.items():
+        if len(pattern) < 16:
+            raise ValueError(f"pattern {name!r} is too short to scan for")
+    return [name for name, pattern in patterns.items() if pattern in blob]
+
+
 def scan_tree(root: str | Path, patterns: dict[str, bytes]) -> list[str]:
     """Find any sensitive pattern in any file under ``root``.
 
     Returns ``file:pattern-name`` findings; an empty list means the scan
-    is clean. Patterns shorter than 16 bytes are rejected because short
-    strings can collide by chance.
+    is clean.
     """
     findings = []
     for path in sorted(Path(root).rglob("*")):
-        if not path.is_file():
-            continue
-        blob = path.read_bytes()
-        for name, pattern in patterns.items():
-            if len(pattern) < 16:
-                raise ValueError(f"pattern {name!r} is too short to scan for")
-            if pattern in blob:
-                findings.append(f"{path}:{name}")
+        if path.is_file():
+            findings += [f"{path}:{name}"
+                         for name in _matches(path.read_bytes(), patterns)]
     return findings
 
 
 def scan_capture(capture: CaptureLog, patterns: dict[str, bytes]) -> list[str]:
     """Find any sensitive pattern in the recorded wire traffic."""
-    wire = capture.all_bytes()
-    findings = []
-    for name, pattern in patterns.items():
-        if len(pattern) < 16:
-            raise ValueError(f"pattern {name!r} is too short to scan for")
-        if pattern in wire:
-            findings.append(f"wire:{name}")
-    return findings
+    return [f"wire:{name}" for name in _matches(capture.all_bytes(), patterns)]

@@ -205,25 +205,25 @@ def aggregate(updates: list[ModelUpdate]) -> np.ndarray:
     return acc / float(total)
 
 
-def converged(history: list[tuple[int, float, float]], cfg) -> bool:
-    """Session stop rule.
+def converged(history: list[tuple[int, float, float]], cfg) -> str | None:
+    """Session stop rule: why the session stops after ``history``, or None.
 
-    True when the latest accuracy meets ``cfg.target_accuracy``, or the last
-    ``cfg.patience`` consecutive loss deltas are all below
-    ``cfg.convergence_epsilon`` in magnitude, or the round index has reached
-    ``cfg.max_rounds``.
+    ``"target-reached"`` when the latest accuracy meets ``cfg.target_accuracy``;
+    ``"loss-plateau"`` when the last ``cfg.patience`` consecutive loss deltas
+    are all below ``cfg.convergence_epsilon`` in magnitude; ``"max-rounds"``
+    when the round index has reached ``cfg.max_rounds``.
     """
     if not history:
-        return False
+        return None
     round_index, accuracy, _ = history[-1]
     if accuracy >= cfg.target_accuracy:
-        return True
+        return "target-reached"
     if len(history) >= cfg.patience + 1:
         tail = [loss for _, _, loss in history[-(cfg.patience + 1):]]
         deltas = [tail[i + 1] - tail[i] for i in range(len(tail) - 1)]
         if all(abs(d) < cfg.convergence_epsilon for d in deltas):
-            return True
-    return round_index >= cfg.max_rounds
+            return "loss-plateau"
+    return "max-rounds" if round_index >= cfg.max_rounds else None
 
 
 def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
@@ -257,11 +257,6 @@ def dataset_from_csv_bytes(data: bytes) -> Dataset:
         labels.append(values[-1])
     return Dataset(np.array(features, dtype=np.float64),
                    np.array(labels, dtype=np.float64))
-
-
-def load_dataset_csv(path) -> Dataset:
-    with open(path, "rb") as fh:
-        return dataset_from_csv_bytes(fh.read())
 
 
 def save_dataset_csv(dataset: Dataset, path) -> bytes:

@@ -59,7 +59,7 @@ from .fl import (
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
-from .policy import Policy, secret_key_id
+from .policy import CHECKPOINT_SECRET, Policy, secret_key_id
 from .services import ManagerChannel
 from .shield import (
     read_shielded,
@@ -71,7 +71,6 @@ from .shield import (
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SECRET = "checkpoint-key"
 _SLOTS = ("checkpoint-a.sfl", "checkpoint-b.sfl")
 
 
@@ -462,17 +461,6 @@ class Coordinator:
         })
         return record
 
-    def _convergence_reason(self) -> str:
-        _, accuracy, _ = self.model.history[-1]
-        if accuracy >= self.cfg.target_accuracy:
-            return "target-reached"
-        if len(self.model.history) >= self.cfg.patience + 1:
-            tail = [loss for _, _, loss in self.model.history[-(self.cfg.patience + 1):]]
-            deltas = [tail[i + 1] - tail[i] for i in range(len(tail) - 1)]
-            if all(abs(d) < self.cfg.convergence_epsilon for d in deltas):
-                return "loss-plateau"
-        return "max-rounds"
-
     def run_session(self) -> GlobalModel:
         """Loop rounds until the stop rule fires; audit everything."""
         self.audit.append("session-start", {
@@ -482,8 +470,8 @@ class Coordinator:
         try:
             while True:
                 record = self.run_round(self.model.round_index + 1)
-                if converged(self.model.history, self.cfg):
-                    reason = self._convergence_reason()
+                reason = converged(self.model.history, self.cfg)
+                if reason:
                     break
         except RoundQuorumError as exc:
             self.audit.append("session-failed", {"reason": str(exc)})

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import secrets as secrets_mod
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -50,6 +50,11 @@ _RANDOM_HEX_RE = re.compile(r"^random-hex-(\d+)$")
 
 SYMMETRIC_KEY_256 = "symmetric-key-256"
 PROVIDED_VALUE = "provided-value"
+
+# Secrets of the standard deployment; their names also derive shield key ids.
+DATASET_SECRET = "dataset-key"
+CHECKPOINT_SECRET = "checkpoint-key"
+VALIDATION_SECRET = "validation-key"
 
 
 @dataclass(frozen=True)
@@ -111,38 +116,13 @@ class SessionConfig:
             raise PolicyInvalidError("rng_seed must fit in 64 bits")
 
     def to_dict(self) -> dict:
-        return {
-            "min_clients": self.min_clients,
-            "max_rounds": self.max_rounds,
-            "target_accuracy": self.target_accuracy,
-            "convergence_epsilon": self.convergence_epsilon,
-            "patience": self.patience,
-            "learning_rate": self.learning_rate,
-            "local_epochs": self.local_epochs,
-            "batch_size": self.batch_size,
-            "clone_count": self.clone_count,
-            "clone_subset_size": self.clone_subset_size,
-            "outlier_threshold": self.outlier_threshold,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
+        """Every field is required and coerced to the type of its default."""
         try:
-            return cls(
-                min_clients=int(doc["min_clients"]),
-                max_rounds=int(doc["max_rounds"]),
-                target_accuracy=float(doc["target_accuracy"]),
-                convergence_epsilon=float(doc["convergence_epsilon"]),
-                patience=int(doc["patience"]),
-                learning_rate=float(doc["learning_rate"]),
-                local_epochs=int(doc["local_epochs"]),
-                batch_size=int(doc["batch_size"]),
-                clone_count=int(doc["clone_count"]),
-                clone_subset_size=int(doc["clone_subset_size"]),
-                outlier_threshold=float(doc["outlier_threshold"]),
-                rng_seed=int(doc["rng_seed"]),
-            )
+            return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
         except (KeyError, TypeError, ValueError) as exc:
             raise PolicyInvalidError(f"bad session config: {exc}") from exc
 
@@ -164,9 +144,6 @@ class Policy:
     policy_hash: bytes
     document: str  # canonical text
     validation_dataset_hash: bytes | None = None
-
-    def roster_ids(self) -> list[str]:
-        return [entry.client_id for entry in self.roster]
 
     def roster_hash(self, client_id: str) -> bytes | None:
         for entry in self.roster:

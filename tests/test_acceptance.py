@@ -40,7 +40,7 @@ from fedshield.shield import shield_decrypt, shield_encrypt, verified_stable_loo
 from fedshield.transport import CaptureLog
 
 from test_counters import run_random_schedule
-from test_orchestrator import Deployment
+from test_orchestrator import make_deployment
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def test_criterion_1_utility_parity(tmp_path):
 def test_criterion_2_attestation_gating(tmp_path):
     """Exhaustive quote matrix: release and admission only in the good cell."""
     with criterion(2, "attestation-gating", 5.0):
-        dep = Deployment(tmp_path, num_clients=1)
+        dep = make_deployment(tmp_path, num_clients=1)
         try:
             good_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE, ROLE_CONFIG)
             bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" evil",
@@ -307,6 +307,10 @@ def test_criterion_7_confidentiality_scan(tmp_path):
               f"{len(capture.frames())} frames and the workspace tree")
         assert tree_findings == []
         assert wire_findings == []
+        with pytest.raises(ValueError, match="too short"):
+            scan_tree(tmp_path, {"short": b"y" * 15})
+        with pytest.raises(ValueError, match="too short"):
+            scan_capture(capture, {"short": b"y" * 15})
 
 
 def test_criterion_8_audit_integrity(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from fedshield.attestation import (
     AttestationPolicy,
     AttestationVerdict,
+    attested_handshake,
     binding_report_data,
     verify_quote,
 )
@@ -21,7 +22,7 @@ from fedshield.errors import (
     InvalidInputError,
     QuoteDecodeError,
 )
-from fedshield.transport import CaptureLog
+from fedshield.transport import CaptureLog, transport_pair
 
 from conftest import run_handshake_pair
 
@@ -159,6 +160,14 @@ class TestHandshake:
                 else:
                     assert isinstance(result_a, FedShieldError)
                     assert isinstance(result_b, FedShieldError)
+
+    def test_non_utf8_hello_role_is_decode_error(self, platform, enclave_a):
+        ours, theirs = transport_pair()
+        theirs.send_frame(bytes([1]) + NONCE + bytes([2]) + b"\xff\xfe")
+        with pytest.raises(HandshakeError) as info:
+            attested_handshake(enclave_a, ours, policy_for(platform, enclave_a),
+                               "coordinator", timeout=5)
+        assert info.value.check == "decode"
 
     def test_same_role_rejected(self, platform, enclave_a, enclave_b):
         result_a, result_b = run_handshake_pair(

@@ -6,9 +6,12 @@ import subprocess
 import sys
 import time
 
-from fedshield.enclave import measure
+from fedshield import cli
+from fedshield.demo import author_policy, role_measurements
+from fedshield.enclave import generate_platform, measure, save_platform, spawn_enclave
+from fedshield.errors import TransportClosedError
 from fedshield.fl import save_dataset_csv, synthetic_dataset
-from fedshield.policy import parse_policy
+from fedshield.policy import SessionConfig, parse_policy
 
 CLI = [sys.executable, "-m", "fedshield.cli"]
 
@@ -135,6 +138,34 @@ def test_session_file_pins_policy_hash(tmp_path):
                      "--session-file", session_file, check=False)
     assert result.returncode == 1
     assert "session file pins" in result.stderr
+
+
+def test_run_client_attests_manager_from_its_own_enclave(tmp_path, monkeypatch):
+    """The enclave that receives the client's secrets is the one that trains."""
+    spawned = []
+
+    def counting_spawn(*args):
+        spawned.append(args)
+        return spawn_enclave(*args)
+
+    def unreachable(host, port):
+        raise TransportClosedError(f"{host}:{port} unreachable")
+
+    monkeypatch.setattr(cli, "spawn_enclave", counting_spawn)
+    monkeypatch.setattr(cli, "tcp_connect", unreachable)
+    save_platform(generate_platform(), tmp_path / "platform.json")
+    (tmp_path / "policy.json").write_text(author_policy(
+        "one-enclave", role_measurements(), [("alice", bytes(32))], SessionConfig()))
+    (tmp_path / "bundle.bin").write_bytes(b"agent")
+    assert cli.main(["run-client", "--client-id", "alice",
+                     "--data", str(tmp_path / "alice.sfl"),
+                     "--key-file", str(tmp_path / "platform.json"),
+                     "--bundle", str(tmp_path / "bundle.bin"),
+                     "--config", str(tmp_path / "bundle.bin"),
+                     "--manager", "127.0.0.1:1", "--coordinator", "127.0.0.1:1",
+                     "--policy", str(tmp_path / "policy.json"),
+                     "--counter-public-key", "aa" * 32]) == 1
+    assert len(spawned) == 1
 
 
 def _free_port() -> int:

@@ -177,23 +177,25 @@ class TestEvaluate:
 
 class TestConverged:
     def test_target_accuracy_reached(self):
-        assert converged([(1, 0.97, 0.3)], cfg(target_accuracy=0.95))
+        assert converged([(1, 0.97, 0.3)],
+                         cfg(target_accuracy=0.95)) == "target-reached"
 
     def test_loss_plateau(self):
         history = [(1, 0.5, 0.50), (2, 0.5, 0.4999), (3, 0.5, 0.4998),
                    (4, 0.5, 0.4998)]
         assert converged(history, cfg(target_accuracy=0.99,
-                                      convergence_epsilon=1e-3, patience=3))
+                                      convergence_epsilon=1e-3,
+                                      patience=3)) == "loss-plateau"
 
     def test_not_converged_early(self):
         history = [(1, 0.5, 0.7), (2, 0.55, 0.6)]
-        assert not converged(history, cfg(target_accuracy=0.99, patience=3,
-                                          max_rounds=10))
+        assert converged(history, cfg(target_accuracy=0.99, patience=3,
+                                      max_rounds=10)) is None
 
     def test_max_rounds(self):
         history = [(r, 0.5, 0.7 - 0.01 * r) for r in range(1, 11)]
         assert converged(history, cfg(target_accuracy=0.99, patience=3,
-                                      max_rounds=10))
+                                      max_rounds=10)) == "max-rounds"
 
 
 class TestDeterminism:

@@ -5,19 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from fedshield.attestation import AttestationPolicy
+from fedshield import demo
 from fedshield.audit import read_entries, verify_audit
-from fedshield.counters import CounterService
-from fedshield.demo import (
-    CLIENT_BUNDLE,
-    COORDINATOR_BUNDLE,
-    MANAGER_BUNDLE,
-    ROLE_CONFIG,
-    author_policy,
-    role_measurements,
-    run_demo,
-)
-from fedshield.enclave import generate_platform, generate_signing_key, spawn_enclave
+from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
+from fedshield.enclave import spawn_enclave
 from fedshield.encoding import canonical_bytes, sha256
 from fedshield.errors import (
     FedShieldError,
@@ -25,119 +16,30 @@ from fedshield.errors import (
     ServiceError,
     SessionFailedError,
 )
-from fedshield.fl import dataset_to_csv_bytes, synthetic_dataset
-from fedshield.orchestrator import ClientAgent, Coordinator, derive_training_seed
-from fedshield.policy import PolicyManager, SessionConfig
-from fedshield.services import ServiceEndpoint, connect_manager
-from fedshield.transport import CaptureLog, Hub
+from fedshield.fl import synthetic_dataset
+from fedshield.orchestrator import Coordinator, derive_training_seed
+from fedshield.policy import SessionConfig
+from fedshield.transport import CaptureLog
 
 
-class Deployment:
-    """In-process manager + coordinator + agents, driven manually by tests."""
-
-    def __init__(self, tmp_path, num_clients=3, session=None, capture=None,
-                 round_deadline=5.0):
-        self.capture = capture
-        self.hub = Hub(capture)
-        self.platform = generate_platform()
-        root = self.platform.root_public_key
-        self.manager_enclave = spawn_enclave(self.platform, MANAGER_BUNDLE, ROLE_CONFIG)
-        self.coordinator_enclave = spawn_enclave(self.platform, COORDINATOR_BUNDLE, ROLE_CONFIG)
-        self.counters = CounterService(tmp_path / "manager" / "counters.wal",
-                                       generate_signing_key(), use_fsync=False)
-        self.manager = PolicyManager(tmp_path / "manager", self.manager_enclave, root)
-        self.endpoint = ServiceEndpoint(self.hub.listen("manager"), self.manager,
-                                        self.counters, self.manager_enclave, root)
-        self.endpoint.start()
-
-        self.client_ids = [f"client-{i + 1}" for i in range(num_clients)]
-        self.datasets = {cid: synthetic_dataset(60, 4, seed=i + 1)
-                         for i, cid in enumerate(self.client_ids)}
-        self.validation = synthetic_dataset(120, 4, seed=88)
-        self.session = session or SessionConfig(
-            min_clients=num_clients, max_rounds=4, target_accuracy=0.999,
-            convergence_epsilon=1e-12, patience=3, learning_rate=0.2,
-            local_epochs=1, batch_size=16, clone_count=0, clone_subset_size=0,
-            rng_seed=5)
-        measurements = role_measurements()
-        roster = [(cid, sha256(dataset_to_csv_bytes(self.datasets[cid])))
-                  for cid in self.client_ids]
-        document = author_policy("test-session", measurements, roster, self.session)
-
-        self.manager_policy = AttestationPolicy(
-            root, frozenset({measurements["policy_manager_self"]}))
-        self.coordinator_policy = AttestationPolicy(
-            root, frozenset({measurements["coordinator"]}))
-
-        mgr = self.connect_manager(self.coordinator_enclave, role="coordinator")
-        self.policy_hash = mgr.upload_policy(document)
-        mgr.generate_secrets(self.policy_hash)
-        bundle = mgr.request_secrets(self.policy_hash, "coordinator")
-        self.checkpoint_key = bytes.fromhex(bundle.environment["CHECKPOINT_KEY"])
-        self.policy = self.manager.get_policy(self.policy_hash)
-        self.state_dir = tmp_path / "coordinator"
-        self.coordinator = Coordinator(
-            self.policy, self.coordinator_enclave, self.state_dir, root,
-            self.validation, self.checkpoint_key, mgr,
-            round_deadline=round_deadline)
-        self.listener = self.hub.listen("coordinator")
-        self.threads: list[threading.Thread] = []
-
-    def connect_manager(self, enclave, role):
-        return connect_manager(enclave, self.hub.connect("manager"),
-                               self.manager_policy, role,
-                               self.counters.public_key)
-
-    def make_agent(self, client_id, *, enclave=None, dataset=None,
-                   dataset_hash=None, **kwargs) -> ClientAgent:
-        dataset = dataset if dataset is not None else self.datasets[client_id]
-        if dataset_hash is None:
-            dataset_hash = sha256(dataset_to_csv_bytes(dataset))
-        if enclave is None:
-            enclave = spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG)
-        return ClientAgent(client_id, enclave, dataset, dataset_hash,
-                           self.session, self.coordinator_policy, **kwargs)
-
-    def accept_async(self, expected):
-        thread = threading.Thread(
-            target=self.coordinator.accept_clients,
-            kwargs={"listener": self.listener, "expected": expected,
-                    "deadline": 20.0},
-            daemon=True)
-        thread.start()
-        return thread
-
-    def join_all(self, agents, expected=None):
-        accept = self.accept_async(expected if expected is not None else len(agents))
-        for agent in agents:
-            agent.join(self.hub.connect("coordinator", label=f"join:{agent.client_id}"))
-        accept.join(timeout=20.0)
-
-    def start_agents(self, agents):
-        for agent in agents:
-            thread = threading.Thread(target=self._run_quiet, args=(agent,),
-                                      daemon=True)
-            thread.start()
-            self.threads.append(thread)
-
-    @staticmethod
-    def _run_quiet(agent):
-        try:
-            agent.run()
-        except FedShieldError:
-            pass
-
-    def close(self):
-        self.coordinator._close_clients()
-        self.endpoint.stop()
-        self.counters.close()
-        for thread in self.threads:
-            thread.join(timeout=5.0)
+def make_deployment(tmp_path, num_clients=3, session=None, capture=None,
+                    round_deadline=5.0) -> demo.Deployment:
+    """The library deployment over small fixed datasets, driven by tests."""
+    client_ids = [f"client-{i + 1}" for i in range(num_clients)]
+    session = session or SessionConfig(
+        min_clients=num_clients, max_rounds=4, target_accuracy=0.999,
+        convergence_epsilon=1e-12, patience=3, learning_rate=0.2,
+        local_epochs=1, batch_size=16, clone_count=0, clone_subset_size=0,
+        rng_seed=5)
+    datasets = {cid: synthetic_dataset(60, 4, seed=i + 1)
+                for i, cid in enumerate(client_ids)}
+    return demo.Deployment(tmp_path, datasets, synthetic_dataset(120, 4, seed=88),
+                           session, capture=capture, round_deadline=round_deadline)
 
 
 @pytest.fixture
 def deployment(tmp_path):
-    dep = Deployment(tmp_path)
+    dep = make_deployment(tmp_path)
     yield dep
     dep.close()
 
@@ -172,9 +74,22 @@ class TestAdmission:
         deployment.listener.close()
         accept.join(timeout=5)
 
+    def test_undecodable_hello_does_not_stop_admission(self, deployment):
+        accept = deployment.accept_async(expected=1)
+        rogue = deployment.hub.connect("coordinator", label="rogue")
+        rogue.send_frame(bytes([1]) + bytes(32) + bytes([2]) + b"\xff\xfe")
+        deployment.make_agent("client-1").join(deployment.hub.connect("coordinator"))
+        accept.join(timeout=10)
+        assert list(deployment.coordinator.admitted) == ["client-1"]
+        admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
+                      if e.kind == "admission"]
+        assert admissions[0] == {"client_id": None, "admitted": False,
+                                 "reason": "attestation", "detail": "decode"}
+        assert admissions[1]["admitted"] is True
+
     def test_unpinned_measurement_never_gets_model_bytes(self, tmp_path):
         capture = CaptureLog()
-        dep = Deployment(tmp_path, capture=capture)
+        dep = make_deployment(tmp_path, capture=capture)
         try:
             bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b"x",
                                         ROLE_CONFIG)
@@ -216,7 +131,7 @@ class TestRounds:
         session = SessionConfig(min_clients=2, max_rounds=4,
                                 target_accuracy=0.999, learning_rate=0.2,
                                 local_epochs=1, batch_size=16, rng_seed=5)
-        deployment = Deployment(tmp_path, session=session)
+        deployment = make_deployment(tmp_path, session=session)
         agents = [deployment.make_agent(cid)
                   for cid in deployment.client_ids[:2]]
         saboteur = deployment.make_agent("client-3")
@@ -247,7 +162,7 @@ class TestRounds:
         session = SessionConfig(min_clients=3, max_rounds=3,
                                 target_accuracy=0.999, learning_rate=0.1,
                                 local_epochs=1, batch_size=16, rng_seed=1)
-        dep = Deployment(tmp_path, session=session, round_deadline=0.4)
+        dep = make_deployment(tmp_path, session=session, round_deadline=0.4)
         try:
             agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(agents)
@@ -263,7 +178,7 @@ class TestRounds:
 
 class TestCrashRecovery:
     def test_resume_from_stable_checkpoint(self, tmp_path):
-        dep = Deployment(tmp_path)
+        dep = make_deployment(tmp_path)
         try:
             agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(agents)
@@ -287,14 +202,7 @@ class TestCrashRecovery:
             dep.coordinator = revived
             dep.listener = dep.hub.listen("coordinator-revived")
             fresh_agents = [dep.make_agent(cid) for cid in dep.client_ids]
-            accept = threading.Thread(
-                target=revived.accept_clients,
-                kwargs={"listener": dep.listener, "expected": 3, "deadline": 10.0},
-                daemon=True)
-            accept.start()
-            for agent in fresh_agents:
-                agent.join(dep.hub.connect("coordinator-revived"))
-            accept.join(timeout=10)
+            dep.join_all(fresh_agents)
             dep.start_agents(fresh_agents)
             record = revived.run_round(3)
             assert record.round_index == 3
@@ -306,7 +214,7 @@ class TestCrashRecovery:
             dep.close()
 
     def test_replayed_stale_checkpoint_refused(self, tmp_path):
-        dep = Deployment(tmp_path)
+        dep = make_deployment(tmp_path)
         try:
             agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(agents)

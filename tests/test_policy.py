@@ -97,6 +97,7 @@ class TestCanonicalization:
         policy = parse_policy(json.dumps(policy_doc()))
         again = parse_policy(policy.document)
         assert again.policy_hash == policy.policy_hash
+        assert again.session == SessionConfig(clone_count=2, clone_subset_size=1)
 
 
 class TestValidation:
@@ -136,6 +137,14 @@ class TestValidation:
         doc["session"]["target_accuracy"] = 1.5
         with pytest.raises(PolicyInvalidError):
             parse_policy(json.dumps(doc))
+
+    def test_session_field_missing_or_non_numeric(self):
+        missing, non_numeric = policy_doc(), policy_doc()
+        del missing["session"]["patience"]
+        non_numeric["session"]["learning_rate"] = "fast"
+        for doc in (missing, non_numeric):
+            with pytest.raises(PolicyInvalidError, match="bad session config"):
+                parse_policy(json.dumps(doc))
 
 
 class TestRenderTemplate:
