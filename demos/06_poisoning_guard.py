@@ -55,8 +55,7 @@ session = SessionConfig(min_clients=4, max_rounds=3, target_accuracy=0.99,
                         outlier_threshold=0.02, rng_seed=17)
 with tempfile.TemporaryDirectory() as workdir:
     result = run_demo(workdir, num_clients=5, rows_per_client=120, dim=8,
-                      seed=17, session=session, attacker_id="client-2",
-                      attack_factor=-10.0)
+                      seed=17, session=session, attacker_id="client-2")
     print("\nlive session with client-2 poisoning:")
     for record in result.coordinator.records:
         print(f"  round {record.round_index}: accuracy={record.accuracy:.3f} "

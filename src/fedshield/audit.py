@@ -58,9 +58,8 @@ class AuditVerdict:
 class AuditLog:
     """Append-only writer. Reopening an existing log continues its chain."""
 
-    def __init__(self, path: str | Path, *, clock=time.time):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._clock = clock
         self._seq = 0
         self._prev = GENESIS
         if self.path.exists() and self.path.stat().st_size > 0:
@@ -70,7 +69,7 @@ class AuditLog:
                 self._prev = entries[-1].entry_hash
 
     def append(self, kind: str, payload: dict) -> AuditEntry:
-        timestamp = float(self._clock())
+        timestamp = time.time()
         entry = AuditEntry(
             seq=self._seq,
             timestamp=timestamp,

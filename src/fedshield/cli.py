@@ -14,7 +14,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .attestation import AttestationPolicy
 from .audit import verify_audit
 from .counters import CounterService
 from .demo import author_policy, run_demo, scan_capture, scan_tree
@@ -33,7 +32,14 @@ from .encoding import sha256
 from .errors import FedShieldError
 from .fl import dataset_from_csv_bytes
 from .orchestrator import ClientAgent, Coordinator
-from .policy import PolicyManager, SessionConfig, parse_policy
+from .policy import (
+    CHECKPOINT_KEY,
+    DATASET_KEY,
+    VALIDATION_KEY,
+    PolicyManager,
+    SessionConfig,
+    parse_policy,
+)
 from .services import ServiceEndpoint, connect_manager
 from .shield import (
     read_shielded,
@@ -123,21 +129,19 @@ def _role_enclave(args):
 
 
 def _manager_channel(args, platform, enclave, role):
-    policy_doc = parse_policy(Path(args.policy).read_text())
+    """The policy file and an attested channel to the manager it pins."""
+    policy = parse_policy(Path(args.policy).read_text())
     pinned = getattr(args, "policy_hash", None)
-    if pinned and policy_doc.policy_hash.hex() != pinned:
+    if pinned and policy.policy_hash.hex() != pinned:
         raise FedShieldError(
-            f"policy file hashes to {policy_doc.policy_hash.hex()}, "
+            f"policy file hashes to {policy.policy_hash.hex()}, "
             f"session file pins {pinned}")
-    manager_measurement = policy_doc.allowed_measurements["policy_manager_self"]
-    policy = AttestationPolicy(
-        trusted_root=bytes.fromhex(args.trusted_root)
-        if args.trusted_root else platform.root_public_key,
-        expected_measurements=frozenset({manager_measurement}))
-    host, port = _addr(args.manager)
-    transport = tcp_connect(host, port)
-    counter_pub = bytes.fromhex(args.counter_public_key)
-    return policy_doc, connect_manager(enclave, transport, policy, role, counter_pub)
+    root = (bytes.fromhex(args.trusted_root) if args.trusted_root
+            else platform.root_public_key)
+    manager_pin = policy.pin("policy_manager_self", root)
+    transport = tcp_connect(*_addr(args.manager))
+    return policy, connect_manager(enclave, transport, manager_pin, role,
+                                   bytes.fromhex(args.counter_public_key))
 
 
 def cmd_policy_upload(args) -> int:
@@ -204,8 +208,7 @@ def cmd_run_manager(args) -> int:
     counters = CounterService(Path(args.store_dir) / "counters.wal",
                               load_signing_key(args.counter_key))
     manager = PolicyManager(args.store_dir, enclave, platform.root_public_key)
-    host, port = _addr(args.listen)
-    listener = TcpListener(host, port)
+    listener = TcpListener(*_addr(args.listen))
     endpoint = ServiceEndpoint(listener, manager, counters, enclave,
                                platform.root_public_key)
     print(f"manager measurement: {enclave.measurement.hex()}")
@@ -226,22 +229,15 @@ def cmd_run_coordinator(args) -> int:
     _require(args, "manager", "policy", "counter_public_key", "validation",
              "state_dir")
     platform, enclave = _role_enclave(args)
-    policy_doc, manager = _manager_channel(args, platform, enclave,
-                                           role="coordinator")
-    bundle_secrets = manager.request_secrets(policy_doc.policy_hash, "coordinator")
-    checkpoint_key = bundle_secrets.key_bytes("CHECKPOINT_KEY")
-    validation_key = bundle_secrets.key_bytes("VALIDATION_KEY")
-    freshness = verified_stable_lookup(manager.counter_read,
-                                       manager.counter_public_key)
-    validation_plain = shield_decrypt(read_shielded(args.validation),
-                                      validation_key, freshness)
-    validation = dataset_from_csv_bytes(validation_plain)
-    coordinator = Coordinator(policy_doc, enclave, args.state_dir,
+    policy, manager = _manager_channel(args, platform, enclave, role="coordinator")
+    keys = manager.request_secrets(policy.policy_hash, "coordinator")
+    validation = dataset_from_csv_bytes(
+        manager.open_shielded(args.validation, keys.key_bytes(VALIDATION_KEY)))
+    coordinator = Coordinator(policy, enclave, args.state_dir,
                               platform.root_public_key, validation,
-                              checkpoint_key, manager,
+                              keys.key_bytes(CHECKPOINT_KEY), manager,
                               round_deadline=args.round_deadline)
-    host, port = _addr(args.listen)
-    listener = TcpListener(host, port)
+    listener = TcpListener(*_addr(args.listen))
     print(f"coordinator measurement: {enclave.measurement.hex()}")
     print(f"listening on {listener.address[0]}:{listener.address[1]}")
     coordinator.accept_clients(listener, deadline=args.join_deadline)
@@ -260,22 +256,13 @@ def cmd_run_client(args) -> int:
                                "trusted_root"))
     _require(args, "manager", "coordinator", "policy", "counter_public_key")
     platform, enclave = _role_enclave(args)
-    policy_doc, manager = _manager_channel(args, platform, enclave,
-                                           role="client")
-    bundle_secrets = manager.request_secrets(policy_doc.policy_hash, "client")
-    dataset_key = bundle_secrets.key_bytes("DATASET_KEY")
-    freshness = verified_stable_lookup(manager.counter_read,
-                                       manager.counter_public_key)
-    plaintext = shield_decrypt(read_shielded(args.data), dataset_key, freshness)
-    dataset = dataset_from_csv_bytes(plaintext)
-    coordinator_policy = AttestationPolicy(
-        trusted_root=platform.root_public_key,
-        expected_measurements=frozenset(
-            {policy_doc.allowed_measurements["coordinator"]}))
-    agent = ClientAgent(args.client_id, enclave, dataset, sha256(plaintext),
-                        policy_doc.session, coordinator_policy)
-    host, port = _addr(args.coordinator)
-    agent.join(tcp_connect(host, port))
+    policy, manager = _manager_channel(args, platform, enclave, role="client")
+    keys = manager.request_secrets(policy.policy_hash, "client")
+    plaintext = manager.open_shielded(args.data, keys.key_bytes(DATASET_KEY))
+    agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
+                        sha256(plaintext), policy.session,
+                        policy.pin("coordinator", platform.root_public_key))
+    agent.join(tcp_connect(*_addr(args.coordinator)))
     print(f"{args.client_id}: admitted")
     result = agent.run()
     manager.close()
@@ -319,6 +306,13 @@ def cmd_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedshield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flag groups shared by several verbs.
+    role_enclave = argparse.ArgumentParser(add_help=False)
+    for flag in ("--key-file", "--bundle", "--config"):
+        role_enclave.add_argument(flag, required=True)
+    local_counters = argparse.ArgumentParser(add_help=False)
+    for flag in ("--counter-dir", "--counter-key"):
+        local_counters.add_argument(flag, required=True)
 
     p = sub.add_parser("keygen", help="generate a platform or signing key file")
     p.add_argument("--out", required=True)
@@ -348,58 +342,49 @@ def build_parser() -> argparse.ArgumentParser:
                        default=f.default)
     p.set_defaults(func=cmd_policy_new)
 
-    p = policy_sub.add_parser("upload", help="upload a policy over an attested channel")
+    p = policy_sub.add_parser("upload", parents=[role_enclave],
+                              help="upload a policy over an attested channel")
     p.add_argument("--policy", required=True)
     p.add_argument("--manager", required=True, metavar="HOST:PORT")
-    p.add_argument("--key-file", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--counter-public-key", required=True)
     p.add_argument("--trusted-root", default="")
     p.add_argument("--generate", action="store_true")
     p.set_defaults(func=cmd_policy_upload)
 
-    p = sub.add_parser("encrypt-data", help="shield a file with freshness binding")
+    p = sub.add_parser("encrypt-data", parents=[local_counters],
+                       help="shield a file with freshness binding")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--key-hex", required=True)
     p.add_argument("--key-id", default="")
     p.add_argument("--counter-id", default="")
-    p.add_argument("--counter-dir", required=True)
-    p.add_argument("--counter-key", required=True)
     p.set_defaults(func=cmd_encrypt_data)
 
-    p = sub.add_parser("decrypt-data", help="open a shielded file if it is current")
+    p = sub.add_parser("decrypt-data", parents=[local_counters],
+                       help="open a shielded file if it is current")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--key-hex", required=True)
-    p.add_argument("--counter-dir", required=True)
-    p.add_argument("--counter-key", required=True)
     p.set_defaults(func=cmd_decrypt_data)
 
     counter = sub.add_parser("counter", help="monotonic counter operations")
     counter_sub = counter.add_subparsers(dest="counter_command", required=True)
-    p = counter_sub.add_parser("init", help="create a counter (stable value 1)")
-    p.add_argument("--counter-dir", required=True)
-    p.add_argument("--counter-key", required=True)
+    p = counter_sub.add_parser("init", parents=[local_counters],
+                               help="create a counter (stable value 1)")
     p.set_defaults(func=cmd_counter_init)
 
-    p = sub.add_parser("run-manager", help="serve the policy manager + counter service")
+    p = sub.add_parser("run-manager", parents=[role_enclave],
+                       help="serve the policy manager + counter service")
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
     p.add_argument("--store-dir", required=True)
-    p.add_argument("--key-file", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--counter-key", required=True)
     p.set_defaults(func=cmd_run_manager)
 
-    p = sub.add_parser("run-coordinator", help="serve one federated session")
+    p = sub.add_parser("run-coordinator", parents=[role_enclave],
+                       help="serve one federated session")
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
     p.add_argument("--manager", metavar="HOST:PORT")
     p.add_argument("--policy")
-    p.add_argument("--key-file", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--state-dir")
     p.add_argument("--validation", help="shielded validation dataset")
     p.add_argument("--counter-public-key")
@@ -409,15 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session-file")
     p.set_defaults(func=cmd_run_coordinator)
 
-    p = sub.add_parser("run-client", help="join a session as one client")
+    p = sub.add_parser("run-client", parents=[role_enclave],
+                       help="join a session as one client")
     p.add_argument("--coordinator", metavar="HOST:PORT")
     p.add_argument("--manager", metavar="HOST:PORT")
     p.add_argument("--policy")
     p.add_argument("--client-id", required=True)
     p.add_argument("--data", required=True, help="shielded dataset (.sfl)")
-    p.add_argument("--key-file", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--counter-public-key")
     p.add_argument("--trusted-root", default="")
     p.add_argument("--session-file")

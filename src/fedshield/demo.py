@@ -19,7 +19,6 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attestation import AttestationPolicy
 from .counters import CounterService
 from .enclave import (
     Enclave,
@@ -40,21 +39,19 @@ from .fl import (
 )
 from .orchestrator import ClientAgent, Coordinator
 from .policy import (
+    CHECKPOINT_KEY,
     CHECKPOINT_SECRET,
+    DATASET_KEY,
     DATASET_SECRET,
+    VALIDATION_KEY,
     VALIDATION_SECRET,
     PolicyManager,
     SessionConfig,
+    parse_policy,
     secret_key_id,
 )
 from .services import ManagerChannel, ServiceEndpoint, connect_manager
-from .shield import (
-    read_shielded,
-    shield_decrypt,
-    shield_encrypt,
-    verified_stable_lookup,
-    write_shielded,
-)
+from .shield import shield_encrypt, write_shielded
 from .transport import CaptureLog, Hub
 
 MANAGER_BUNDLE = b"fedshield service bundle: policy manager + counter service"
@@ -62,6 +59,7 @@ COORDINATOR_BUNDLE = b"fedshield service bundle: session coordinator"
 CLIENT_BUNDLE = b"fedshield service bundle: client training agent"
 ROLE_CONFIG = b"profile=desk-scale\n"
 JOIN_DEADLINE = 60.0  # seconds for admission and for thread joins
+ATTACK_FACTOR = -10.0  # how the demo's poisoning client rescales its update
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +90,11 @@ def author_policy(name: str, measurements: dict[str, bytes],
         ],
         "injection": [
             {"role": "client", "mechanism": "environment-variable",
-             "name": "DATASET_KEY", "template": f"$${DATASET_SECRET}$$"},
+             "name": DATASET_KEY, "template": f"$${DATASET_SECRET}$$"},
             {"role": "coordinator", "mechanism": "environment-variable",
-             "name": "CHECKPOINT_KEY", "template": f"$${CHECKPOINT_SECRET}$$"},
+             "name": CHECKPOINT_KEY, "template": f"$${CHECKPOINT_SECRET}$$"},
             {"role": "coordinator", "mechanism": "environment-variable",
-             "name": "VALIDATION_KEY", "template": f"$${VALIDATION_SECRET}$$"},
+             "name": VALIDATION_KEY, "template": f"$${VALIDATION_SECRET}$$"},
         ],
     }
     if validation_hash is not None:
@@ -172,12 +170,10 @@ class Deployment:
         roster = [(cid, sha256(self.csv_blobs[cid])) for cid in self.client_ids]
         document = author_policy("desk-scale-session", measurements, roster, session,
                                  validation_hash=sha256(self.validation_csv))
-        self.manager_policy = AttestationPolicy(
-            trusted_root=root,
-            expected_measurements=frozenset({measurements["policy_manager_self"]}))
-        self.coordinator_policy = AttestationPolicy(
-            trusted_root=root,
-            expected_measurements=frozenset({measurements["coordinator"]}))
+        self.policy = parse_policy(document)
+        self.policy_hash = self.policy.policy_hash
+        self.manager_policy = self.policy.pin("policy_manager_self", root)
+        self.coordinator_policy = self.policy.pin("coordinator", root)
 
         # Client platforms share the deployment root in this desk simulation.
         self.client_enclaves = {
@@ -185,7 +181,7 @@ class Deployment:
             for cid in self.client_ids}
         uploader = self.connect_manager(self.client_enclaves[self.client_ids[0]],
                                         role="client")
-        self.policy_hash = uploader.upload_policy(document)
+        uploader.upload_policy(document)
         uploader.generate_secrets(self.policy_hash)
         uploader.close()
 
@@ -194,7 +190,7 @@ class Deployment:
         for cid in self.client_ids:
             mgr = self.connect_manager(self.client_enclaves[cid], role="client")
             bundle = mgr.request_secrets(self.policy_hash, "client")
-            self.dataset_key = bundle.key_bytes("DATASET_KEY")
+            self.dataset_key = bundle.key_bytes(DATASET_KEY)
             plaintext = self._shield_and_open(
                 mgr, self.csv_blobs[cid], self.dataset_key, DATASET_SECRET,
                 workdir / "clients" / cid / "data.sfl")
@@ -204,12 +200,11 @@ class Deployment:
 
         mgr = self.connect_manager(self.coordinator_enclave, role="coordinator")
         bundle = mgr.request_secrets(self.policy_hash, "coordinator")
-        self.checkpoint_key = bundle.key_bytes("CHECKPOINT_KEY")
-        self.validation_key = bundle.key_bytes("VALIDATION_KEY")
+        self.checkpoint_key = bundle.key_bytes(CHECKPOINT_KEY)
+        self.validation_key = bundle.key_bytes(VALIDATION_KEY)
         self.validation = dataset_from_csv_bytes(self._shield_and_open(
             mgr, self.validation_csv, self.validation_key, VALIDATION_SECRET,
             self.state_dir / "validation.sfl"))
-        self.policy = self.manager.get_policy(self.policy_hash)
         self.coordinator = Coordinator(self.policy, self.coordinator_enclave,
                                        self.state_dir, root, self.validation,
                                        self.checkpoint_key, mgr,
@@ -226,8 +221,7 @@ class Deployment:
                                   token, self.counters.public_key)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
-        freshness = verified_stable_lookup(mgr.counter_read, self.counters.public_key)
-        return shield_decrypt(read_shielded(path), key, freshness)
+        return mgr.open_shielded(path, key)
 
     def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
         return connect_manager(enclave, self.hub.connect("manager"),
@@ -291,13 +285,12 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
              rows_per_client: int = 200, dim: int = 8, seed: int = 7,
              separation: float = 2.0, session: SessionConfig | None = None,
              capture: CaptureLog | None = None,
-             attacker_id: str | None = None, attack_factor: float = -10.0,
-             unpinned_client_id: str | None = None,
-             round_deadline: float = 30.0) -> DemoResult:
+             attacker_id: str | None = None,
+             unpinned_client_id: str | None = None) -> DemoResult:
     """Stand up the full deployment in one process and run the session.
 
     ``attacker_id`` makes that client submit updates scaled by
-    ``attack_factor``; ``unpinned_client_id`` adds an extra, non-roster
+    ``ATTACK_FACTOR``; ``unpinned_client_id`` adds an extra, non-roster
     participant running a modified code bundle (its admission must fail).
     """
     client_ids = [f"client-{i + 1}" for i in range(num_clients)]
@@ -315,8 +308,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             learning_rate=0.1, local_epochs=2, batch_size=32,
             clone_count=num_clients, clone_subset_size=num_clients - 1,
             outlier_threshold=0.02, rng_seed=seed)
-    dep = Deployment(workdir, datasets, validation, session, capture=capture,
-                     round_deadline=round_deadline)
+    dep = Deployment(workdir, datasets, validation, session, capture=capture)
 
     sensitive: dict[str, bytes] = {}
     for cid in client_ids:
@@ -330,7 +322,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     sensitive["secret:checkpoint-key-hex"] = dep.checkpoint_key.hex().encode("ascii")
     sensitive["secret:validation-key"] = dep.validation_key
 
-    agents = [dep.make_agent(cid, update_transform=(scaling_attack(attack_factor)
+    agents = [dep.make_agent(cid, update_transform=(scaling_attack(ATTACK_FACTOR)
                                                     if cid == attacker_id else None))
               for cid in client_ids]
     accept = dep.accept_async(expected=num_clients)

@@ -19,7 +19,7 @@ import logging
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,24 +54,17 @@ from .fl import (
     deserialize_params,
     evaluate,
     local_train,
-    make_update,
-    params_hash,
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
 from .policy import CHECKPOINT_SECRET, Policy, secret_key_id
 from .services import ManagerChannel
-from .shield import (
-    read_shielded,
-    shield_decrypt,
-    shield_encrypt,
-    verified_stable_lookup,
-    write_shielded,
-)
+from .shield import read_shielded, shield_decrypt, shield_encrypt, write_shielded
 
 logger = logging.getLogger(__name__)
 
 _SLOTS = ("checkpoint-a.sfl", "checkpoint-b.sfl")
+AGENT_RECV_TIMEOUT = 120.0  # seconds a client waits for the next coordinator message
 
 
 def derive_training_seed(rng_seed: int, client_id: str, round_index: int) -> int:
@@ -100,6 +93,13 @@ class RoundRecord:
     clone: dict | None = None
     dropped: dict[str, str] = field(default_factory=dict)
 
+    def payload(self) -> dict:
+        """The audit payload of this round."""
+        doc = asdict(self)
+        doc["round"] = doc.pop("round_index")
+        doc["committed_hash"] = self.committed_hash.hex()
+        return doc
+
 
 class ClientAgent:
     """One participant: joins over an attested channel, trains on demand.
@@ -111,8 +111,7 @@ class ClientAgent:
 
     def __init__(self, client_id: str, enclave: Enclave, dataset: Dataset,
                  dataset_hash: bytes, cfg, coordinator_policy: AttestationPolicy,
-                 *, update_transform=None, quote_provider=None,
-                 recv_timeout: float = 120.0):
+                 *, update_transform=None, quote_provider=None):
         self.client_id = client_id
         self.enclave = enclave
         self.dataset = dataset
@@ -121,7 +120,6 @@ class ClientAgent:
         self.coordinator_policy = coordinator_policy
         self.update_transform = update_transform
         self.quote_provider = quote_provider
-        self.recv_timeout = recv_timeout
         self.channel = None
         self.params: np.ndarray | None = None
         self.sent_update_blobs: list[bytes] = []
@@ -143,7 +141,7 @@ class ClientAgent:
         if self.channel is None:
             raise InvalidInputError("join before running")
         while True:
-            mtype, body = protocol.recv_message(self.channel, timeout=self.recv_timeout)
+            mtype, body = protocol.recv_message(self.channel, timeout=AGENT_RECV_TIMEOUT)
             if mtype == protocol.MODEL_BROADCAST:
                 self._train_and_submit(int(body["round"]), unb64(body["params"]))
             elif mtype == protocol.ROUND_COMMIT:
@@ -181,7 +179,7 @@ class Coordinator:
     def __init__(self, policy: Policy, enclave: Enclave, state_dir: str | Path,
                  trusted_root: bytes, validation: Dataset,
                  checkpoint_key: bytes, manager: ManagerChannel,
-                 *, round_deadline: float = 30.0, clock=time.time):
+                 *, round_deadline: float = 30.0):
         self.policy = policy
         self.cfg = policy.session
         self.enclave = enclave
@@ -192,19 +190,14 @@ class Coordinator:
         self.checkpoint_key_id = secret_key_id(policy.policy_hash, CHECKPOINT_SECRET)
         self.manager = manager
         self.round_deadline = round_deadline
-        self.clock = clock
-        self.client_policy = AttestationPolicy(
-            trusted_root=trusted_root,
-            expected_measurements=frozenset({policy.allowed_measurements["client"]}))
-        self.audit = AuditLog(self.state_dir / "audit.log", clock=clock)
+        self.client_policy = policy.pin("client", trusted_root)
+        self.audit = AuditLog(self.state_dir / "audit.log")
         self.records: list[RoundRecord] = []
         self.admitted: dict[str, object] = {}
         self._admit_lock = threading.Lock()
         self.counter_id: bytes | None = None
         self.model = GlobalModel(round_index=0,
                                  params=np.zeros(validation.dim + 1), history=[])
-        self._freshness = verified_stable_lookup(
-            self.manager.counter_read, self.manager.counter_public_key)
         self._resume_or_init()
 
     # -- checkpointing -----------------------------------------------------
@@ -227,7 +220,7 @@ class Coordinator:
                                   self.checkpoint_key_id, token,
                                   self.manager.counter_public_key)
         write_shielded(self._slot_path(self.model.round_index), shielded)
-        stable = self._freshness(self.counter_id)
+        stable = self.manager.stable_value(self.counter_id)
         if stable != token.value:
             raise RollbackDetectedError(
                 f"checkpoint counter did not stabilize at {token.value}")
@@ -242,7 +235,8 @@ class Coordinator:
         for path in existing:
             shielded = read_shielded(path)
             try:
-                plaintext = shield_decrypt(shielded, self.checkpoint_key, self._freshness)
+                plaintext = shield_decrypt(shielded, self.checkpoint_key,
+                                           self.manager.stable_value)
             except RollbackDetectedError:
                 rollbacks += 1
                 continue
@@ -316,8 +310,8 @@ class Coordinator:
                        deadline: float = 30.0) -> None:
         """Accept joins until the roster (or ``expected``) is admitted."""
         want = expected if expected is not None else len(self.policy.roster)
-        end = self.clock() + deadline
-        while len(self.admitted) < want and self.clock() < end:
+        end = time.time() + deadline
+        while len(self.admitted) < want and time.time() < end:
             try:
                 transport = listener.accept(timeout=0.2)
             except TimeoutError:
@@ -340,44 +334,60 @@ class Coordinator:
                          ) -> tuple[dict[str, ModelUpdate], dict[str, str]]:
         updates: dict[str, ModelUpdate] = {}
         dropped: dict[str, str] = {}
-        deadline = self.clock() + self.round_deadline
+        deadline = time.time() + self.round_deadline
         for client_id in sorted(self.admitted):
             channel = self.admitted[client_id]
-            budget = max(deadline - self.clock(), 0.05)
             try:
-                mtype, body = protocol.recv_message(channel, timeout=budget)
-                updates[client_id] = self._parse_update(client_id, round_index,
-                                                        mtype, body)
+                updates[client_id] = self._next_update(channel, client_id,
+                                                       round_index, deadline)
             except TimeoutError:
                 dropped[client_id] = "timeout"
             except (ChannelIntegrityError, ChannelReplayError, DecodeError,
                     TransportClosedError) as exc:
                 dropped[client_id] = type(exc).__name__
-                self.admitted.pop(client_id, None)
+                self.admitted.pop(client_id).close()
             except FedShieldError as exc:
                 dropped[client_id] = str(exc)
         return updates, dropped
 
+    def _next_update(self, channel, client_id: str, round_index: int,
+                     deadline: float) -> ModelUpdate:
+        """Read until the client's update for this round arrives. A late
+        update for a past round is discarded; reading never goes past the
+        deadline, apart from the short first wait every client gets."""
+        budget = max(deadline - time.time(), 0.05)
+        while budget > 0:
+            mtype, body = protocol.recv_message(channel, timeout=budget)
+            update = self._parse_update(client_id, round_index, mtype, body)
+            if update is not None:
+                return update
+            budget = deadline - time.time()
+        raise TimeoutError("only stale updates before the round deadline")
+
     def _parse_update(self, client_id: str, round_index: int, mtype: int,
-                      body: dict) -> ModelUpdate:
+                      body: dict) -> ModelUpdate | None:
+        """The update in ``body``, or None for a late one from a past round."""
         if mtype != protocol.UPDATE_SUBMIT:
             raise DecodeError(f"expected update, got message type {mtype}")
         if body.get("client_id") != client_id:
             raise DecodeError("update claims a different client id")
         try:
-            round_claim = int(body.get("round", -1))
+            round_claim = int(body["round"])
             num_examples = int(body.get("num_examples", 0))
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DecodeError(f"malformed update fields: {exc}") from exc
+        if round_claim < round_index:
+            return None
         if round_claim != round_index:
             raise DecodeError("update is for a different round")
-        params = deserialize_params(unb64(body.get("params", "")))
+        blob = unb64(body.get("params", ""))
+        params = deserialize_params(blob)
         declared = unhex(body.get("params_hash", ""), 32)
-        if params_hash(params) != declared:
+        if sha256(blob) != declared:
             raise DecodeError("update hash mismatch")
         if params.shape != (self.validation.dim + 1,):
             raise DecodeError("update dimension mismatch")
-        return make_update(client_id, round_index, params, num_examples)
+        return ModelUpdate(client_id, round_index, params, num_examples, declared)
 
     def _run_guard(self, round_index: int, updates: dict[str, ModelUpdate]
                    ) -> tuple[set[str], dict | None]:
@@ -441,18 +451,7 @@ class Coordinator:
             dropped=dropped,
         )
         self.records.append(record)
-        self.audit.append("round", {
-            "round": record.round_index,
-            "admitted": record.admitted,
-            "update_hashes": record.update_hashes,
-            "committed_hash": record.committed_hash.hex(),
-            "accuracy": record.accuracy,
-            "loss": record.loss,
-            "counter_value": record.counter_value,
-            "flags": record.flags,
-            "clone": record.clone,
-            "dropped": record.dropped,
-        })
+        self.audit.append("round", record.payload())
         self._broadcast(protocol.ROUND_COMMIT, {
             "round": round_index,
             "params": b64(serialize_params(new_params)),

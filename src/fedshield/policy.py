@@ -55,6 +55,10 @@ PROVIDED_VALUE = "provided-value"
 DATASET_SECRET = "dataset-key"
 CHECKPOINT_SECRET = "checkpoint-key"
 VALIDATION_SECRET = "validation-key"
+# The environment variables those secrets are injected as.
+DATASET_KEY = "DATASET_KEY"
+CHECKPOINT_KEY = "CHECKPOINT_KEY"
+VALIDATION_KEY = "VALIDATION_KEY"
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,16 @@ class Policy:
             if spec.secret_name == name:
                 return spec
         return None
+
+    def pin(self, role: str, trusted_root: bytes, min_svn: int = 0) -> AttestationPolicy:
+        """What a peer acting in ``role`` must attest: the measurement this
+        policy pins for the role, under ``trusted_root``."""
+        if role not in self.allowed_measurements:
+            raise RoleUnknownError(f"role {role!r} not declared in policy")
+        return AttestationPolicy(
+            trusted_root=trusted_root,
+            expected_measurements=frozenset({self.allowed_measurements[role]}),
+            min_svn=min_svn)
 
 
 def policy_hash_of(document_text: str) -> bytes:
@@ -384,28 +398,25 @@ class PolicyManager:
         (self.store_dir / "policies").mkdir(parents=True, exist_ok=True)
         (self.store_dir / "secrets").mkdir(parents=True, exist_ok=True)
         self.audit = AuditLog(self.store_dir / "audit.log")
-        self._cache: dict[bytes, Policy] = {}
+        self._policies = {policy.policy_hash: policy for policy in (
+            parse_policy(path.read_text())
+            for path in (self.store_dir / "policies").glob("*.pol"))}
         self._write_lock = threading.Lock()  # single-writer store
 
     # -- policy store ------------------------------------------------------
-
-    def _policy_path(self, policy_hash: bytes) -> Path:
-        return self.store_dir / "policies" / f"{policy_hash.hex()}.pol"
 
     def upload_policy(self, document_text: str) -> bytes:
         """Validate and store a policy; idempotent for identical content."""
         policy = parse_policy(document_text)
         with self._write_lock:
-            path = self._policy_path(policy.policy_hash)
-            if path.exists():
+            if policy.policy_hash in self._policies:
                 return policy.policy_hash
-            for existing_path in (self.store_dir / "policies").glob("*.pol"):
-                existing = parse_policy(existing_path.read_text())
-                if existing.name == policy.name:
-                    raise PolicyConflictError(
-                        f"policy name {policy.name!r} already bound to different content")
+            if any(p.name == policy.name for p in self._policies.values()):
+                raise PolicyConflictError(
+                    f"policy name {policy.name!r} already bound to different content")
+            path = self.store_dir / "policies" / f"{policy.policy_hash.hex()}.pol"
             path.write_text(policy.document)
-            self._cache[policy.policy_hash] = policy
+            self._policies[policy.policy_hash] = policy
             self.audit.append("policy-upload", {
                 "name": policy.name,
                 "policy_hash": policy.policy_hash.hex(),
@@ -413,14 +424,10 @@ class PolicyManager:
             return policy.policy_hash
 
     def get_policy(self, policy_hash: bytes) -> Policy:
-        if policy_hash in self._cache:
-            return self._cache[policy_hash]
-        path = self._policy_path(policy_hash)
-        if not path.exists():
-            raise NotFoundError(f"no policy {policy_hash.hex()}")
-        policy = parse_policy(path.read_text())
-        self._cache[policy_hash] = policy
-        return policy
+        try:
+            return self._policies[policy_hash]
+        except KeyError:
+            raise NotFoundError(f"no policy {policy_hash.hex()}") from None
 
     # -- secrets -----------------------------------------------------------
 
@@ -468,15 +475,9 @@ class PolicyManager:
         zero secret bytes.
         """
         policy = self.get_policy(policy_hash)
-        if role not in ROLES or role not in policy.allowed_measurements:
-            raise RoleUnknownError(f"role {role!r} not declared in policy")
+        gate = policy.pin(role, self.trusted_root, self.min_svn)
         if not self.secrets_generated(policy_hash):
             raise NotFoundError("secrets have not been generated for this policy")
-        gate = AttestationPolicy(
-            trusted_root=self.trusted_root,
-            expected_measurements=frozenset({policy.allowed_measurements[role]}),
-            min_svn=self.min_svn,
-        )
         verdict = verify_quote(quote, gate, expected_nonce)
         if not verdict.accepted:
             self.audit.append("secrets-denied", {

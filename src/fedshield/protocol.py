@@ -28,6 +28,8 @@ SESSION_END = 34
 RESPONSE_OK = 100
 RESPONSE_ERR = 101
 
+REQUEST_TIMEOUT = 30.0  # seconds a request waits for its response
+
 
 def encode_message(mtype: int, body: dict) -> bytes:
     if not 0 <= mtype <= 255:
@@ -62,11 +64,10 @@ def send_err(channel, kind: str, detail: str = "", **extra) -> None:
     send_message(channel, RESPONSE_ERR, body)
 
 
-def request(channel, mtype: int, body: dict,
-            timeout: float | None = 30.0) -> dict:
+def request(channel, mtype: int, body: dict) -> dict:
     """Send a request and return the OK body; ERR raises ServiceError."""
     send_message(channel, mtype, body)
-    rtype, rbody = recv_message(channel, timeout=timeout)
+    rtype, rbody = recv_message(channel, timeout=REQUEST_TIMEOUT)
     if rtype == RESPONSE_OK:
         return rbody
     if rtype == RESPONSE_ERR:

@@ -32,6 +32,7 @@ from .errors import (
     TransportClosedError,
 )
 from .policy import InjectionBundle, PolicyManager
+from .shield import read_shielded, shield_decrypt, verified_stable_lookup
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +67,12 @@ class ServiceEndpoint:
         # Any attested peer may connect; release decisions happen per request.
         self.handshake_policy = AttestationPolicy(
             trusted_root=trusted_root, expected_measurements=None)
-        self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self._accept_loop, daemon=True,
                                   name="service-endpoint")
         thread.start()
-        self._threads.append(thread)
         return thread
 
     def stop(self) -> None:
@@ -88,10 +87,8 @@ class ServiceEndpoint:
                 continue
             except (TransportClosedError, OSError):
                 return
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(transport,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
+            threading.Thread(target=self._serve_connection, args=(transport,),
+                             daemon=True).start()
 
     def _serve_connection(self, transport) -> None:
         try:
@@ -187,15 +184,23 @@ class ManagerChannel:
         return self._token(protocol.request(self.channel, protocol.COUNTER_READ,
                                             {"counter_id": counter_id.hex()}))
 
+    def stable_value(self, counter_id: bytes) -> int:
+        """The counter's stable value, from a token verified at this end."""
+        lookup = verified_stable_lookup(self.counter_read, self.counter_public_key)
+        return lookup(counter_id)
+
+    def open_shielded(self, path, key: bytes) -> bytes:
+        """Open a shielded file only if it was written at its counter's
+        stable value."""
+        return shield_decrypt(read_shielded(path), key, self.stable_value)
+
     def close(self) -> None:
         self.channel.close()
 
 
 def connect_manager(enclave: Enclave, transport, manager_policy: AttestationPolicy,
-                    role: str, counter_public_key: bytes,
-                    quote_provider=None) -> ManagerChannel:
+                    role: str, counter_public_key: bytes) -> ManagerChannel:
     """Attest the manager endpoint and wrap the channel in a stub."""
-    channel = attested_handshake(
-        enclave, transport, manager_policy, role=role,
-        expected_peer_role=ROLE_POLICY_MANAGER, quote_provider=quote_provider)
+    channel = attested_handshake(enclave, transport, manager_policy, role=role,
+                                 expected_peer_role=ROLE_POLICY_MANAGER)
     return ManagerChannel(channel, counter_public_key)

@@ -3,8 +3,9 @@
 Every connection, in-process or TCP, exchanges frames of the form
 ``u32 BE length | body``. The in-process variant pairs two queues and is
 fully deterministic for tests; the TCP variant backs the operator CLI.
-A ``CaptureLog`` can be attached to record every frame on the wire, which
-is how the confidentiality and admission-soundness checks observe traffic.
+A ``CaptureLog`` attached to an in-process ``Hub`` records every frame on
+the wire, which is how the confidentiality and admission-soundness checks
+observe traffic.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import threading
 from .errors import DecodeError, InvalidInputError, TransportClosedError
 
 MAX_FRAME = 1 << 26  # 64 MiB
+CONNECT_TIMEOUT = 10.0  # seconds
 
 _CLOSE = object()
 
@@ -104,7 +106,6 @@ class Listener:
     def __init__(self, name: str):
         self.name = name
         self._pending: queue.Queue = queue.Queue()
-        self._closed = False
 
     def accept(self, timeout: float | None = None) -> InProcessTransport:
         try:
@@ -116,7 +117,6 @@ class Listener:
         return item
 
     def close(self) -> None:
-        self._closed = True
         self._pending.put(_CLOSE)
 
 
@@ -153,17 +153,12 @@ class Hub:
 class TcpTransport:
     """Frame transport over a connected TCP socket."""
 
-    def __init__(self, sock: socket.socket, label: str = "tcp",
-                 capture: CaptureLog | None = None):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.label = label
-        self._capture = capture
         self._lock = threading.Lock()
 
     def send_frame(self, payload: bytes) -> None:
         wire = _frame(payload)
-        if self._capture is not None:
-            self._capture.record(self.label, wire)
         with self._lock:
             try:
                 self._sock.sendall(wire)
@@ -205,27 +200,25 @@ class TcpTransport:
 
 
 class TcpListener:
-    def __init__(self, host: str, port: int, capture: CaptureLog | None = None):
+    def __init__(self, host: str, port: int):
         self._sock = socket.create_server((host, port))
-        self._capture = capture
         self.address = self._sock.getsockname()
 
     def accept(self, timeout: float | None = None) -> TcpTransport:
         self._sock.settimeout(timeout)
         try:
-            conn, peer = self._sock.accept()
+            conn, _ = self._sock.accept()
         except socket.timeout:
             raise TimeoutError("accept timed out")
         except OSError as exc:
             raise TransportClosedError(str(exc)) from exc
-        return TcpTransport(conn, label=f"tcp:{peer[0]}:{peer[1]}", capture=self._capture)
+        return TcpTransport(conn)
 
     def close(self) -> None:
         self._sock.close()
 
 
-def tcp_connect(host: str, port: int, timeout: float = 10.0,
-                capture: CaptureLog | None = None) -> TcpTransport:
-    sock = socket.create_connection((host, port), timeout=timeout)
+def tcp_connect(host: str, port: int) -> TcpTransport:
+    sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
     sock.settimeout(None)
-    return TcpTransport(sock, label=f"tcp-client:{host}:{port}", capture=capture)
+    return TcpTransport(sock)

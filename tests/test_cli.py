@@ -153,19 +153,32 @@ def test_run_client_attests_manager_from_its_own_enclave(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "spawn_enclave", counting_spawn)
     monkeypatch.setattr(cli, "tcp_connect", unreachable)
+    assert cli.main(run_client_argv(tmp_path, role_measurements())) == 1
+    assert len(spawned) == 1
+
+
+def test_run_client_refuses_a_policy_that_pins_no_manager(tmp_path, capsys):
+    measurements = role_measurements()
+    del measurements["policy_manager_self"]
+    assert cli.main(run_client_argv(tmp_path, measurements)) == 1
+    assert "'policy_manager_self' not declared in policy" in capsys.readouterr().err
+
+
+def run_client_argv(tmp_path, measurements) -> list[str]:
+    """``run-client`` arguments for a policy pinning ``measurements``; the
+    manager and coordinator addresses are unreachable."""
     save_platform(generate_platform(), tmp_path / "platform.json")
     (tmp_path / "policy.json").write_text(author_policy(
-        "one-enclave", role_measurements(), [("alice", bytes(32))], SessionConfig()))
+        "one-enclave", measurements, [("alice", bytes(32))], SessionConfig()))
     (tmp_path / "bundle.bin").write_bytes(b"agent")
-    assert cli.main(["run-client", "--client-id", "alice",
-                     "--data", str(tmp_path / "alice.sfl"),
-                     "--key-file", str(tmp_path / "platform.json"),
-                     "--bundle", str(tmp_path / "bundle.bin"),
-                     "--config", str(tmp_path / "bundle.bin"),
-                     "--manager", "127.0.0.1:1", "--coordinator", "127.0.0.1:1",
-                     "--policy", str(tmp_path / "policy.json"),
-                     "--counter-public-key", "aa" * 32]) == 1
-    assert len(spawned) == 1
+    return ["run-client", "--client-id", "alice",
+            "--data", str(tmp_path / "alice.sfl"),
+            "--key-file", str(tmp_path / "platform.json"),
+            "--bundle", str(tmp_path / "bundle.bin"),
+            "--config", str(tmp_path / "bundle.bin"),
+            "--manager", "127.0.0.1:1", "--coordinator", "127.0.0.1:1",
+            "--policy", str(tmp_path / "policy.json"),
+            "--counter-public-key", "aa" * 32]
 
 
 def _free_port() -> int:

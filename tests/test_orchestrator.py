@@ -5,18 +5,19 @@ import threading
 import numpy as np
 import pytest
 
-from fedshield import demo
+from fedshield import demo, protocol
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
 from fedshield.enclave import spawn_enclave
-from fedshield.encoding import canonical_bytes, sha256
+from fedshield.encoding import b64, canonical_bytes, sha256
 from fedshield.errors import (
     FedShieldError,
     RollbackDetectedError,
     ServiceError,
     SessionFailedError,
+    TransportClosedError,
 )
-from fedshield.fl import synthetic_dataset
+from fedshield.fl import serialize_params, synthetic_dataset
 from fedshield.orchestrator import Coordinator, derive_training_seed
 from fedshield.policy import SessionConfig
 from fedshield.transport import CaptureLog
@@ -35,6 +36,49 @@ def make_deployment(tmp_path, num_clients=3, session=None, capture=None,
                 for i, cid in enumerate(client_ids)}
     return demo.Deployment(tmp_path, datasets, synthetic_dataset(120, 4, seed=88),
                            session, capture=capture, round_deadline=round_deadline)
+
+
+# Rounds go ahead with two of the three clients.
+QUORUM_OF_TWO = SessionConfig(min_clients=2, max_rounds=4, target_accuracy=0.999,
+                              learning_rate=0.2, local_epochs=1, batch_size=16,
+                              rng_seed=5)
+
+
+def run_round_with_saboteur(deployment, sabotage):
+    """Round 1 with client-1 and client-2 honest; ``sabotage(channel)``
+    answers client-3's broadcast in its place."""
+    agents = [deployment.make_agent(cid) for cid in deployment.client_ids[:2]]
+    saboteur = deployment.make_agent("client-3")
+    deployment.join_all(agents + [saboteur])
+    deployment.start_agents(agents)
+    record_holder = {}
+
+    def drive():
+        record_holder["record"] = deployment.coordinator.run_round(1)
+
+    driver = threading.Thread(target=drive)
+    driver.start()
+    saboteur.channel.recv(timeout=5)  # consume MODEL_BROADCAST
+    sabotage(saboteur.channel)
+    driver.join(timeout=15)
+    return record_holder["record"], saboteur
+
+
+def submission(client_id="client-3", round_index=1, dim=5):
+    blob = serialize_params(np.zeros(dim))
+    return {"client_id": client_id, "round": round_index, "params": b64(blob),
+            "num_examples": 60, "params_hash": sha256(blob).hex()}
+
+
+REJECTED_UPDATES = {
+    "wrong-client-id": (protocol.UPDATE_SUBMIT, submission(client_id="client-1")),
+    "future-round": (protocol.UPDATE_SUBMIT, submission(round_index=2)),
+    "hash-mismatch": (protocol.UPDATE_SUBMIT,
+                      {**submission(), "params_hash": "00" * 32}),
+    "bad-base64": (protocol.UPDATE_SUBMIT, {**submission(), "params": "not base64!"}),
+    "dimension-mismatch": (protocol.UPDATE_SUBMIT, submission(dim=7)),
+    "wrong-message-type": (protocol.JOIN, submission()),
+}
 
 
 @pytest.fixture
@@ -120,43 +164,61 @@ class TestRounds:
         second = deployment.coordinator.run_round(2)
         assert second.counter_value == 3
         # committed hash equals the hash of the persisted checkpoint plaintext
-        from fedshield.shield import read_shielded, shield_decrypt
-        shielded = read_shielded(deployment.state_dir / "checkpoint-a.sfl")
-        plaintext = shield_decrypt(
-            shielded, deployment.checkpoint_key,
-            deployment.coordinator._freshness)
+        plaintext = deployment.coordinator.manager.open_shielded(
+            deployment.state_dir / "checkpoint-a.sfl", deployment.checkpoint_key)
         assert sha256(plaintext) == second.committed_hash
 
     def test_corrupted_frame_drops_client_only(self, tmp_path):
-        session = SessionConfig(min_clients=2, max_rounds=4,
-                                target_accuracy=0.999, learning_rate=0.2,
-                                local_epochs=1, batch_size=16, rng_seed=5)
-        deployment = make_deployment(tmp_path, session=session)
-        agents = [deployment.make_agent(cid)
-                  for cid in deployment.client_ids[:2]]
-        saboteur = deployment.make_agent("client-3")
-        deployment.join_all(agents + [saboteur])
-        deployment.start_agents(agents)
-
-        record_holder = {}
-
-        def drive():
-            record_holder["record"] = deployment.coordinator.run_round(1)
-
-        driver = threading.Thread(target=drive)
-        driver.start()
+        deployment = make_deployment(tmp_path, session=QUORUM_OF_TWO)
         # the saboteur answers its broadcast with a frame whose tag cannot
         # verify: in-sequence counter (JOIN consumed 0), garbage ciphertext
-        saboteur.channel.recv(timeout=5)  # consume MODEL_BROADCAST
-        saboteur.channel._transport.send_frame(
-            (1).to_bytes(8, "big") + b"\xde\xad" * 16)
-        driver.join(timeout=15)
-        record = record_holder["record"]
+        record, _ = run_round_with_saboteur(
+            deployment, lambda channel: channel._transport.send_frame(
+                (1).to_bytes(8, "big") + b"\xde\xad" * 16))
         assert sorted(record.update_hashes) == ["client-1", "client-2"]
         assert record.dropped == {"client-3": "ChannelIntegrityError"}
         assert "client-3" not in deployment.coordinator.admitted
         assert verify_audit(deployment.state_dir / "audit.log").ok
         deployment.close()
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_UPDATES))
+    def test_rejected_update_drops_and_evicts(self, tmp_path, case):
+        deployment = make_deployment(tmp_path, session=QUORUM_OF_TWO)
+        try:
+            record, saboteur = run_round_with_saboteur(
+                deployment, lambda channel: protocol.send_message(
+                    channel, *REJECTED_UPDATES[case]))
+            assert sorted(record.update_hashes) == ["client-1", "client-2"]
+            assert record.dropped == {"client-3": "DecodeError"}
+            assert "client-3" not in deployment.coordinator.admitted
+            with pytest.raises(TransportClosedError):
+                saboteur.channel.recv(timeout=5)
+        finally:
+            deployment.close()
+
+    def test_client_late_for_one_round_stays_admitted(self, tmp_path):
+        dep = make_deployment(tmp_path, session=QUORUM_OF_TWO, round_deadline=2.0)
+        released = threading.Event()
+
+        def late_in_round_1(update):
+            if update.round_index == 1:
+                released.wait(timeout=30)
+            return update
+
+        try:
+            agents = [dep.make_agent(cid) for cid in dep.client_ids[:2]]
+            agents.append(dep.make_agent("client-3", update_transform=late_in_round_1))
+            dep.join_all(agents)
+            dep.start_agents(agents)
+            first = dep.coordinator.run_round(1)
+            released.set()  # its round-1 update now reaches round 2 first
+            second = dep.coordinator.run_round(2)
+            assert first.dropped == {"client-3": "timeout"}
+            assert second.admitted == dep.client_ids
+            assert second.dropped == {}
+            assert sorted(dep.coordinator.admitted) == dep.client_ids
+        finally:
+            dep.close()
 
     def test_quorum_failure_aborts_session(self, tmp_path):
         session = SessionConfig(min_clients=3, max_rounds=3,

@@ -100,6 +100,22 @@ class TestCanonicalization:
         assert again.session == SessionConfig(clone_count=2, clone_subset_size=1)
 
 
+class TestPin:
+    def test_pin_is_the_measurement_of_the_role(self):
+        policy = parse_policy(json.dumps(policy_doc()))
+        pin = policy.pin("coordinator", b"\x07" * 32, min_svn=2)
+        assert pin.trusted_root == b"\x07" * 32
+        assert pin.expected_measurements == frozenset({bytes.fromhex("22" * 32)})
+        assert pin.min_svn == 2
+
+    def test_role_the_policy_does_not_pin_is_unknown(self):
+        policy = parse_policy(json.dumps(policy_doc(measurements={"client": "33" * 32})))
+        assert policy.pin("client", b"\x07" * 32).min_svn == 0
+        for role in ("coordinator", "policy_manager_self", "auditor"):
+            with pytest.raises(RoleUnknownError, match=role):
+                policy.pin(role, b"\x07" * 32)
+
+
 class TestValidation:
     def test_undeclared_secret_reference_rejected(self):
         doc = policy_doc(extra_injection={
@@ -205,6 +221,19 @@ class TestPolicyStore:
         doc["session"]["max_rounds"] += 5  # same name, different content
         with pytest.raises(PolicyConflictError):
             manager.upload_policy(json.dumps(doc))
+
+    def test_reopened_store_serves_policies_and_guards_names(self, manager_setup):
+        platform, manager, _, _, doc = manager_setup
+        policy_hash = manager.upload_policy(json.dumps(doc))
+        reopened = PolicyManager(manager.store_dir, manager.enclave,
+                                 platform.root_public_key)
+        assert reopened.get_policy(policy_hash).document == \
+            manager.get_policy(policy_hash).document
+        doc["session"]["max_rounds"] += 5
+        with pytest.raises(PolicyConflictError):
+            reopened.upload_policy(json.dumps(doc))
+        with pytest.raises(NotFoundError):
+            reopened.get_policy(b"\x00" * 32)
 
     def test_invalid_document_rejected(self, manager_setup):
         _, manager, _, _, _ = manager_setup

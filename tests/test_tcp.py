@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from fedshield.attestation import AttestationPolicy
 from fedshield.counters import CounterService
 from fedshield.demo import (
     CLIENT_BUNDLE,
@@ -19,7 +18,7 @@ from fedshield.encoding import sha256
 from fedshield.errors import ServiceError
 from fedshield.fl import dataset_to_csv_bytes, synthetic_dataset
 from fedshield.orchestrator import ClientAgent, Coordinator
-from fedshield.policy import PolicyManager, SessionConfig
+from fedshield.policy import PolicyManager, SessionConfig, parse_policy
 from fedshield.services import ServiceEndpoint, connect_manager
 from fedshield.transport import TcpListener, tcp_connect
 
@@ -44,14 +43,13 @@ def test_manager_and_counters_over_tcp(tcp_stack, tmp_path):
     platform, _, counters, (host, port), _ = tcp_stack
     measurements = role_measurements()
     client_enclave = spawn_enclave(platform, CLIENT_BUNDLE, ROLE_CONFIG)
-    manager_policy = AttestationPolicy(
-        platform.root_public_key,
-        frozenset({measurements["policy_manager_self"]}))
 
     dataset = synthetic_dataset(30, 3, seed=1)
     roster = [("client-1", sha256(dataset_to_csv_bytes(dataset)))]
     document = author_policy("tcp-session", measurements, roster,
                              SessionConfig(rng_seed=4))
+    manager_policy = parse_policy(document).pin("policy_manager_self",
+                                                platform.root_public_key)
 
     channel = connect_manager(client_enclave, tcp_connect(host, port),
                               manager_policy, "client", counters.public_key)
@@ -83,10 +81,6 @@ def test_small_session_over_tcp(tcp_stack, tmp_path):
     root = platform.root_public_key
     measurements = role_measurements()
     coordinator_enclave = spawn_enclave(platform, COORDINATOR_BUNDLE, ROLE_CONFIG)
-    manager_policy = AttestationPolicy(
-        root, frozenset({measurements["policy_manager_self"]}))
-    coordinator_policy = AttestationPolicy(
-        root, frozenset({measurements["coordinator"]}))
 
     client_ids = ["client-1", "client-2"]
     datasets = {cid: synthetic_dataset(40, 3, seed=i, separation=4.0)
@@ -98,6 +92,9 @@ def test_small_session_over_tcp(tcp_stack, tmp_path):
     roster = [(cid, sha256(dataset_to_csv_bytes(datasets[cid])))
               for cid in client_ids]
     document = author_policy("tcp-live", measurements, roster, session)
+    policy = parse_policy(document)
+    manager_policy = policy.pin("policy_manager_self", root)
+    coordinator_policy = policy.pin("coordinator", root)
 
     mgr = connect_manager(coordinator_enclave, tcp_connect(host, port),
                           manager_policy, "coordinator", counters.public_key)
