@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .encoding import canonical_bytes, canonical_loads, sha256, unhex
-from .errors import DecodeError
+from .errors import DecodeError, InvalidInputError
 
 GENESIS = b"\x00" * 32
 
@@ -92,7 +92,7 @@ def _parse_line(line: bytes) -> AuditEntry:
     if not isinstance(doc, dict):
         raise DecodeError("audit entry is not an object")
     try:
-        return AuditEntry(
+        entry = AuditEntry(
             seq=int(doc["seq"]),
             timestamp=float(doc["timestamp"]),
             kind=str(doc["kind"]),
@@ -100,20 +100,24 @@ def _parse_line(line: bytes) -> AuditEntry:
             prev_hash=unhex(doc["prev_hash"], 32),
             entry_hash=unhex(doc["entry_hash"], 32),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        canonical = entry.to_line()
+    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise DecodeError(f"malformed audit entry: {exc}") from exc
+    if canonical != line + b"\n":  # the hashes do not cover e.g. hex case
+        raise DecodeError("audit entry is not in canonical form")
+    return entry
 
 
 def read_entries(path: str | Path) -> list[AuditEntry]:
     """Parse all entries without verifying the chain."""
     data = Path(path).read_bytes()
-    return [_parse_line(line) for line in data.splitlines() if line]
+    return [_parse_line(line) for line in data.split(b"\n") if line]
 
 
 def verify_audit(path: str | Path) -> AuditVerdict:
     """Walk the chain from genesis; report the first broken entry index."""
     data = Path(path).read_bytes()
-    lines = [line for line in data.splitlines() if line]
+    lines = [line for line in data.split(b"\n") if line]
     prev = GENESIS
     for index, line in enumerate(lines):
         try:

@@ -34,7 +34,7 @@ def canonical_loads(data: bytes | str):
             raise DecodeError(f"payload is not UTF-8: {exc}") from exc
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, too many digits
         raise DecodeError(f"payload is not valid JSON: {exc}") from exc
 
 

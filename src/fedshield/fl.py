@@ -77,7 +77,7 @@ def serialize_params(params: np.ndarray) -> bytes:
     vec = np.asarray(params, dtype=np.float64)
     if vec.ndim != 1:
         raise InvalidInputError("parameter vector must be one-dimensional")
-    return struct.pack(">I", vec.size) + struct.pack(f">{vec.size}d", *vec.tolist())
+    return struct.pack(">I", vec.size) + vec.astype(">f8").tobytes()
 
 
 def deserialize_params(data: bytes) -> np.ndarray:
@@ -86,7 +86,7 @@ def deserialize_params(data: bytes) -> np.ndarray:
     (dim,) = struct.unpack(">I", data[:4])
     if len(data) != 4 + 8 * dim:
         raise InvalidInputError("parameter serialization length mismatch")
-    return np.array(struct.unpack(f">{dim}d", data[4:]), dtype=np.float64)
+    return np.frombuffer(data, ">f8", offset=4).astype(np.float64)
 
 
 def params_hash(params: np.ndarray) -> bytes:

@@ -8,9 +8,9 @@ hash-chained audit log, and send the committed parameters back. Clients
 that fail admission receive no model material at all.
 
 Round protocol message types: JOIN(30), MODEL_BROADCAST(31),
-UPDATE_SUBMIT(32), ROUND_COMMIT(33), SESSION_END(34); payloads are
-canonical JSON with parameter vectors carried base64-encoded in their
-binary serialization.
+UPDATE_SUBMIT(32), ROUND_COMMIT(33), SESSION_END(34). Parameter vectors
+travel raw as the message trailer (empty on a failed SESSION_END); a
+broadcast is encoded once and sent on every channel under its own key.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .audit import AuditLog
 from .enclave import Enclave
 from .encoding import b64, canonical_bytes, canonical_loads, sha256, unb64, unhex
 from .errors import (
-    ChannelIntegrityError,
-    ChannelReplayError,
     DecodeError,
     FedShieldError,
     InvalidInputError,
@@ -65,6 +63,22 @@ logger = logging.getLogger(__name__)
 
 _SLOTS = ("checkpoint-a.sfl", "checkpoint-b.sfl")
 AGENT_RECV_TIMEOUT = 120.0  # seconds a client waits for the next coordinator message
+
+
+def _int_field(body: dict, key: str) -> int:
+    """A JSON integer field of a round message; DecodeError otherwise."""
+    value = body.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DecodeError(f"round message field {key!r} is not an integer")
+    return value
+
+
+def _params_of(trailer: bytes) -> np.ndarray:
+    """The parameter vector a round message carries; DecodeError otherwise."""
+    try:
+        return deserialize_params(trailer)
+    except InvalidInputError as exc:
+        raise DecodeError(f"malformed parameter trailer: {exc}") from exc
 
 
 def derive_training_seed(rng_seed: int, client_id: str, round_index: int) -> int:
@@ -141,22 +155,22 @@ class ClientAgent:
         if self.channel is None:
             raise InvalidInputError("join before running")
         while True:
-            mtype, body = protocol.recv_message(self.channel, timeout=AGENT_RECV_TIMEOUT)
+            mtype, body, params = protocol.recv_message(
+                self.channel, timeout=AGENT_RECV_TIMEOUT)
             if mtype == protocol.MODEL_BROADCAST:
-                self._train_and_submit(int(body["round"]), unb64(body["params"]))
+                self._train_and_submit(_int_field(body, "round"), _params_of(params))
             elif mtype == protocol.ROUND_COMMIT:
-                self.params = deserialize_params(unb64(body["params"]))
+                self.params = _params_of(params)
             elif mtype == protocol.SESSION_END:
-                if body.get("params"):
-                    self.params = deserialize_params(unb64(body["params"]))
+                if params:
+                    self.params = _params_of(params)
                 self.result = body
                 self.channel.close()
                 return body
             else:
                 raise DecodeError(f"unexpected coordinator message {mtype}")
 
-    def _train_and_submit(self, round_index: int, params_blob: bytes) -> None:
-        start = deserialize_params(params_blob)
+    def _train_and_submit(self, round_index: int, start: np.ndarray) -> None:
         seed = derive_training_seed(self.cfg.rng_seed, self.client_id, round_index)
         update = local_train(start, self.dataset, self.cfg, seed,
                              client_id=self.client_id, round_index=round_index)
@@ -167,10 +181,9 @@ class ClientAgent:
         protocol.send_message(self.channel, protocol.UPDATE_SUBMIT, {
             "client_id": update.client_id,
             "round": update.round_index,
-            "params": b64(blob),
             "num_examples": update.num_examples,
             "params_hash": update.params_hash.hex(),
-        })
+        }, blob)
 
 
 class Coordinator:
@@ -273,7 +286,7 @@ class Coordinator:
             })
             return decision
         try:
-            mtype, body = protocol.recv_message(channel, timeout=self.round_deadline)
+            mtype, body, _ = protocol.recv_message(channel, timeout=self.round_deadline)
         except (FedShieldError, TimeoutError):
             channel.close()
             return AdmissionDecision(None, False, "attestation")
@@ -322,11 +335,11 @@ class Coordinator:
 
     # -- rounds ------------------------------------------------------------
 
-    def _broadcast(self, mtype: int, body: dict) -> None:
-        for client_id in sorted(self.admitted):
-            channel = self.admitted[client_id]
+    def _broadcast(self, mtype: int, body: dict, params: bytes = b"") -> None:
+        message = protocol.encode_message(mtype, body, params)
+        for client_id, channel in sorted(self.admitted.items()):
             try:
-                protocol.send_message(channel, mtype, body)
+                channel.send(message)
             except FedShieldError:
                 logger.info("broadcast to %s failed", client_id)
 
@@ -342,12 +355,9 @@ class Coordinator:
                                                        round_index, deadline)
             except TimeoutError:
                 dropped[client_id] = "timeout"
-            except (ChannelIntegrityError, ChannelReplayError, DecodeError,
-                    TransportClosedError) as exc:
+            except FedShieldError as exc:  # a bad frame or update evicts
                 dropped[client_id] = type(exc).__name__
                 self.admitted.pop(client_id).close()
-            except FedShieldError as exc:
-                dropped[client_id] = str(exc)
         return updates, dropped
 
     def _next_update(self, channel, client_id: str, round_index: int,
@@ -357,33 +367,31 @@ class Coordinator:
         deadline, apart from the short first wait every client gets."""
         budget = max(deadline - time.time(), 0.05)
         while budget > 0:
-            mtype, body = protocol.recv_message(channel, timeout=budget)
-            update = self._parse_update(client_id, round_index, mtype, body)
+            mtype, body, params = protocol.recv_message(channel, timeout=budget)
+            update = self._parse_update(client_id, round_index, mtype, body, params)
             if update is not None:
                 return update
             budget = deadline - time.time()
         raise TimeoutError("only stale updates before the round deadline")
 
     def _parse_update(self, client_id: str, round_index: int, mtype: int,
-                      body: dict) -> ModelUpdate | None:
-        """The update in ``body``, or None for a late one from a past round."""
+                      body: dict, trailer: bytes) -> ModelUpdate | None:
+        """The update in a message, or None for a late one from a past round."""
         if mtype != protocol.UPDATE_SUBMIT:
             raise DecodeError(f"expected update, got message type {mtype}")
         if body.get("client_id") != client_id:
             raise DecodeError("update claims a different client id")
-        try:
-            round_claim = int(body["round"])
-            num_examples = int(body.get("num_examples", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"malformed update fields: {exc}") from exc
+        round_claim = _int_field(body, "round")
+        num_examples = _int_field(body, "num_examples")
         if round_claim < round_index:
             return None
         if round_claim != round_index:
             raise DecodeError("update is for a different round")
-        blob = unb64(body.get("params", ""))
-        params = deserialize_params(blob)
+        if num_examples < 1:
+            raise DecodeError("update num_examples must be >= 1")
+        params = _params_of(trailer)
         declared = unhex(body.get("params_hash", ""), 32)
-        if sha256(blob) != declared:
+        if sha256(trailer) != declared:
             raise DecodeError("update hash mismatch")
         if params.shape != (self.validation.dim + 1,):
             raise DecodeError("update dimension mismatch")
@@ -418,10 +426,8 @@ class Coordinator:
 
     def run_round(self, round_index: int) -> RoundRecord:
         """One broadcast-train-collect-aggregate-commit cycle."""
-        self._broadcast(protocol.MODEL_BROADCAST, {
-            "round": round_index,
-            "params": b64(serialize_params(self.model.params)),
-        })
+        self._broadcast(protocol.MODEL_BROADCAST, {"round": round_index},
+                        serialize_params(self.model.params))
         updates, dropped = self._collect_updates(round_index)
         if len(updates) < self.cfg.min_clients:
             raise RoundQuorumError(
@@ -452,12 +458,9 @@ class Coordinator:
         )
         self.records.append(record)
         self.audit.append("round", record.payload())
-        self._broadcast(protocol.ROUND_COMMIT, {
-            "round": round_index,
-            "params": b64(serialize_params(new_params)),
-            "accuracy": accuracy,
-            "loss": loss,
-        })
+        self._broadcast(protocol.ROUND_COMMIT,
+                        {"round": round_index, "accuracy": accuracy, "loss": loss},
+                        serialize_params(new_params))
         return record
 
     def run_session(self) -> GlobalModel:
@@ -475,7 +478,7 @@ class Coordinator:
         except RoundQuorumError as exc:
             self.audit.append("session-failed", {"reason": str(exc)})
             self._broadcast(protocol.SESSION_END,
-                            {"status": "failed", "reason": str(exc), "params": None})
+                            {"status": "failed", "reason": str(exc)})
             self._close_clients()
             raise SessionFailedError(str(exc)) from exc
         self.audit.append("session-end", {
@@ -484,11 +487,8 @@ class Coordinator:
             "committed_hash": record.committed_hash.hex(),
         })
         self._broadcast(protocol.SESSION_END, {
-            "status": "converged",
-            "reason": reason,
-            "round": record.round_index,
-            "params": b64(serialize_params(self.model.params)),
-        })
+            "status": "converged", "reason": reason, "round": record.round_index,
+        }, serialize_params(self.model.params))
         self._close_clients()
         return self.model
 

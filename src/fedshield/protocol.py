@@ -1,12 +1,17 @@
 """Message types and canonical-payload helpers for the attested protocols.
 
-Every message travelling inside a secure channel is ``u8 type | canonical
-JSON body``. Request types 10-12 belong to the policy manager, 20-22 to the
-counter service, 30-34 to the round protocol; 100/101 are the generic
-response types.
+Every message travelling inside a secure channel is ``u8 type | u32 BE head
+length | canonical JSON object | trailer``; only types 31-34 may carry a
+trailer, the raw ``fl.serialize_params`` bytes of a parameter vector. A
+message in the older ``u8 type | JSON`` layout reads a head length of at
+least 0x7B000000, past any frame, so it fails to decode. Request types 10-12
+belong to the policy manager, 20-22 to the counter service, 30-34 to the
+round protocol; 100/101 are the generic response types.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .encoding import canonical_bytes, canonical_loads
 from .errors import DecodeError, ServiceError
@@ -28,29 +33,42 @@ SESSION_END = 34
 RESPONSE_OK = 100
 RESPONSE_ERR = 101
 
+PARAMS_TYPES = frozenset({MODEL_BROADCAST, UPDATE_SUBMIT, ROUND_COMMIT, SESSION_END})
+
 REQUEST_TIMEOUT = 30.0  # seconds a request waits for its response
 
+_PREFIX = struct.Struct(">BI")  # type, head length
 
-def encode_message(mtype: int, body: dict) -> bytes:
+
+def encode_message(mtype: int, body: dict, params: bytes = b"") -> bytes:
     if not 0 <= mtype <= 255:
         raise DecodeError(f"message type {mtype} out of range")
-    return bytes([mtype]) + canonical_bytes(body)
+    head = canonical_bytes(body)
+    return _PREFIX.pack(mtype, len(head)) + head + params
 
 
-def decode_message(data: bytes) -> tuple[int, dict]:
-    if len(data) < 1:
-        raise DecodeError("empty message")
-    body = canonical_loads(data[1:]) if len(data) > 1 else {}
+def decode_message(data: bytes) -> tuple[int, dict, bytes]:
+    """``(type, head, trailer)`` of one message; DecodeError if malformed."""
+    if len(data) < _PREFIX.size:
+        raise DecodeError("message shorter than its prefix")
+    mtype, head_len = _PREFIX.unpack_from(data)
+    end = _PREFIX.size + head_len
+    if end > len(data):
+        raise DecodeError("message head runs past the frame")
+    body = canonical_loads(data[_PREFIX.size:end])
     if not isinstance(body, dict):
-        raise DecodeError("message body must be an object")
-    return data[0], body
+        raise DecodeError("message head must be a JSON object")
+    params = data[end:]
+    if params and mtype not in PARAMS_TYPES:
+        raise DecodeError(f"message type {mtype} carries no parameter trailer")
+    return mtype, body, params
 
 
-def send_message(channel, mtype: int, body: dict) -> None:
-    channel.send(encode_message(mtype, body))
+def send_message(channel, mtype: int, body: dict, params: bytes = b"") -> None:
+    channel.send(encode_message(mtype, body, params))
 
 
-def recv_message(channel, timeout: float | None = None) -> tuple[int, dict]:
+def recv_message(channel, timeout: float | None = None) -> tuple[int, dict, bytes]:
     return decode_message(channel.recv(timeout=timeout))
 
 
@@ -67,7 +85,7 @@ def send_err(channel, kind: str, detail: str = "", **extra) -> None:
 def request(channel, mtype: int, body: dict) -> dict:
     """Send a request and return the OK body; ERR raises ServiceError."""
     send_message(channel, mtype, body)
-    rtype, rbody = recv_message(channel, timeout=REQUEST_TIMEOUT)
+    rtype, rbody, _ = recv_message(channel, timeout=REQUEST_TIMEOUT)
     if rtype == RESPONSE_OK:
         return rbody
     if rtype == RESPONSE_ERR:

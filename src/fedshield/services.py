@@ -100,7 +100,7 @@ class ServiceEndpoint:
             return
         try:
             while True:
-                mtype, body = protocol.recv_message(channel, timeout=None)
+                mtype, body, _ = protocol.recv_message(channel, timeout=None)
                 self._dispatch(channel, mtype, body)
         except (TransportClosedError, FedShieldError):
             channel.close()

@@ -38,6 +38,23 @@ def test_single_byte_edit_localized_to_entry(log_path):
     assert verdict.first_break == 3
 
 
+@pytest.mark.parametrize("edit", ["hex-case", "carriage-return"])
+def test_equivalent_encoding_edit_localized_to_entry(log_path, edit):
+    # edits that parse to the same entry values: hex digits in another case,
+    # or a line ended by CR (LF joined it to the next line)
+    lines = log_path.read_bytes().splitlines(keepends=True)
+    if edit == "hex-case":
+        start = lines[2].index(b'"entry_hash":"') + len(b'"entry_hash":"')
+        at = next(i for i in range(start, start + 64) if lines[2][i] in b"abcdef")
+        lines[2] = lines[2][:at] + lines[2][at:at + 1].upper() + lines[2][at + 1:]
+    else:
+        lines[2] = lines[2][:-1] + b"\r"
+    log_path.write_bytes(b"".join(lines))
+    verdict = verify_audit(log_path)
+    assert not verdict.ok
+    assert verdict.first_break == 2
+
+
 def test_deleted_entry_reported_as_gap(log_path):
     lines = log_path.read_bytes().splitlines(keepends=True)
     del lines[4]

@@ -240,6 +240,23 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             deserialize_params(b"\x00\x00\x00\x02" + b"\x00" * 8)
 
+    def test_params_golden_bytes(self):
+        # u32 BE dimension, then IEEE-754 binary64 BE entries; -0.0 keeps its sign
+        assert serialize_params(np.array([1.0, -0.0, 2.5])).hex() == (
+            "00000003" "3ff0000000000000" "8000000000000000" "4004000000000000")
+
+    def test_deserialized_params_are_native_writable_float64(self):
+        vec = deserialize_params(serialize_params(np.array([1.0, -0.0, 2.5])))
+        assert vec.dtype == np.float64 and vec.dtype.isnative
+        assert vec.flags.writeable
+        assert np.signbit(vec[1])
+        vec[0] = 7.0
+
+    def test_empty_params_round_trip(self):
+        blob = serialize_params(np.zeros(0))
+        assert blob == b"\x00" * 4
+        assert deserialize_params(blob).shape == (0,)
+
     def test_csv_round_trip(self):
         data = synthetic_dataset(25, 4, seed=11)
         blob = dataset_to_csv_bytes(data)

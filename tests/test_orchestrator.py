@@ -9,8 +9,9 @@ from fedshield import demo, protocol
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
 from fedshield.enclave import spawn_enclave
-from fedshield.encoding import b64, canonical_bytes, sha256
+from fedshield.encoding import canonical_bytes, sha256
 from fedshield.errors import (
+    DecodeError,
     FedShieldError,
     RollbackDetectedError,
     ServiceError,
@@ -64,20 +65,35 @@ def run_round_with_saboteur(deployment, sabotage):
     return record_holder["record"], saboteur
 
 
-def submission(client_id="client-3", round_index=1, dim=5):
-    blob = serialize_params(np.zeros(dim))
-    return {"client_id": client_id, "round": round_index, "params": b64(blob),
-            "num_examples": 60, "params_hash": sha256(blob).hex()}
+def submission(client_id="client-3", round_index=1, dim=5, num_examples=60,
+               blob=None):
+    """UPDATE_SUBMIT (type, head, trailer) with the trailer's true hash."""
+    blob = serialize_params(np.zeros(dim)) if blob is None else blob
+    return (protocol.UPDATE_SUBMIT,
+            {"client_id": client_id, "round": round_index,
+             "num_examples": num_examples, "params_hash": sha256(blob).hex()},
+            blob)
 
 
 REJECTED_UPDATES = {
-    "wrong-client-id": (protocol.UPDATE_SUBMIT, submission(client_id="client-1")),
-    "future-round": (protocol.UPDATE_SUBMIT, submission(round_index=2)),
+    "wrong-client-id": submission(client_id="client-1"),
+    "future-round": submission(round_index=2),
     "hash-mismatch": (protocol.UPDATE_SUBMIT,
-                      {**submission(), "params_hash": "00" * 32}),
-    "bad-base64": (protocol.UPDATE_SUBMIT, {**submission(), "params": "not base64!"}),
-    "dimension-mismatch": (protocol.UPDATE_SUBMIT, submission(dim=7)),
-    "wrong-message-type": (protocol.JOIN, submission()),
+                      {**submission()[1], "params_hash": "00" * 32}, submission()[2]),
+    "malformed-params": submission(blob=b"\x00\x00"),
+    "zero-examples": submission(num_examples=0),
+    "dimension-mismatch": submission(dim=7),
+    "wrong-message-type": (protocol.JOIN, submission()[1], b""),
+}
+
+# Coordinator messages a client agent must refuse with DecodeError.
+MALFORMED_COORDINATOR_MESSAGES = {
+    "no-round": (protocol.MODEL_BROADCAST, {}, serialize_params(np.zeros(5))),
+    "non-integer-round": (protocol.MODEL_BROADCAST, {"round": "one"},
+                          serialize_params(np.zeros(5))),
+    "malformed-broadcast-params": (protocol.MODEL_BROADCAST, {"round": 1}, b"\x00\x00"),
+    "commit-without-params": (protocol.ROUND_COMMIT, {"round": 1}, b""),
+    "malformed-end-params": (protocol.SESSION_END, {"status": "converged"}, b"\x00"),
 }
 
 
@@ -195,6 +211,15 @@ class TestRounds:
                 saboteur.channel.recv(timeout=5)
         finally:
             deployment.close()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COORDINATOR_MESSAGES))
+    def test_agent_refuses_malformed_coordinator_message(self, deployment, case):
+        agent = deployment.make_agent("client-1")
+        deployment.join_all([agent])
+        protocol.send_message(deployment.coordinator.admitted["client-1"],
+                              *MALFORMED_COORDINATOR_MESSAGES[case])
+        with pytest.raises(DecodeError):
+            agent.run()
 
     def test_client_late_for_one_round_stays_admitted(self, tmp_path):
         dep = make_deployment(tmp_path, session=QUORUM_OF_TWO, round_deadline=2.0)
