@@ -54,8 +54,6 @@ MSG_KEYSHARE = 2
 MSG_QUOTE = 3
 MSG_FINISH = 4
 
-CHECK_ORDER = ("decode", "signature", "nonce", "measurement", "svn", "binding")
-
 ROLE_CLIENT = "client"
 ROLE_COORDINATOR = "coordinator"
 ROLE_POLICY_MANAGER = "policy-manager"
@@ -158,23 +156,14 @@ class SecureChannel:
     """
 
     def __init__(self, transport, send_key: bytes, recv_key: bytes,
-                 local_role: str, peer_role: str, peer_identity,
-                 peer_quote: Quote, local_nonce: bytes, peer_nonce: bytes,
-                 local_ephemeral: bytes, peer_ephemeral: bytes,
-                 local_quote_bytes: bytes = b""):
+                 local_nonce: bytes, peer_nonce: bytes, local_quote_bytes: bytes):
         self._transport = transport
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
         self._send_counter = 0
         self._recv_counter = 0
-        self.local_role = local_role
-        self.peer_role = peer_role
-        self.peer_identity = peer_identity
-        self.peer_quote = peer_quote
         self.local_nonce = local_nonce
         self.peer_nonce = peer_nonce
-        self.local_ephemeral = local_ephemeral
-        self.peer_ephemeral = peer_ephemeral
         self.local_quote_bytes = local_quote_bytes
         self.closed = False
 
@@ -314,7 +303,5 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         transport.close()
         raise
 
-    return SecureChannel(
-        transport, send_key, recv_key, role, peer_role, peer_quote.identity,
-        peer_quote, local_nonce, peer_nonce, local_eph, peer_eph,
-        local_quote_bytes=local_quote)
+    return SecureChannel(transport, send_key, recv_key, local_nonce, peer_nonce,
+                         local_quote)

@@ -101,7 +101,7 @@ def _parse_line(line: bytes) -> AuditEntry:
             entry_hash=unhex(doc["entry_hash"], 32),
         )
         canonical = entry.to_line()
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise DecodeError(f"malformed audit entry: {exc}") from exc
     if canonical != line + b"\n":  # the hashes do not cover e.g. hex case
         raise DecodeError("audit entry is not in canonical form")

@@ -3,14 +3,15 @@
 The coordinator drives rounds: broadcast the global parameters, collect
 client updates until the deadline, run the clone-and-sample guard,
 aggregate what survives, evaluate on the policy-declared validation set,
-seal a rollback-protected checkpoint, append the round record to the
-hash-chained audit log, and send the committed parameters back. Clients
+seal a rollback-protected checkpoint and append the round record to the
+hash-chained audit log. The committed parameters reach the clients with the
+next round's broadcast, or with SESSION_END after the last round. Clients
 that fail admission receive no model material at all.
 
 Round protocol message types: JOIN(30), MODEL_BROADCAST(31),
-UPDATE_SUBMIT(32), ROUND_COMMIT(33), SESSION_END(34). Parameter vectors
-travel raw as the message trailer (empty on a failed SESSION_END); a
-broadcast is encoded once and sent on every channel under its own key.
+UPDATE_SUBMIT(32), SESSION_END(34). Parameter vectors travel raw as the
+message trailer (empty on a failed SESSION_END); a broadcast is encoded once
+and sent on every channel under its own key.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ def derive_training_seed(rng_seed: int, client_id: str, round_index: int) -> int
     return struct.unpack(">Q", digest[:8])[0]
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
-    client_id: str | None
-    admitted: bool
-    reason: str | None = None  # attestation | roster | dataset-hash
-
-
 @dataclass
 class RoundRecord:
     round_index: int
@@ -135,7 +129,7 @@ class ClientAgent:
         self.update_transform = update_transform
         self.quote_provider = quote_provider
         self.channel = None
-        self.params: np.ndarray | None = None
+        self.params: np.ndarray | None = None  # the latest global model received
         self.sent_update_blobs: list[bytes] = []
         self.result: dict | None = None
 
@@ -158,9 +152,9 @@ class ClientAgent:
             mtype, body, params = protocol.recv_message(
                 self.channel, timeout=AGENT_RECV_TIMEOUT)
             if mtype == protocol.MODEL_BROADCAST:
-                self._train_and_submit(_int_field(body, "round"), _params_of(params))
-            elif mtype == protocol.ROUND_COMMIT:
+                round_index = _int_field(body, "round")
                 self.params = _params_of(params)
+                self._train_and_submit(round_index, self.params)
             elif mtype == protocol.SESSION_END:
                 if params:
                     self.params = _params_of(params)
@@ -271,25 +265,29 @@ class Coordinator:
 
     # -- admission ---------------------------------------------------------
 
-    def handle_join(self, transport) -> AdmissionDecision:
-        """Admit or reject one connecting client. Rejected clients get an
-        error response (or a closed transport) and never any model bytes."""
+    def handle_join(self, transport) -> None:
+        """Admit or reject one connecting client and audit the decision.
+        Rejected clients get an error response (or a closed transport) and
+        never any model bytes."""
         try:
             channel = attested_handshake(
                 self.enclave, transport, self.client_policy,
                 role=ROLE_COORDINATOR, expected_peer_role=ROLE_CLIENT)
         except (FedShieldError, TimeoutError) as exc:
-            decision = AdmissionDecision(None, False, "attestation")
             self.audit.append("admission", {
                 "client_id": None, "admitted": False, "reason": "attestation",
                 "detail": getattr(exc, "check", str(exc)),
             })
-            return decision
+            return
         try:
             mtype, body, _ = protocol.recv_message(channel, timeout=self.round_deadline)
-        except (FedShieldError, TimeoutError):
+        except (FedShieldError, TimeoutError) as exc:
             channel.close()
-            return AdmissionDecision(None, False, "attestation")
+            self.audit.append("admission", {
+                "client_id": None, "admitted": False, "reason": "roster",
+                "detail": type(exc).__name__,
+            })
+            return
         client_id = str(body.get("client_id", "")) if mtype == protocol.JOIN else None
         reason = None
         if mtype != protocol.JOIN or not client_id:
@@ -306,18 +304,15 @@ class Coordinator:
         if reason is not None:
             protocol.send_err(channel, "admission-rejected", reason)
             channel.close()
-            decision = AdmissionDecision(client_id, False, reason)
         else:
             with self._admit_lock:
                 self.admitted[client_id] = channel
             protocol.send_ok(channel, {"admitted": True})
-            decision = AdmissionDecision(client_id, True)
         self.audit.append("admission", {
             "client_id": client_id,
-            "admitted": decision.admitted,
-            "reason": decision.reason,
+            "admitted": reason is None,
+            "reason": reason,
         })
-        return decision
 
     def accept_clients(self, listener, *, expected: int | None = None,
                        deadline: float = 30.0) -> None:
@@ -458,9 +453,6 @@ class Coordinator:
         )
         self.records.append(record)
         self.audit.append("round", record.payload())
-        self._broadcast(protocol.ROUND_COMMIT,
-                        {"round": round_index, "accuracy": accuracy, "loss": loss},
-                        serialize_params(new_params))
         return record
 
     def run_session(self) -> GlobalModel:
@@ -475,7 +467,7 @@ class Coordinator:
                 reason = converged(self.model.history, self.cfg)
                 if reason:
                     break
-        except RoundQuorumError as exc:
+        except FedShieldError as exc:  # any failed round ends the session
             self.audit.append("session-failed", {"reason": str(exc)})
             self._broadcast(protocol.SESSION_END,
                             {"status": "failed", "reason": str(exc)})

@@ -155,12 +155,6 @@ class Policy:
                 return entry.dataset_hash
         return None
 
-    def secret(self, name: str) -> SecretSpec | None:
-        for spec in self.secrets:
-            if spec.secret_name == name:
-                return spec
-        return None
-
     def pin(self, role: str, trusted_root: bytes, min_svn: int = 0) -> AttestationPolicy:
         """What a peer acting in ``role`` must attest: the measurement this
         policy pins for the role, under ``trusted_root``."""

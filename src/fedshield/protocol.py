@@ -1,12 +1,13 @@
 """Message types and canonical-payload helpers for the attested protocols.
 
 Every message travelling inside a secure channel is ``u8 type | u32 BE head
-length | canonical JSON object | trailer``; only types 31-34 may carry a
-trailer, the raw ``fl.serialize_params`` bytes of a parameter vector. A
-message in the older ``u8 type | JSON`` layout reads a head length of at
-least 0x7B000000, past any frame, so it fails to decode. Request types 10-12
-belong to the policy manager, 20-22 to the counter service, 30-34 to the
-round protocol; 100/101 are the generic response types.
+length | canonical JSON object | trailer``; only types 31, 32 and 34 may
+carry a trailer, the raw ``fl.serialize_params`` bytes of a parameter
+vector. A message in the older ``u8 type | JSON`` layout reads a head length
+of at least 0x7B000000, past any frame, so it fails to decode. Request types
+10-12 belong to the policy manager, 20-22 to the counter service, 30-32 and
+34 to the round protocol; 100/101 are the generic response types. Type 33 is
+unassigned: a round peer that receives it ends in DecodeError.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ COUNTER_READ = 22
 JOIN = 30
 MODEL_BROADCAST = 31
 UPDATE_SUBMIT = 32
-ROUND_COMMIT = 33
 SESSION_END = 34
 
 RESPONSE_OK = 100
 RESPONSE_ERR = 101
 
-PARAMS_TYPES = frozenset({MODEL_BROADCAST, UPDATE_SUBMIT, ROUND_COMMIT, SESSION_END})
+PARAMS_TYPES = frozenset({MODEL_BROADCAST, UPDATE_SUBMIT, SESSION_END})
 
 REQUEST_TIMEOUT = 30.0  # seconds a request waits for its response
 

@@ -41,7 +41,6 @@ AEAD_AES_256_GCM = 1
 KEY_ID_LEN = 16
 NONCE_LEN = 12
 HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + NONCE_LEN
-FILE_EXT = ".sfl"
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Property tests: the message and parameter decoders on arbitrary bytes.
+"""Property tests: the message, parameter and audit decoders on arbitrary bytes.
 
-Whatever bytes arrive, decoding either succeeds or raises a FedShieldError.
+Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
+audit verification always returns a verdict.
 """
 
 import struct
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fedshield import protocol  # noqa: E402
+from fedshield.audit import AuditLog, verify_audit  # noqa: E402
 from fedshield.errors import FedShieldError  # noqa: E402
 from fedshield.fl import deserialize_params  # noqa: E402
 
@@ -73,3 +75,21 @@ def test_deserialize_params_refuses_only_with_fedshield_error(data):
         return
     assert vec.shape == (struct.unpack(">I", data[:4])[0],)
     assert len(data) == 4 + 8 * vec.size
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+@example(b'{"seq":1e400}')  # a sequence number that overflows to infinity
+@example(b'{"entry_hash":"00","kind":"k","payload":{},"prev_hash":"00","seq":1,'
+         b'"timestamp":' + b"1" * 401 + b"}")  # a timestamp past the float range
+def test_verify_audit_always_gives_a_verdict(tmp_path_factory, tail):
+    path = tmp_path_factory.mktemp("audit") / "audit.log"
+    AuditLog(path).append("session-start", {"round": 0})
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    verdict = verify_audit(path)
+    assert verdict.ok or verdict.first_break >= 1
+    try:
+        AuditLog(path)
+    except FedShieldError:
+        pass

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fedshield import demo, protocol
+from fedshield.attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
 from fedshield.enclave import spawn_enclave
 from fedshield.encoding import canonical_bytes, sha256
 from fedshield.errors import (
+    ChannelIntegrityError,
     DecodeError,
     FedShieldError,
     RollbackDetectedError,
@@ -92,7 +94,7 @@ MALFORMED_COORDINATOR_MESSAGES = {
     "non-integer-round": (protocol.MODEL_BROADCAST, {"round": "one"},
                           serialize_params(np.zeros(5))),
     "malformed-broadcast-params": (protocol.MODEL_BROADCAST, {"round": 1}, b"\x00\x00"),
-    "commit-without-params": (protocol.ROUND_COMMIT, {"round": 1}, b""),
+    "retired-commit-type": (33, {"round": 1}, b""),
     "malformed-end-params": (protocol.SESSION_END, {"status": "converged"}, b"\x00"),
 }
 
@@ -145,6 +147,23 @@ class TestAdmission:
                       if e.kind == "admission"]
         assert admissions[0] == {"client_id": None, "admitted": False,
                                  "reason": "attestation", "detail": "decode"}
+        assert admissions[1]["admitted"] is True
+
+    def test_attested_peer_closing_before_join_is_audited(self, deployment):
+        accept = deployment.accept_async(expected=1)
+        silent = deployment.make_agent("client-1")
+        channel = attested_handshake(
+            silent.enclave, deployment.hub.connect("coordinator"),
+            deployment.coordinator_policy, role=ROLE_CLIENT,
+            expected_peer_role=ROLE_COORDINATOR)
+        channel.close()
+        deployment.make_agent("client-1").join(deployment.hub.connect("coordinator"))
+        accept.join(timeout=10)
+        assert list(deployment.coordinator.admitted) == ["client-1"]
+        admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
+                      if e.kind == "admission"]
+        assert admissions[0] == {"client_id": None, "admitted": False,
+                                 "reason": "roster", "detail": "TransportClosedError"}
         assert admissions[1]["admitted"] is True
 
     def test_unpinned_measurement_never_gets_model_bytes(self, tmp_path):
@@ -259,8 +278,28 @@ class TestRounds:
             entries = read_entries(dep.state_dir / "audit.log")
             assert entries[-1].kind == "session-failed"
             assert verify_audit(dep.state_dir / "audit.log").ok
+            for thread in dep.threads:
+                thread.join(timeout=10)
+            # round 1 never committed: both hold the model it was broadcast
+            for agent in agents[:2]:
+                assert np.array_equal(agent.params, dep.coordinator.model.params)
         finally:
             dep.close()
+
+    def test_any_round_failure_ends_session(self, deployment):
+        agents = [deployment.make_agent(cid) for cid in deployment.client_ids]
+        deployment.join_all(agents)
+        deployment.start_agents(agents)
+        deployment.coordinator.manager.channel.close()  # checkpoint cannot commit
+        with pytest.raises(SessionFailedError) as failure:
+            deployment.coordinator.run_session()
+        assert isinstance(failure.value.__cause__, ChannelIntegrityError)
+        entries = read_entries(deployment.state_dir / "audit.log")
+        assert entries[-1].kind == "session-failed"
+        assert deployment.coordinator.admitted == {}
+        for thread in deployment.threads:
+            thread.join(timeout=10)
+        assert [agent.result["status"] for agent in agents] == ["failed"] * 3
 
 
 class TestCrashRecovery:

@@ -26,7 +26,7 @@ UPDATE_SUBMIT_GOLDEN = (
 
 NON_PARAMS_TYPES = [protocol.UPLOAD_POLICY, protocol.GENERATE, protocol.REQUEST_SECRETS,
                     protocol.COUNTER_CREATE, protocol.COUNTER_INC, protocol.COUNTER_READ,
-                    protocol.JOIN, protocol.RESPONSE_OK, protocol.RESPONSE_ERR]
+                    protocol.JOIN, 33, protocol.RESPONSE_OK, protocol.RESPONSE_ERR]
 
 
 def test_update_submit_golden_bytes():

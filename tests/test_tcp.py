@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from fedshield.counters import CounterService
@@ -137,4 +138,4 @@ def test_small_session_over_tcp(tcp_stack, tmp_path):
 
     assert model.round_index == 2
     assert all(agent.result is not None for agent in agents)
-    assert all(agent.params is not None for agent in agents)
+    assert all(np.array_equal(agent.params, model.params) for agent in agents)
