@@ -5,8 +5,10 @@ last. All reductions run in a fixed order (aggregation sums in client-id
 order, batch order comes from the seed), so identical inputs produce
 bit-identical parameter hashes across runs.
 
-Dataset files are UTF-8 CSV with a header row, d feature columns and one
-trailing 0/1 label column. Parameter vectors serialize as
+Dataset files are CSV with a header row, d feature columns and one trailing
+0/1 label column. They are written as ``repr`` floats, an integer label and
+LF line ends, and read as UTF-8 with LF or CRLF line ends; any malformed
+dataset raises InvalidInputError. Parameter vectors serialize as
 ``u32 BE dimension | IEEE-754 binary64 BE entries``.
 """
 
@@ -227,32 +229,118 @@ def converged(history: list[tuple[int, float, float]], cfg) -> str | None:
 
 
 def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
-    """Deterministic CSV serialization; the bytes are the dataset identity."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["y"])
-    for row, label in zip(dataset.features, dataset.labels):
-        writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-    return buf.getvalue().encode("utf-8")
+    """Deterministic CSV serialization; the bytes are the dataset identity.
+
+    Features are written as the ``repr`` of their float64 value (an integer
+    1 as ``1.0``, a float32 as its float64 repr), labels as integers.
+    """
+    lines = [",".join([f"x{i}" for i in range(dataset.dim)] + ["y"])]
+    features = np.asarray(dataset.features, dtype=np.float64).tolist()
+    for row, label in zip(features, dataset.labels.tolist()):
+        lines.append(",".join([*map(repr, row), str(int(label))]))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+# Characters numpy's float parser strips as whitespace and float() refuses.
+# In ASCII text they are the only input numpy reads as a number where
+# float() does not (the reverse, such as "1_0", numpy refuses).
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def dataset_from_csv_bytes(data: bytes) -> Dataset:
-    text = data.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
+    """Decode a dataset file; any malformed input raises InvalidInputError.
+
+    Well-formed files go through numpy's C reader. Everything it refuses or
+    might read differently from ``float()`` goes to the row-by-row parser,
+    which decodes it exactly or names the failing row.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"CSV is not UTF-8: {exc}") from exc
+    table = _read_table(text)
+    if table is None:
+        return _parse_rows(text)
+    labels = table[:, -1]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        raise _label_error(int(bad[0]) + 2)  # the header is row 1
+    # copies: a strided view may take another BLAS path and change result bits
+    return Dataset(np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(labels))
+
+
+def _read_table(text: str) -> np.ndarray | None:
+    """The data rows as one (rows, columns) float64 table, or None when the
+    row parser must read the text: it is not ASCII or holds a character of
+    ``_NUMPY_ONLY_SPACE``, has a line break other than LF and CRLF, a blank
+    line, a quoted header or a field past the csv module's size limit, or
+    numpy refuses a row (quoting, underscores, a bad number or width)."""
+    if not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if _may_exceed_field_limit(text):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or "" in lines or '"' in lines[0]:
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
+                           dtype=np.float64)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, lines[0].count(",") + 1):
+        return None
+    return table
+
+
+def _may_exceed_field_limit(text: str) -> bool:
+    """Whether a field may be longer than ``csv.field_size_limit()``.
+
+    A run of ``2 * step`` characters without a comma or LF covers a whole
+    aligned block of ``step``, so if every block holds one, no field is
+    longer than ``2 * step - 1``, which is at most the limit.
+    """
+    step = (csv.field_size_limit() + 1) // 2
+    for start in range(0, len(text) - step + 1, step):
+        end = start + step
+        if text.find(",", start, end) < 0 and text.find("\n", start, end) < 0:
+            return True
+    return False
+
+
+def _label_error(row_number: int) -> InvalidInputError:
+    return InvalidInputError(f"CSV row {row_number}: label must be 0 or 1")
+
+
+def _parse_rows(text: str) -> Dataset:
+    """Decode with ``csv`` and ``float()`` one row at a time; the first bad
+    row, in file order, is the one named in the error."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InvalidInputError(f"CSV line {reader.line_num}: {exc}") from exc
     if len(rows) < 2:
         raise InvalidInputError("CSV must have a header row and at least one data row")
-    body = rows[1:]
     width = len(rows[0])
     features, labels = [], []
-    for i, row in enumerate(body):
+    for number, row in enumerate(rows[1:], start=2):
         if len(row) != width:
-            raise InvalidInputError(f"CSV row {i + 2} has {len(row)} columns, expected {width}")
+            raise InvalidInputError(f"CSV row {number} has {len(row)} columns, expected {width}")
+        if not row:
+            raise InvalidInputError(f"CSV row {number} has no columns")
         try:
             values = [float(v) for v in row]
         except ValueError as exc:
-            raise InvalidInputError(f"CSV row {i + 2}: {exc}") from exc
+            raise InvalidInputError(f"CSV row {number}: {exc}") from exc
         if values[-1] not in (0.0, 1.0):
-            raise InvalidInputError(f"CSV row {i + 2}: label must be 0 or 1")
+            raise _label_error(number)
         features.append(values[:-1])
         labels.append(values[-1])
     return Dataset(np.array(features, dtype=np.float64),

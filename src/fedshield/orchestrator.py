@@ -212,21 +212,21 @@ class Coordinator:
     def _slot_path(self, round_index: int) -> Path:
         return self.state_dir / _SLOTS[round_index % 2]
 
-    def _checkpoint_plaintext(self) -> bytes:
+    def _checkpoint_plaintext(self, model: GlobalModel) -> bytes:
         return canonical_bytes({
-            "history": [[r, acc, loss] for r, acc, loss in self.model.history],
-            "params": b64(serialize_params(self.model.params)),
+            "history": [[r, acc, loss] for r, acc, loss in model.history],
+            "params": b64(serialize_params(model.params)),
             "policy_hash": self.policy.policy_hash.hex(),
-            "round": self.model.round_index,
+            "round": model.round_index,
         })
 
-    def _write_checkpoint(self) -> tuple[bytes, int]:
+    def _write_checkpoint(self, model: GlobalModel) -> tuple[bytes, int]:
         token = self.manager.counter_increment(self.counter_id)
-        plaintext = self._checkpoint_plaintext()
+        plaintext = self._checkpoint_plaintext(model)
         shielded = shield_encrypt(plaintext, self.checkpoint_key,
                                   self.checkpoint_key_id, token,
                                   self.manager.counter_public_key)
-        write_shielded(self._slot_path(self.model.round_index), shielded)
+        write_shielded(self._slot_path(model.round_index), shielded)
         stable = self.manager.stable_value(self.counter_id)
         if stable != token.value:
             raise RollbackDetectedError(
@@ -434,10 +434,10 @@ class Coordinator:
             raise RoundQuorumError(f"round {round_index}: every update was flagged")
         new_params = aggregate(kept)
         accuracy, loss = evaluate(new_params, self.validation)
-        self.model.round_index = round_index
-        self.model.params = new_params
-        self.model.history.append((round_index, accuracy, loss))
-        committed_hash, counter_value = self._write_checkpoint()
+        # the model advances only once the checkpoint and the audit entry hold it
+        candidate = GlobalModel(round_index, new_params,
+                                self.model.history + [(round_index, accuracy, loss)])
+        committed_hash, counter_value = self._write_checkpoint(candidate)
         record = RoundRecord(
             round_index=round_index,
             admitted=sorted(updates),
@@ -451,8 +451,9 @@ class Coordinator:
             clone=clone_payload,
             dropped=dropped,
         )
-        self.records.append(record)
         self.audit.append("round", record.payload())
+        self.records.append(record)
+        self.model = candidate
         return record
 
     def run_session(self) -> GlobalModel:

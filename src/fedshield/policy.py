@@ -33,6 +33,7 @@ from .encoding import canonical_bytes, canonical_loads, sha256
 from .errors import (
     AccessDeniedError,
     AlreadyGeneratedError,
+    DecodeError,
     KeyResolutionError,
     NotFoundError,
     PolicyConflictError,
@@ -348,13 +349,19 @@ class InjectionBundle:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "InjectionBundle":
-        return cls(
-            role=doc["role"],
-            arguments=tuple(doc.get("arguments", [])),
-            environment=dict(doc.get("environment", {})),
-            files=dict(doc.get("files", {})),
-        )
+    def from_dict(cls, doc) -> "InjectionBundle":
+        """Parse a bundle from its wire form; DecodeError if malformed."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("role"), str):
+            raise DecodeError("injection bundle needs a string role")
+        arguments = doc.get("arguments", [])
+        if not isinstance(arguments, list) or not all(isinstance(a, str) for a in arguments):
+            raise DecodeError("bundle arguments must be a list of strings")
+        environment, files = doc.get("environment", {}), doc.get("files", {})
+        for name, table in (("environment", environment), ("files", files)):
+            if not isinstance(table, dict) or not all(
+                    isinstance(k, str) and isinstance(v, str) for k, v in table.items()):
+                raise DecodeError(f"bundle {name} must map strings to strings")
+        return cls(doc["role"], tuple(arguments), dict(environment), dict(files))
 
 
 def _materialize(spec: SecretSpec) -> bytes:

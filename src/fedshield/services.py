@@ -152,7 +152,7 @@ class ManagerChannel:
     def upload_policy(self, document_text: str) -> bytes:
         body = protocol.request(self.channel, protocol.UPLOAD_POLICY,
                                 {"document": document_text})
-        return unhex(body["policy_hash"], 32)
+        return unhex(body.get("policy_hash"), 32)
 
     def generate_secrets(self, policy_hash: bytes) -> None:
         protocol.request(self.channel, protocol.GENERATE,
@@ -168,10 +168,10 @@ class ManagerChannel:
             "role": role,
             "quote": b64(quote_bytes),
         })
-        return InjectionBundle.from_dict(body["bundle"])
+        return InjectionBundle.from_dict(body.get("bundle"))
 
     def _token(self, body: dict) -> CounterToken:
-        return CounterToken.from_bytes(unb64(body["token"]))
+        return CounterToken.from_bytes(unb64(body.get("token")))
 
     def counter_create(self) -> CounterToken:
         return self._token(protocol.request(self.channel, protocol.COUNTER_CREATE, {}))

@@ -266,6 +266,29 @@ class TestSerialization:
         # identical content gives identical bytes (dataset identity)
         assert dataset_to_csv_bytes(parsed) == blob
 
+    # bytes of the csv.writer encoder that first defined the format
+    CSV_GOLDEN = [
+        (np.array([[-0.0, 5e-324, 1e-05, 1e16], [0.1, np.nan, np.inf, -np.inf]]),
+         np.array([0.0, 1.0]),
+         b"x0,x1,x2,x3,y\n-0.0,5e-324,1e-05,1e+16,0\n0.1,nan,inf,-inf,1\n"),
+        (np.array([[0.1, -2.5], [3.4028235e38, 1e-45]], dtype=np.float32),
+         np.array([1.0, 0.0], dtype=np.float32),
+         b"x0,x1,y\n0.10000000149011612,-2.5,1\n"
+         b"3.4028234663852886e+38,1.401298464324817e-45,0\n"),
+        (np.array([[1, -2], [0, 2**53 + 1]]), np.array([1, 1]),
+         b"x0,x1,y\n1.0,-2.0,1\n0.0,9007199254740992.0,1\n"),
+        (np.zeros((2, 0)), np.array([True, False]), b"y\n1\n0\n"),
+    ]
+
+    @pytest.mark.parametrize("features,labels,golden", CSV_GOLDEN)
+    def test_csv_golden_bytes(self, features, labels, golden):
+        assert dataset_to_csv_bytes(Dataset(features, labels)) == golden
+        parsed = dataset_from_csv_bytes(golden)
+        for got, want in ((parsed.features, features), (parsed.labels, labels)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            want = np.asarray(want, dtype=np.float64)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_csv_rejects_bad_labels(self):
         blob = b"x0,y\n1.0,2\n"
         with pytest.raises(InvalidInputError):

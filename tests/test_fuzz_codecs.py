@@ -1,10 +1,16 @@
-"""Property tests: the message, parameter and audit decoders on arbitrary bytes.
+"""Property tests: the message, parameter, dataset and audit decoders on
+arbitrary bytes.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict.
 """
 
+import csv
+import io
+import re
 import struct
+
+import numpy as np
 
 import pytest
 
@@ -15,8 +21,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fedshield import protocol  # noqa: E402
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
-from fedshield.errors import FedShieldError  # noqa: E402
-from fedshield.fl import deserialize_params  # noqa: E402
+from fedshield.errors import FedShieldError, InvalidInputError  # noqa: E402
+from fedshield.fl import (  # noqa: E402
+    Dataset,
+    dataset_from_csv_bytes,
+    deserialize_params,
+)
 
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
@@ -75,6 +85,124 @@ def test_deserialize_params_refuses_only_with_fedshield_error(data):
         return
     assert vec.shape == (struct.unpack(">I", data[:4])[0],)
     assert len(data) == 4 + 8 * vec.size
+
+
+def reference_dataset_from_csv_bytes(data: bytes) -> Dataset:
+    """The row-by-row decoder as it was before numpy's reader, kept verbatim
+    as the oracle for the differential test."""
+    text = data.decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2:
+        raise InvalidInputError("CSV must have a header row and at least one data row")
+    body = rows[1:]
+    width = len(rows[0])
+    features, labels = [], []
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise InvalidInputError(f"CSV row {i + 2} has {len(row)} columns, expected {width}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise InvalidInputError(f"CSV row {i + 2}: {exc}") from exc
+        if values[-1] not in (0.0, 1.0):
+            raise InvalidInputError(f"CSV row {i + 2}: label must be 0 or 1")
+        features.append(values[:-1])
+        labels.append(values[-1])
+    return Dataset(np.array(features, dtype=np.float64),
+                   np.array(labels, dtype=np.float64))
+
+
+# odd fields: numbers in other spellings, whitespace numpy strips and
+# float() does not, quoting, underscores, non-ASCII digits
+odd_fields = st.sampled_from([
+    " 1", "1 ", "\t0", "1_0", '"1.0"', '"1', "", " ", "-inf", "Infinity", "1e999",
+    ".5", "0x1", "\x1c1", "1\x1f", "\x0b1", "1\x0c", "\x851", "\u20031", "\u0661",
+    "1\x00", "#1", "1e", "e1", "2", "nan",
+])
+
+
+def mostly(common, odd):
+    """``common`` nineteen times in twenty, else ``odd``."""
+    return st.integers(0, 19).flatmap(lambda k: odd if k == 0 else common)
+
+
+feature_fields = mostly(st.floats().map(repr), odd_fields)
+label_fields = mostly(st.sampled_from(["0", "1", "1.0", "-0.0", "1e0"]), odd_fields)
+line_ends = mostly(st.just("\n"), st.sampled_from(["\r\n", "\r", "\n\n", "\x0b", "\u2028"]))
+header_names = mostly(st.just("x0"), st.sampled_from(['"a,b"', "", "a\x00"]))
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed dataset files, with an odd field, width or line
+    end here and there."""
+    width = draw(st.integers(0, 4))
+    header = ",".join(draw(st.lists(header_names, min_size=width, max_size=width)))
+    parts = [header, draw(line_ends)]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(mostly(st.just(width), st.sampled_from([width - 1, width + 1])))
+        row = [draw(feature_fields) for _ in range(cells - 1)]
+        row += [draw(label_fields)] * (cells > 0)
+        parts.append(",".join(row))
+        parts.append(draw(line_ends))
+    return "".join(parts).encode("utf-8")
+
+
+csv_bytes = st.binary(max_size=200) | st.text(
+    alphabet="01.,-e\n\r \x1c_\"xyinf\u2028", max_size=60).map(str.encode) | csv_texts()
+
+CSV_ESCAPES = [
+    b"x0,y\n\xff,1\n",                        # not UTF-8
+    b"\n\n",                                   # empty header and empty row
+    b"x0,y\n" + b"0" * 131_073 + b",1\n",       # a field past csv's size limit
+    b"x0,y\n1.0,1\r2.0,0\n",                   # a bare CR inside a row
+]
+
+
+def with_examples(test):
+    for data in CSV_ESCAPES:
+        test = example(data)(test)
+    return test
+
+
+@FUZZ
+@given(csv_bytes)
+@with_examples
+def test_dataset_from_csv_bytes_refuses_only_with_invalid_input(data):
+    try:
+        dataset = dataset_from_csv_bytes(data)
+    except InvalidInputError:
+        return
+    assert isinstance(dataset, Dataset)
+
+
+ROW_NUMBER = re.compile(r"CSV row (\d+)")
+
+
+@FUZZ
+@given(csv_bytes)
+@with_examples
+@example(b"x0,y\n\x1c1.0,1\n")                # numpy strips \x1c, float() refuses it
+@example(b"x0,y\n1_0,1\n")                    # float() reads underscores, numpy does not
+@example(b'x0,y\n"1.0",1\r\n2.0,0\r\n')       # quoting and CRLF
+@example(b"x0,y\n1.0,1\n\n")                  # a blank line is a row of no columns
+@example(b"x0,y\n1.0,2\n1.0\n")               # the label error comes first
+@example(b"x0,x1,y\n1.0,1\n")                 # every row narrower than the header
+def test_dataset_from_csv_bytes_matches_reference(data):
+    try:
+        want = reference_dataset_from_csv_bytes(data)
+    except Exception as exc:  # the reference also lets untyped errors out
+        with pytest.raises(InvalidInputError) as raised:
+            dataset_from_csv_bytes(data)
+        want_row = ROW_NUMBER.match(str(exc))
+        if isinstance(exc, InvalidInputError) and want_row:
+            got_row = ROW_NUMBER.match(str(raised.value))
+            assert got_row and got_row[1] == want_row[1]
+        return
+    got = dataset_from_csv_bytes(data)
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @FUZZ

@@ -294,6 +294,10 @@ class TestRounds:
         with pytest.raises(SessionFailedError) as failure:
             deployment.coordinator.run_session()
         assert isinstance(failure.value.__cause__, ChannelIntegrityError)
+        # the model stays at the last committed round, not the failed one
+        model = deployment.coordinator.model
+        assert model.round_index == 0 and model.history == []
+        assert not np.any(model.params)
         entries = read_entries(deployment.state_dir / "audit.log")
         assert entries[-1].kind == "session-failed"
         assert deployment.coordinator.admitted == {}

@@ -9,6 +9,8 @@ from fedshield import protocol
 from fedshield.encoding import canonical_bytes
 from fedshield.errors import DecodeError
 from fedshield.fl import serialize_params
+from fedshield.policy import InjectionBundle
+from fedshield.services import ManagerChannel
 
 HEAD = {"client_id": "client-1", "round": 1, "num_examples": 60,
         "params_hash": "ab" * 32}
@@ -58,3 +60,50 @@ def test_previous_layout_is_refused():
 def test_malformed_messages_are_refused(data):
     with pytest.raises(DecodeError):
         protocol.decode_message(data)
+
+
+class ReplyChannel:
+    """A channel that answers every request with one fixed OK body."""
+
+    def __init__(self, body):
+        self.reply = protocol.encode_message(protocol.RESPONSE_OK, body)
+
+    def send(self, frame):
+        pass
+
+    def recv(self, timeout=None):
+        return self.reply
+
+
+def manager(body) -> ManagerChannel:
+    return ManagerChannel(ReplyChannel(body), counter_public_key=b"")
+
+
+CALLS = {
+    "upload_policy": lambda body: manager(body).upload_policy("{}"),
+    "counter_create": lambda body: manager(body).counter_create(),
+    "request_secrets": lambda body: manager(body).request_secrets(
+        b"\x00" * 32, "client", quote_bytes=b""),
+    "from_dict": InjectionBundle.from_dict,
+}
+
+
+@pytest.mark.parametrize("call,body", [
+    ("upload_policy", {}),
+    ("upload_policy", {"policy_hash": 5}),
+    ("counter_create", {}),
+    ("counter_create", {"token": ["AA=="]}),
+    ("request_secrets", {}),
+    ("request_secrets", {"bundle": []}),
+    ("request_secrets", {"bundle": {"role": 1, "environment": 5}}),
+    ("from_dict", []),
+    ("from_dict", {}),
+    ("from_dict", {"role": "client", "arguments": "ab"}),
+    ("from_dict", {"role": "client", "arguments": [1]}),
+    ("from_dict", {"role": "client", "environment": []}),
+    ("from_dict", {"role": "client", "environment": {"KEY": 1}}),
+    ("from_dict", {"role": "client", "files": {1: "a"}}),  # not expressible in JSON
+])
+def test_malformed_manager_reply_is_decode_error(call, body):
+    with pytest.raises(DecodeError):
+        CALLS[call](body)
