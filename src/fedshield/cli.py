@@ -2,8 +2,8 @@
 
 Verbs: keygen, measure, policy new|upload, encrypt-data, decrypt-data,
 counter init, run-manager, run-coordinator, run-client, audit verify, demo.
-Service verbs speak the attested frame protocol over TCP; `demo` spins the
-whole desk-scale session inside one process.
+Service verbs run `Deployment`'s set-up steps over TCP, one process per
+role; `demo` spins the whole desk-scale session inside one process.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from .orchestrator import ClientAgent, Coordinator
 from .policy import (
     CHECKPOINT_KEY,
     DATASET_KEY,
+    DATASET_SECRET,
     VALIDATION_KEY,
-    PolicyManager,
+    VALIDATION_SECRET,
     SessionConfig,
     parse_policy,
+    secret_key_id,
 )
 from .services import ServiceEndpoint, connect_manager
 from .shield import (
@@ -48,7 +50,7 @@ from .shield import (
     verified_stable_lookup,
     write_shielded,
 )
-from .transport import CaptureLog, TcpListener, tcp_connect
+from .transport import CaptureLog, TcpNetwork
 
 
 def _apply_session_file(args, keys: tuple[str, ...]) -> None:
@@ -66,11 +68,6 @@ def _require(args, *keys) -> None:
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise FedShieldError(f"missing {flags} (flag or session file)")
-
-
-def _addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return host or "127.0.0.1", int(port)
 
 
 def cmd_keygen(args) -> int:
@@ -139,7 +136,7 @@ def _manager_channel(args, platform, enclave, role):
     root = (bytes.fromhex(args.trusted_root) if args.trusted_root
             else platform.root_public_key)
     manager_pin = policy.pin("policy_manager_self", root)
-    transport = tcp_connect(*_addr(args.manager))
+    transport = TcpNetwork().connect(args.manager)
     return policy, connect_manager(enclave, transport, manager_pin, role,
                                    bytes.fromhex(args.counter_public_key))
 
@@ -204,15 +201,12 @@ def cmd_decrypt_data(args) -> int:
 
 def cmd_run_manager(args) -> int:
     platform, enclave = _role_enclave(args)
-    Path(args.store_dir).mkdir(parents=True, exist_ok=True)
-    counters = CounterService(Path(args.store_dir) / "counters.wal",
-                              load_signing_key(args.counter_key))
-    manager = PolicyManager(args.store_dir, enclave, platform.root_public_key)
-    listener = TcpListener(*_addr(args.listen))
-    endpoint = ServiceEndpoint(listener, manager, counters, enclave,
-                               platform.root_public_key)
+    listener = TcpNetwork().listen(args.listen)
+    endpoint = ServiceEndpoint(listener, args.store_dir, enclave,
+                               platform.root_public_key,
+                               load_signing_key(args.counter_key))
     print(f"manager measurement: {enclave.measurement.hex()}")
-    print(f"counter service public key: {counters.public_key.hex()}")
+    print(f"counter service public key: {endpoint.counters.public_key.hex()}")
     print(f"listening on {listener.address[0]}:{listener.address[1]}")
     thread = endpoint.start()
     try:
@@ -231,13 +225,15 @@ def cmd_run_coordinator(args) -> int:
     platform, enclave = _role_enclave(args)
     policy, manager = _manager_channel(args, platform, enclave, role="coordinator")
     keys = manager.request_secrets(policy.policy_hash, "coordinator")
-    validation = dataset_from_csv_bytes(
-        manager.open_shielded(args.validation, keys.key_bytes(VALIDATION_KEY)))
+    validation = dataset_from_csv_bytes(manager.shield_and_open(
+        Path(args.state_dir) / "validation.sfl", Path(args.validation).read_bytes(),
+        keys.key_bytes(VALIDATION_KEY),
+        secret_key_id(policy.policy_hash, VALIDATION_SECRET)))
     coordinator = Coordinator(policy, enclave, args.state_dir,
                               platform.root_public_key, validation,
                               keys.key_bytes(CHECKPOINT_KEY), manager,
                               round_deadline=args.round_deadline)
-    listener = TcpListener(*_addr(args.listen))
+    listener = TcpNetwork().listen(args.listen)
     print(f"coordinator measurement: {enclave.measurement.hex()}")
     print(f"listening on {listener.address[0]}:{listener.address[1]}")
     coordinator.accept_clients(listener, deadline=args.join_deadline)
@@ -258,11 +254,13 @@ def cmd_run_client(args) -> int:
     platform, enclave = _role_enclave(args)
     policy, manager = _manager_channel(args, platform, enclave, role="client")
     keys = manager.request_secrets(policy.policy_hash, "client")
-    plaintext = manager.open_shielded(args.data, keys.key_bytes(DATASET_KEY))
+    plaintext = manager.shield_and_open(
+        Path(args.data).with_suffix(".sfl"), Path(args.data).read_bytes(),
+        keys.key_bytes(DATASET_KEY), secret_key_id(policy.policy_hash, DATASET_SECRET))
     agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
                         sha256(plaintext), policy.session,
                         policy.pin("coordinator", platform.root_public_key))
-    agent.join(tcp_connect(*_addr(args.coordinator)))
+    agent.join(TcpNetwork().connect(args.coordinator))
     print(f"{args.client_id}: admitted")
     result = agent.run()
     manager.close()
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manager", metavar="HOST:PORT")
     p.add_argument("--policy")
     p.add_argument("--state-dir")
-    p.add_argument("--validation", help="shielded validation dataset")
+    p.add_argument("--validation", help="validation dataset CSV")
     p.add_argument("--counter-public-key")
     p.add_argument("--trusted-root", default="")
     p.add_argument("--round-deadline", type=float, default=30.0)
@@ -400,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manager", metavar="HOST:PORT")
     p.add_argument("--policy")
     p.add_argument("--client-id", required=True)
-    p.add_argument("--data", required=True, help="shielded dataset (.sfl)")
+    p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--counter-public-key")
     p.add_argument("--trusted-root", default="")
     p.add_argument("--session-file")

@@ -1,11 +1,12 @@
-"""One-process desk-scale deployment wiring every component together.
+"""Desk-scale deployment wiring every component together.
 
 ``Deployment`` builds a simulated platform, spawns manager/coordinator/client
 enclaves, uploads a policy, provisions secrets and encrypts datasets with
-counter-bound freshness; ``run_demo`` runs a full federated session on it over
-attested in-process channels. Optionally records every wire frame in a capture
-log and collects the sensitive byte patterns (dataset rows, update vectors,
-released secrets) that confidentiality scans search for.
+counter-bound freshness, on a ``Hub`` or a ``TcpNetwork``; the CLI role verbs
+reuse its steps. ``run_demo`` runs a full federated session on a ``Hub``,
+optionally records every wire frame in a capture log and collects the
+sensitive byte patterns (dataset rows, update vectors, released secrets)
+that confidentiality scans search for.
 
 All plaintext staging happens in memory: the only artifacts that reach
 disk are sealed blobs, shielded files, policy documents, key files, and
@@ -19,7 +20,6 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .counters import CounterService
 from .enclave import (
     Enclave,
     generate_platform,
@@ -45,14 +45,12 @@ from .policy import (
     DATASET_SECRET,
     VALIDATION_KEY,
     VALIDATION_SECRET,
-    PolicyManager,
     SessionConfig,
     parse_policy,
     secret_key_id,
 )
 from .services import ManagerChannel, ServiceEndpoint, connect_manager
-from .shield import shield_encrypt, write_shielded
-from .transport import CaptureLog, Hub
+from .transport import CaptureLog, Hub, TcpNetwork
 
 MANAGER_BUNDLE = b"fedshield service bundle: policy manager + counter service"
 COORDINATOR_BUNDLE = b"fedshield service bundle: session coordinator"
@@ -136,13 +134,14 @@ def _partition_seeds(seed: int, labels: list[str]) -> dict[str, int]:
 
 class Deployment:
     """Manager and counter service, coordinator and roster client enclaves
-    on one in-process ``Hub``. Construction runs the whole set-up; tests and
-    ``run_demo`` admit clients and run rounds through the helpers below.
+    on one network, an in-process ``Hub`` unless another is given.
+    Construction runs the whole set-up; tests and ``run_demo`` admit clients
+    and run rounds through the helpers below.
     """
 
     def __init__(self, workdir: str | Path, datasets: dict[str, Dataset],
                  validation: Dataset, session: SessionConfig, *,
-                 capture: CaptureLog | None = None,
+                 network: Hub | TcpNetwork | None = None,
                  round_deadline: float = 30.0):
         workdir = Path(workdir)
         self.manager_dir = workdir / "manager"
@@ -155,12 +154,10 @@ class Deployment:
         manager_enclave = spawn_enclave(self.platform, MANAGER_BUNDLE, ROLE_CONFIG)
         self.coordinator_enclave = spawn_enclave(self.platform, COORDINATOR_BUNDLE,
                                                  ROLE_CONFIG)
-        self.counters = CounterService(self.manager_dir / "counters.wal",
-                                       generate_signing_key())
-        self.manager = PolicyManager(self.manager_dir, manager_enclave, root)
-        self.hub = Hub(capture)
-        self.endpoint = ServiceEndpoint(self.hub.listen("manager"), self.manager,
-                                        self.counters, manager_enclave, root)
+        self.network = Hub() if network is None else network
+        self.endpoint = ServiceEndpoint(self.network.listen("manager"),
+                                        self.manager_dir, manager_enclave, root,
+                                        generate_signing_key())
         self.endpoint.start()
 
         self.client_ids = list(datasets)
@@ -191,9 +188,9 @@ class Deployment:
             mgr = self.connect_manager(self.client_enclaves[cid], role="client")
             bundle = mgr.request_secrets(self.policy_hash, "client")
             self.dataset_key = bundle.key_bytes(DATASET_KEY)
-            plaintext = self._shield_and_open(
-                mgr, self.csv_blobs[cid], self.dataset_key, DATASET_SECRET,
-                workdir / "clients" / cid / "data.sfl")
+            plaintext = mgr.shield_and_open(
+                workdir / "clients" / cid / "data.sfl", self.csv_blobs[cid],
+                self.dataset_key, secret_key_id(self.policy_hash, DATASET_SECRET))
             mgr.close()
             self.datasets[cid] = dataset_from_csv_bytes(plaintext)
             self.dataset_hashes[cid] = sha256(plaintext)
@@ -202,30 +199,19 @@ class Deployment:
         bundle = mgr.request_secrets(self.policy_hash, "coordinator")
         self.checkpoint_key = bundle.key_bytes(CHECKPOINT_KEY)
         self.validation_key = bundle.key_bytes(VALIDATION_KEY)
-        self.validation = dataset_from_csv_bytes(self._shield_and_open(
-            mgr, self.validation_csv, self.validation_key, VALIDATION_SECRET,
-            self.state_dir / "validation.sfl"))
+        self.validation = dataset_from_csv_bytes(mgr.shield_and_open(
+            self.state_dir / "validation.sfl", self.validation_csv,
+            self.validation_key, secret_key_id(self.policy_hash, VALIDATION_SECRET)))
         self.coordinator = Coordinator(self.policy, self.coordinator_enclave,
                                        self.state_dir, root, self.validation,
                                        self.checkpoint_key, mgr,
                                        round_deadline=round_deadline)
-        self.listener = self.hub.listen("coordinator")
-
-    def _shield_and_open(self, mgr: ManagerChannel, plaintext: bytes, key: bytes,
-                         secret_name: str, path: Path) -> bytes:
-        """Write ``plaintext`` shielded under a new counter, then read it
-        back the way its consumer does: freshness from a verified stable read."""
-        token = mgr.counter_create()
-        shielded = shield_encrypt(plaintext, key,
-                                  secret_key_id(self.policy_hash, secret_name),
-                                  token, self.counters.public_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_shielded(path, shielded)
-        return mgr.open_shielded(path, key)
+        self.listener = self.network.listen("coordinator")
 
     def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
-        return connect_manager(enclave, self.hub.connect("manager"),
-                               self.manager_policy, role, self.counters.public_key)
+        return connect_manager(enclave, self.network.connect("manager"),
+                               self.manager_policy, role,
+                               self.endpoint.counters.public_key)
 
     def make_agent(self, client_id: str, *, enclave: Enclave | None = None,
                    dataset: Dataset | None = None, **kwargs) -> ClientAgent:
@@ -255,8 +241,8 @@ class Deployment:
     def join_all(self, agents: list[ClientAgent]) -> None:
         accept = self.accept_async(len(agents))
         for agent in agents:
-            agent.join(self.hub.connect(self.listener.name,
-                                        label=f"client:{agent.client_id}"))
+            agent.join(self.network.connect(self.listener.name,
+                                            label=f"client:{agent.client_id}"))
         accept.join(timeout=JOIN_DEADLINE)
 
     def start_agents(self, agents: list[ClientAgent]) -> None:
@@ -266,12 +252,12 @@ class Deployment:
             self.threads.append(thread)
 
     def close(self) -> None:
+        self.listener.close()
         self.coordinator._close_clients()
         for thread in self.threads:
             thread.join(timeout=JOIN_DEADLINE)
         self.coordinator.manager.close()
         self.endpoint.stop()
-        self.counters.close()
 
 
 def _run_agent(agent: ClientAgent) -> None:
@@ -308,7 +294,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             learning_rate=0.1, local_epochs=2, batch_size=32,
             clone_count=num_clients, clone_subset_size=num_clients - 1,
             outlier_threshold=0.02, rng_seed=seed)
-    dep = Deployment(workdir, datasets, validation, session, capture=capture)
+    dep = Deployment(workdir, datasets, validation, session, network=Hub(capture))
 
     sensitive: dict[str, bytes] = {}
     for cid in client_ids:
@@ -333,11 +319,12 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
         bad_agent = dep.make_agent(unpinned_client_id, enclave=bad_enclave,
                                    dataset=dep.datasets[client_ids[0]])
         try:
-            bad_agent.join(dep.hub.connect("coordinator", label="unpinned"))
+            bad_agent.join(dep.network.connect("coordinator", label="unpinned"))
         except FedShieldError as exc:
             rejected[unpinned_client_id] = type(exc).__name__
     for agent in agents:
-        agent.join(dep.hub.connect("coordinator", label=f"client:{agent.client_id}"))
+        agent.join(dep.network.connect("coordinator",
+                                       label=f"client:{agent.client_id}"))
     accept.join(timeout=JOIN_DEADLINE)
 
     dep.start_agents(agents)

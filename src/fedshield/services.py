@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from pathlib import Path
 
 from . import protocol
 from .attestation import AttestationPolicy, ROLE_POLICY_MANAGER, attested_handshake
@@ -32,7 +33,13 @@ from .errors import (
     TransportClosedError,
 )
 from .policy import InjectionBundle, PolicyManager
-from .shield import read_shielded, shield_decrypt, verified_stable_lookup
+from .shield import (
+    read_shielded,
+    shield_decrypt,
+    shield_encrypt,
+    verified_stable_lookup,
+    write_shielded,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,14 +62,13 @@ def _error_kind(exc: FedShieldError) -> str:
 
 
 class ServiceEndpoint:
-    """Accept loop for the manager/counter endpoint."""
+    """Accept loop for the manager/counter endpoint; owns both services."""
 
-    def __init__(self, listener, manager: PolicyManager,
-                 counters: CounterService, enclave: Enclave,
-                 trusted_root: bytes):
+    def __init__(self, listener, store_dir, enclave: Enclave,
+                 trusted_root: bytes, counter_key):
         self.listener = listener
-        self.manager = manager
-        self.counters = counters
+        self.counters = CounterService(Path(store_dir) / "counters.wal", counter_key)
+        self.manager = PolicyManager(store_dir, enclave, trusted_root)
         self.enclave = enclave
         # Any attested peer may connect; release decisions happen per request.
         self.handshake_policy = AttestationPolicy(
@@ -78,6 +84,7 @@ class ServiceEndpoint:
     def stop(self) -> None:
         self._stop.set()
         self.listener.close()
+        self.counters.close()
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -85,7 +92,7 @@ class ServiceEndpoint:
                 transport = self.listener.accept(timeout=0.2)
             except TimeoutError:
                 continue
-            except (TransportClosedError, OSError):
+            except TransportClosedError:
                 return
             threading.Thread(target=self._serve_connection, args=(transport,),
                              daemon=True).start()
@@ -193,6 +200,17 @@ class ManagerChannel:
         """Open a shielded file only if it was written at its counter's
         stable value."""
         return shield_decrypt(read_shielded(path), key, self.stable_value)
+
+    def shield_and_open(self, path, plaintext: bytes, key: bytes,
+                        key_id: bytes) -> bytes:
+        """Write ``plaintext`` shielded under a new counter, then read it
+        back the way its consumer does: freshness from a verified stable read."""
+        token = self.counter_create()
+        shielded = shield_encrypt(plaintext, key, key_id, token,
+                                  self.counter_public_key)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        write_shielded(path, shielded)
+        return self.open_shielded(path, key)
 
     def close(self) -> None:
         self.channel.close()

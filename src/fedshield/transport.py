@@ -1,11 +1,12 @@
 """Length-prefixed frame transports.
 
 Every connection, in-process or TCP, exchanges frames of the form
-``u32 BE length | body``. The in-process variant pairs two queues and is
-fully deterministic for tests; the TCP variant backs the operator CLI.
-A ``CaptureLog`` attached to an in-process ``Hub`` records every frame on
-the wire, which is how the confidentiality and admission-soundness checks
-observe traffic.
+``u32 BE length | body``. ``Hub`` (in-process queues, fully deterministic
+for tests) and ``TcpNetwork`` (sockets; the CLI) share one contract:
+``listen(name)``, ``connect(name, label)``, and a closed listener refuses
+every later accept and connect with ``TransportClosedError``. A
+``CaptureLog`` attached to a ``Hub`` records every frame on the wire, which
+is how the confidentiality and admission-soundness checks observe traffic.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ class Listener:
 
     def __init__(self, name: str):
         self.name = name
+        self.closed = False
         self._pending: queue.Queue = queue.Queue()
 
     def accept(self, timeout: float | None = None) -> InProcessTransport:
@@ -113,10 +115,12 @@ class Listener:
         except queue.Empty:
             raise TimeoutError(f"no connection to {self.name}")
         if item is _CLOSE:
+            self._pending.put(_CLOSE)  # every later accept sees it too
             raise TransportClosedError("listener closed")
         return item
 
     def close(self) -> None:
+        self.closed = True
         self._pending.put(_CLOSE)
 
 
@@ -142,8 +146,8 @@ class Hub:
             listener = self._listeners.get(name)
             self._conn_seq += 1
             seq = self._conn_seq
-        if listener is None:
-            raise TransportClosedError(f"no endpoint named {name!r}")
+        if listener is None or listener.closed:
+            raise TransportClosedError(f"no open endpoint named {name!r}")
         conn_label = label or f"{name}#{seq}"
         client_end, server_end = transport_pair(self.capture, conn_label)
         listener._pending.put(server_end)
@@ -199,14 +203,21 @@ class TcpTransport:
         self._sock.close()
 
 
+def _address(name: str) -> tuple[str, int]:
+    host, sep, port = name.rpartition(":")
+    symbolic = not sep and not port.isdigit()
+    return ("127.0.0.1", 0) if symbolic else (host or "127.0.0.1", int(port))
+
+
 class TcpListener:
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_server((host, port))
+    def __init__(self, name: str):
+        self.name = name
+        self._sock = socket.create_server(_address(name))
         self.address = self._sock.getsockname()
 
     def accept(self, timeout: float | None = None) -> TcpTransport:
-        self._sock.settimeout(timeout)
         try:
+            self._sock.settimeout(timeout)
             conn, _ = self._sock.accept()
         except socket.timeout:
             raise TimeoutError("accept timed out")
@@ -218,7 +229,23 @@ class TcpListener:
         self._sock.close()
 
 
-def tcp_connect(host: str, port: int) -> TcpTransport:
-    sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
-    sock.settimeout(None)
-    return TcpTransport(sock)
+class TcpNetwork:
+    """The ``Hub`` contract over TCP. A ``host:port`` or bare port name is
+    that address; any other name gets an ephemeral loopback port."""
+
+    def __init__(self):
+        self._addresses: dict[str, tuple[str, int]] = {}
+
+    def listen(self, name: str) -> TcpListener:
+        listener = TcpListener(name)
+        self._addresses[name] = listener.address
+        return listener
+
+    def connect(self, name: str, label: str | None = None) -> TcpTransport:
+        address = self._addresses.get(name) or _address(name)
+        try:
+            sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT)
+        except OSError as exc:
+            raise TransportClosedError(f"cannot connect to {name}: {exc}") from exc
+        sock.settimeout(None)
+        return TcpTransport(sock)

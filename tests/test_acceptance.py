@@ -104,7 +104,7 @@ def test_criterion_2_attestation_gating(tmp_path):
             bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" evil",
                                         ROLE_CONFIG)
             # learn the secret bytes from a direct (off-wire) reference release
-            reference = dep.manager.release_secrets(
+            reference = dep.endpoint.manager.release_secrets(
                 dep.policy_hash, "client",
                 good_enclave.generate_quote(b"\x00" * 64, b"\x01" * 32),
                 b"\x01" * 32)
@@ -121,7 +121,7 @@ def test_criterion_2_attestation_gating(tmp_path):
 
                         # release leg: good handshake, cell-controlled quote
                         capture = CaptureLog()
-                        dep.hub.capture = capture
+                        dep.network.capture = capture
                         mgr = dep.connect_manager(good_enclave, role="client")
                         challenge = mgr.channel.peer_nonce
                         nonce = challenge if fresh else bytes(32)
@@ -143,7 +143,7 @@ def test_criterion_2_attestation_gating(tmp_path):
 
                         # admission leg: the handshake quote is the gate
                         capture2 = CaptureLog()
-                        dep.hub.capture = capture2
+                        dep.network.capture = capture2
 
                         def provider(e, report_data, issued_nonce,
                                      _cell=cell, _enclave=enclave):
@@ -159,14 +159,14 @@ def test_criterion_2_attestation_gating(tmp_path):
                                                quote_provider=provider)
                         accept = dep.accept_async(expected=1)
                         try:
-                            agent.join(dep.hub.connect(dep.listener.name,
+                            agent.join(dep.network.connect(dep.listener.name,
                                                        label=f"cell{cell}"))
                             admitted_cells.append(cell)
                         except FedShieldError:
                             pass
                         dep.listener.close()
                         accept.join(timeout=10)
-                        dep.listener = dep.hub.listen(
+                        dep.listener = dep.network.listen(
                             f"coordinator-{pinned}-{valid_sig}-{fresh}")
                         if cell != (True, True, True):
                             for _, wire in capture2.frames(f"cell{cell}"):

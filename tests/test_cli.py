@@ -1,15 +1,12 @@
 """Operator CLI smoke tests (subprocess level)."""
 
 import json
-import socket
 import subprocess
 import sys
-import time
 
 from fedshield import cli
 from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import generate_platform, measure, save_platform, spawn_enclave
-from fedshield.errors import TransportClosedError
 from fedshield.fl import save_dataset_csv, synthetic_dataset
 from fedshield.policy import SessionConfig, parse_policy
 
@@ -148,11 +145,7 @@ def test_run_client_attests_manager_from_its_own_enclave(tmp_path, monkeypatch):
         spawned.append(args)
         return spawn_enclave(*args)
 
-    def unreachable(host, port):
-        raise TransportClosedError(f"{host}:{port} unreachable")
-
     monkeypatch.setattr(cli, "spawn_enclave", counting_spawn)
-    monkeypatch.setattr(cli, "tcp_connect", unreachable)
     assert cli.main(run_client_argv(tmp_path, role_measurements())) == 1
     assert len(spawned) == 1
 
@@ -181,10 +174,21 @@ def run_client_argv(tmp_path, measurements) -> list[str]:
             "--counter-public-key", "aa" * 32]
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def start_service(*args):
+    """Start a serving verb; return the process, the ``name: value`` lines it
+    printed before its address, and that ``HOST:PORT``."""
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "fedshield.cli",
+                             *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True)
+    printed = {}
+    for line in proc.stdout:
+        if line.startswith("listening on "):
+            return proc, printed, line.split()[-1]
+        name, _, value = line.partition(": ")
+        printed[name] = value.strip()
+    proc.wait(timeout=10)
+    raise AssertionError(f"{args[0]} did not come up: {printed}")
 
 
 def test_run_manager_and_policy_upload(tmp_path):
@@ -205,29 +209,19 @@ def test_run_manager_and_policy_upload(tmp_path):
             "--client-measurement", "33" * 32,
             "--client", f"alice={data}")
 
-    port = _free_port()
-    server = subprocess.Popen(
-        [sys.executable, "-u", "-m", "fedshield.cli",
-         "run-manager", "--listen", f"127.0.0.1:{port}",
-         "--store-dir", str(tmp_path / "store"),
-         "--key-file", str(tmp_path / "platform.json"),
-         "--bundle", str(bundle), "--config", str(config),
-         "--counter-key", str(tmp_path / "svc.json")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    server, printed, address = start_service(
+        "run-manager", "--listen", "127.0.0.1:0",
+        "--store-dir", tmp_path / "store",
+        "--key-file", tmp_path / "platform.json",
+        "--bundle", bundle, "--config", config,
+        "--counter-key", tmp_path / "svc.json")
     try:
-        counter_pub = None
-        deadline = time.time() + 15
-        while time.time() < deadline:
-            line = server.stdout.readline()
-            if line.startswith("counter service public key:"):
-                counter_pub = line.split(":", 1)[1].strip()
-            if line.startswith("listening on"):
-                break
+        counter_pub = printed.get("counter service public key")
         assert counter_pub, "manager did not come up"
 
         out = run_cli("policy", "upload",
                       "--policy", tmp_path / "policy.json",
-                      "--manager", f"127.0.0.1:{port}",
+                      "--manager", address,
                       "--key-file", tmp_path / "platform.json",
                       "--bundle", bundle, "--config", config,
                       "--counter-public-key", counter_pub,
@@ -238,3 +232,57 @@ def test_run_manager_and_policy_upload(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=10)
+
+
+def test_session_over_tcp_from_plaintext_csv(tmp_path):
+    """The README's CLI flow: one process per role, each role shielding its
+    own plaintext CSV under a manager counter, two rounds to completion."""
+    run_cli("keygen", "--out", tmp_path / "platform.json")
+    run_cli("keygen", "--kind", "signing", "--out", tmp_path / "counter.json")
+    config = tmp_path / "session.cfg"
+    config.write_bytes(b"profile=cli\n")
+    bundles = {}
+    for role in ("manager", "coord", "agent"):
+        bundles[role] = tmp_path / f"{role}.tar"
+        bundles[role].write_bytes(f"{role} program".encode())
+    measurement = {role: measure(path.read_bytes(), b"profile=cli\n").hex()
+                   for role, path in bundles.items()}
+    save_dataset_csv(synthetic_dataset(40, 3, seed=5), tmp_path / "alice.csv")
+    save_dataset_csv(synthetic_dataset(60, 3, seed=6), tmp_path / "val.csv")
+    run_cli("policy", "new", "--out", tmp_path / "policy.json", "--name", "study-1",
+            "--manager-measurement", measurement["manager"],
+            "--coordinator-measurement", measurement["coord"],
+            "--client-measurement", measurement["agent"],
+            "--client", f"alice={tmp_path / 'alice.csv'}",
+            "--validation", tmp_path / "val.csv", "--max-rounds", 2)
+    role = ("--key-file", tmp_path / "platform.json", "--config", config)
+
+    manager, printed, manager_address = start_service(
+        "run-manager", "--listen", "127.0.0.1:0", "--store-dir", tmp_path / "store",
+        "--bundle", bundles["manager"], *role,
+        "--counter-key", tmp_path / "counter.json")
+    coordinator = None
+    try:
+        session = ("--manager", manager_address, "--policy", tmp_path / "policy.json",
+                   "--counter-public-key", printed["counter service public key"])
+        run_cli("policy", "upload", *session, "--bundle", bundles["agent"], *role,
+                "--generate")
+        coordinator, _, coordinator_address = start_service(
+            "run-coordinator", "--listen", "127.0.0.1:0", *session,
+            "--bundle", bundles["coord"], *role,
+            "--state-dir", tmp_path / "state", "--validation", tmp_path / "val.csv")
+        client = run_cli("run-client", "--coordinator", coordinator_address,
+                         *session, "--bundle", bundles["agent"], *role,
+                         "--client-id", "alice", "--data", tmp_path / "alice.csv",
+                         timeout=60)
+        assert "alice: admitted" in client.stdout
+        assert coordinator.wait(timeout=60) == 0
+        assert "session finished at round 2" in coordinator.stdout.read()
+    finally:
+        for proc in (manager, coordinator):
+            if proc is not None:
+                proc.kill()
+                proc.wait(timeout=10)
+    assert (tmp_path / "alice.sfl").exists()
+    assert (tmp_path / "state" / "validation.sfl").exists()
+    assert "accepted" in run_cli("audit", "verify", tmp_path / "state" / "audit.log").stdout

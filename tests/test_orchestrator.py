@@ -23,7 +23,7 @@ from fedshield.errors import (
 from fedshield.fl import serialize_params, synthetic_dataset
 from fedshield.orchestrator import Coordinator, derive_training_seed
 from fedshield.policy import SessionConfig
-from fedshield.transport import CaptureLog
+from fedshield.transport import CaptureLog, Hub
 
 
 def make_deployment(tmp_path, num_clients=3, session=None, capture=None,
@@ -38,7 +38,8 @@ def make_deployment(tmp_path, num_clients=3, session=None, capture=None,
     datasets = {cid: synthetic_dataset(60, 4, seed=i + 1)
                 for i, cid in enumerate(client_ids)}
     return demo.Deployment(tmp_path, datasets, synthetic_dataset(120, 4, seed=88),
-                           session, capture=capture, round_deadline=round_deadline)
+                           session, network=Hub(capture),
+                           round_deadline=round_deadline)
 
 
 # Rounds go ahead with two of the three clients.
@@ -118,7 +119,7 @@ class TestAdmission:
             "client-1", dataset=deployment.datasets["client-2"])
         accept = deployment.accept_async(expected=1)
         with pytest.raises(ServiceError, match="dataset-hash"):
-            agent.join(deployment.hub.connect("coordinator"))
+            agent.join(deployment.network.connect("coordinator"))
         deployment.listener.close()
         accept.join(timeout=5)
         assert "client-1" not in deployment.coordinator.admitted
@@ -132,15 +133,15 @@ class TestAdmission:
                                       dataset=deployment.datasets["client-1"])
         accept = deployment.accept_async(expected=1)
         with pytest.raises(ServiceError, match="roster"):
-            agent.join(deployment.hub.connect("coordinator"))
+            agent.join(deployment.network.connect("coordinator"))
         deployment.listener.close()
         accept.join(timeout=5)
 
     def test_undecodable_hello_does_not_stop_admission(self, deployment):
         accept = deployment.accept_async(expected=1)
-        rogue = deployment.hub.connect("coordinator", label="rogue")
+        rogue = deployment.network.connect("coordinator", label="rogue")
         rogue.send_frame(bytes([1]) + bytes(32) + bytes([2]) + b"\xff\xfe")
-        deployment.make_agent("client-1").join(deployment.hub.connect("coordinator"))
+        deployment.make_agent("client-1").join(deployment.network.connect("coordinator"))
         accept.join(timeout=10)
         assert list(deployment.coordinator.admitted) == ["client-1"]
         admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
@@ -153,11 +154,11 @@ class TestAdmission:
         accept = deployment.accept_async(expected=1)
         silent = deployment.make_agent("client-1")
         channel = attested_handshake(
-            silent.enclave, deployment.hub.connect("coordinator"),
+            silent.enclave, deployment.network.connect("coordinator"),
             deployment.coordinator_policy, role=ROLE_CLIENT,
             expected_peer_role=ROLE_COORDINATOR)
         channel.close()
-        deployment.make_agent("client-1").join(deployment.hub.connect("coordinator"))
+        deployment.make_agent("client-1").join(deployment.network.connect("coordinator"))
         accept.join(timeout=10)
         assert list(deployment.coordinator.admitted) == ["client-1"]
         admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
@@ -175,7 +176,7 @@ class TestAdmission:
             agent = dep.make_agent("client-1", enclave=bad_enclave)
             accept = dep.accept_async(expected=1)
             with pytest.raises(FedShieldError):
-                agent.join(dep.hub.connect("coordinator", label="rogue"))
+                agent.join(dep.network.connect("coordinator", label="rogue"))
             dep.listener.close()
             accept.join(timeout=5)
             assert "client-1" not in dep.coordinator.admitted
@@ -330,7 +331,8 @@ class TestCrashRecovery:
 
             # clients reconnect and the session continues unbroken
             dep.coordinator = revived
-            dep.listener = dep.hub.listen("coordinator-revived")
+            dep.listener.close()
+            dep.listener = dep.network.listen("coordinator-revived")
             fresh_agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(fresh_agents)
             dep.start_agents(fresh_agents)
