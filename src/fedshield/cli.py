@@ -125,8 +125,8 @@ def _role_enclave(args):
                                    Path(args.config).read_bytes())
 
 
-def _manager_channel(args, platform, enclave, role):
-    """The policy file and an attested channel to the manager it pins."""
+def _manager_pin(args, platform):
+    """The policy file and the manager pin it declares."""
     policy = parse_policy(Path(args.policy).read_text())
     pinned = getattr(args, "policy_hash", None)
     if pinned and policy.policy_hash.hex() != pinned:
@@ -135,15 +135,20 @@ def _manager_channel(args, platform, enclave, role):
             f"session file pins {pinned}")
     root = (bytes.fromhex(args.trusted_root) if args.trusted_root
             else platform.root_public_key)
-    manager_pin = policy.pin("policy_manager_self", root)
+    return policy, policy.pin("policy_manager_self", root)
+
+
+def _manager_channel(args, enclave, manager_pin, role):
+    """An attested channel to the pinned manager."""
     transport = TcpNetwork().connect(args.manager)
-    return policy, connect_manager(enclave, transport, manager_pin, role,
-                                   bytes.fromhex(args.counter_public_key))
+    return connect_manager(enclave, transport, manager_pin, role,
+                           bytes.fromhex(args.counter_public_key))
 
 
 def cmd_policy_upload(args) -> int:
     platform, enclave = _role_enclave(args)
-    _, manager = _manager_channel(args, platform, enclave, role="client")
+    _, manager_pin = _manager_pin(args, platform)
+    manager = _manager_channel(args, enclave, manager_pin, role="client")
     document = Path(args.policy).read_text()
     policy_hash = manager.upload_policy(document)
     print(f"uploaded: {policy_hash.hex()}")
@@ -223,10 +228,13 @@ def cmd_run_coordinator(args) -> int:
     _require(args, "manager", "policy", "counter_public_key", "validation",
              "state_dir")
     platform, enclave = _role_enclave(args)
-    policy, manager = _manager_channel(args, platform, enclave, role="coordinator")
+    policy, manager_pin = _manager_pin(args, platform)
+    # a missing input file fails before the manager is contacted
+    plaintext = Path(args.validation).read_bytes()
+    manager = _manager_channel(args, enclave, manager_pin, role="coordinator")
     keys = manager.request_secrets(policy.policy_hash, "coordinator")
     validation = dataset_from_csv_bytes(manager.shield_and_open(
-        Path(args.state_dir) / "validation.sfl", Path(args.validation).read_bytes(),
+        Path(args.state_dir) / "validation.sfl", plaintext,
         keys.key_bytes(VALIDATION_KEY),
         secret_key_id(policy.policy_hash, VALIDATION_SECRET)))
     coordinator = Coordinator(policy, enclave, args.state_dir,
@@ -252,10 +260,13 @@ def cmd_run_client(args) -> int:
                                "trusted_root"))
     _require(args, "manager", "coordinator", "policy", "counter_public_key")
     platform, enclave = _role_enclave(args)
-    policy, manager = _manager_channel(args, platform, enclave, role="client")
+    policy, manager_pin = _manager_pin(args, platform)
+    # a missing input file fails before the manager is contacted
+    plaintext = Path(args.data).read_bytes()
+    manager = _manager_channel(args, enclave, manager_pin, role="client")
     keys = manager.request_secrets(policy.policy_hash, "client")
     plaintext = manager.shield_and_open(
-        Path(args.data).with_suffix(".sfl"), Path(args.data).read_bytes(),
+        Path(args.data).with_suffix(".sfl"), plaintext,
         keys.key_bytes(DATASET_KEY), secret_key_id(policy.policy_hash, DATASET_SECRET))
     agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
                         sha256(plaintext), policy.session,
@@ -289,16 +300,19 @@ def cmd_demo(args) -> int:
         flags = result.flags_by_round().get(round_index, [])
         suffix = f"  flagged={flags}" if flags else ""
         print(f"  round {round_index}: accuracy={accuracy:.4f} loss={loss:.4f}{suffix}")
+    failed = False
     for name, path in result.audit_paths.items():
         verdict = verify_audit(path)
+        failed |= not verdict.ok
         status = "ok" if verdict.ok else f"BROKEN at {verdict.first_break}"
         print(f"audit[{name}]: {verdict.entries} entries, {status}")
     if capture is not None:
         findings = (scan_capture(capture, result.sensitive)
                     + scan_tree(result.workdir, result.sensitive))
+        failed |= bool(findings)
         label = "clean" if not findings else f"LEAKED {findings}"
         print(f"confidentiality scan (wire + storage): {label}")
-    return 0
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FedShieldError as exc:
+    except (FedShieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

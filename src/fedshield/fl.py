@@ -143,15 +143,17 @@ def predict(params: np.ndarray, features: np.ndarray) -> np.ndarray:
     return (_scores(params, features) >= 0.0).astype(np.float64)
 
 
-def evaluate(params: np.ndarray, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean logistic loss) of params on a dataset."""
+def accuracy(params: np.ndarray, dataset: Dataset) -> float:
+    """Fraction of the dataset's rows that params classify correctly."""
     if dataset.n < 1:
         raise InvalidInputError("cannot evaluate on an empty dataset")
+    return float(np.mean(predict(params, dataset.features) == dataset.labels))
+
+
+def evaluate(params: np.ndarray, dataset: Dataset) -> tuple[float, float]:
+    """(accuracy, mean logistic loss) of params on a dataset."""
     params = np.asarray(params, dtype=np.float64)
-    preds = predict(params, dataset.features)
-    accuracy = float(np.mean(preds == dataset.labels))
-    loss = logistic_loss(params, dataset.features, dataset.labels)
-    return accuracy, loss
+    return accuracy(params, dataset), logistic_loss(params, dataset.features, dataset.labels)
 
 
 def local_train(start: np.ndarray, data: Dataset, cfg, seed: int,

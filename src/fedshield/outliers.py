@@ -1,12 +1,12 @@
 """Clone-and-sample defense against poisoning clients.
 
-The aggregation is cloned over random client subsets; each clone's utility
-is its validation accuracy. A client's influence score is the mean utility
-of clones containing it minus the mean utility of clones excluding it, and
-clients whose defined score falls below ``-tau`` are flagged. With
-``clone_count == len(updates)`` and ``clone_subset_size == len(updates) - 1``
-the subsets enumerate leave-one-out exactly, which removes sampling noise
-at desk scale.
+The aggregation is cloned over random client subsets. Each distinct subset
+is aggregated and scored once; its utility is the validation accuracy of
+its aggregate. A client's influence score is the mean utility of clones
+containing it minus the mean utility of clones excluding it, and clients
+whose defined score falls below ``-tau`` are flagged. With ``clone_count ==
+len(updates)`` and ``clone_subset_size == len(updates) - 1`` the subsets
+enumerate leave-one-out exactly, which removes sampling noise at desk scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .fl import Dataset, ModelUpdate, aggregate, evaluate
+from .fl import Dataset, ModelUpdate, accuracy, aggregate
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class CloneRun:
     """One cloned aggregation: the sampled subset and its utility."""
 
     subset: frozenset[str]
-    params: np.ndarray
     utility: float
 
 
@@ -62,6 +61,7 @@ def clone_aggregate(updates: list[ModelUpdate], validation: Dataset, cfg,
             f"clone_subset_size must satisfy 1 <= m < {n}, got {m}")
     ordered = sorted(updates, key=lambda u: u.client_id)
     leave_one_out = (k == n and m == n - 1)
+    utilities: dict[frozenset[str], float] = {}
     runs: list[CloneRun] = []
     for index in range(k):
         if leave_one_out:
@@ -71,9 +71,10 @@ def clone_aggregate(updates: list[ModelUpdate], validation: Dataset, cfg,
                 np.random.SeedSequence([int(cfg.rng_seed), int(round_seed), index]))
             chosen = sorted(rng.choice(n, size=m, replace=False).tolist())
         subset = [ordered[j] for j in chosen]
-        params = aggregate(subset)
-        accuracy, _ = evaluate(params, validation)
-        runs.append(CloneRun(frozenset(u.client_id for u in subset), params, accuracy))
+        ids = frozenset(u.client_id for u in subset)
+        if ids not in utilities:
+            utilities[ids] = accuracy(aggregate(subset), validation)
+        runs.append(CloneRun(ids, utilities[ids]))
     return runs
 
 
@@ -85,10 +86,7 @@ def score_clients(runs: list[CloneRun], roster: list[str]) -> list[InfluenceScor
     for client_id in sorted(roster):
         inside = [run.utility for run in runs if client_id in run.subset]
         outside = [run.utility for run in runs if client_id not in run.subset]
-        if inside and outside:
-            score = float(np.mean(inside) - np.mean(outside))
-        else:
-            score = None
+        score = float(np.mean(inside) - np.mean(outside)) if inside and outside else None
         scores.append(InfluenceScore(client_id, score, len(inside), len(outside)))
     return scores
 

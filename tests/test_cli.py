@@ -1,10 +1,14 @@
 """Operator CLI smoke tests (subprocess level)."""
 
 import json
+import socket
 import subprocess
 import sys
 
+import pytest
+
 from fedshield import cli
+from fedshield.audit import AuditVerdict
 from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import generate_platform, measure, save_platform, spawn_enclave
 from fedshield.fl import save_dataset_csv, synthetic_dataset
@@ -105,6 +109,50 @@ def test_demo_and_audit_verify(tmp_path):
     broken = run_cli("audit", "verify", log, check=False)
     assert broken.returncode == 1
     assert "BROKEN" in broken.stdout
+
+
+@pytest.mark.parametrize("fault", ["broken-chain", "leak"])
+def test_demo_exit_status_reports_a_failed_check(tmp_path, monkeypatch, capsys,
+                                                 fault):
+    if fault == "broken-chain":
+        monkeypatch.setattr(cli, "verify_audit",
+                            lambda path: AuditVerdict(False, 3, 2, "hash mismatch"))
+    else:
+        monkeypatch.setattr(cli, "scan_tree",
+                            lambda root, patterns: ["coordinator/state:dataset"])
+    status = cli.main(["demo", "--workdir", str(tmp_path / "demo"), "--rows", "60",
+                       "--dim", "4", "--capture"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert ("BROKEN at 2" if fault == "broken-chain" else "LEAKED") in out
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("verb", ["run-client", "run-coordinator"])
+def test_missing_input_file_fails_before_contacting_manager(tmp_path, verb):
+    argv = run_client_argv(tmp_path, role_measurements())
+    argv[argv.index("--manager") + 1] = f"127.0.0.1:{closed_port()}"
+    missing = tmp_path / "missing.csv"
+    if verb == "run-client":
+        argv[argv.index("--data") + 1] = str(missing)
+    else:  # the same role flags, with the coordinator's own in place of the client's
+        for flag in ("--client-id", "--data", "--coordinator"):
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv[0] = verb
+        argv += ["--listen", "127.0.0.1:0", "--state-dir", str(tmp_path / "state"),
+                 "--validation", str(missing)]
+    result = run_cli(*argv, check=False)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert str(missing) in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "cannot connect" not in result.stderr
 
 
 def test_session_file_pins_policy_hash(tmp_path):

@@ -1,5 +1,5 @@
-"""Property tests: the message, parameter, dataset and audit decoders on
-arbitrary bytes.
+"""Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
+shielded-file and counter-token decoders on arbitrary bytes.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict.
@@ -19,8 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fedshield import protocol  # noqa: E402
+from fedshield import enclave, protocol, shield  # noqa: E402
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
+from fedshield.counters import TOKEN_LEN, CounterToken  # noqa: E402
 from fedshield.errors import FedShieldError, InvalidInputError  # noqa: E402
 from fedshield.fl import (  # noqa: E402
     Dataset,
@@ -221,3 +222,63 @@ def test_verify_audit_always_gives_a_verdict(tmp_path_factory, tail):
         AuditLog(path)
     except FedShieldError:
         pass
+
+
+def prefixed(prefix: bytes, tail_size: int):
+    """``prefix`` and a random tail, short or of exactly ``tail_size`` bytes:
+    the magic, version and algorithm checks pass, so the length and field
+    checks run."""
+    tails = (st.binary(max_size=tail_size + 2)
+             | st.binary(min_size=tail_size, max_size=tail_size))
+    return tails.map(lambda tail: prefix + tail)
+
+
+QUOTE_HEAD = struct.pack(">HBB", enclave.QUOTE_VERSION, enclave.HASH_SHA256,
+                         enclave.SIG_ED25519)
+SHIELD_HEAD = shield.MAGIC + struct.pack(">H", shield.VERSION)
+
+
+@st.composite
+def sealed_blobs(draw):
+    """The sealed-blob layout with a length field that mostly matches."""
+    ciphertext = draw(st.binary(max_size=40))
+    length = draw(mostly(st.just(len(ciphertext)), st.integers(0, 2**64 - 1)))
+    return (enclave.SEALED_MAGIC + draw(st.binary(min_size=14, max_size=14))
+            + struct.pack(">Q", length) + ciphertext)
+
+
+# (decoder, inputs, what an accepted value must satisfy)
+FIXED_LAYOUTS = {
+    "quote": (enclave.Quote.from_bytes,
+              st.binary(max_size=300) | prefixed(QUOTE_HEAD, enclave.QUOTE_LEN - 4),
+              lambda quote, data: quote.to_bytes() == data),
+    "sealed-blob": (enclave.SealedBlob.from_bytes,
+                    prefixed(enclave.SEALED_MAGIC, 22) | sealed_blobs(),
+                    lambda blob, data: blob.to_bytes() == data),
+    "shield-header": (shield.ShieldHeader.from_bytes,
+                      st.binary(max_size=120)
+                      | prefixed(SHIELD_HEAD, shield.HEADER_LEN - 6),
+                      lambda header, data: header.to_bytes() == data[:shield.HEADER_LEN]),
+    "shielded-file": (shield.ShieldedFile.from_bytes,
+                      st.binary(max_size=120)
+                      | prefixed(SHIELD_HEAD, shield.HEADER_LEN - 6 + 20),
+                      lambda sfl, data: sfl.to_bytes() == data),
+    "counter-token": (CounterToken.from_bytes,
+                      st.binary(max_size=150)
+                      | st.binary(min_size=TOKEN_LEN, max_size=TOKEN_LEN),
+                      lambda token, data: len(data) == TOKEN_LEN
+                      and CounterToken.from_bytes(token.to_bytes()) == token),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FIXED_LAYOUTS))
+@FUZZ
+@given(data=st.data())
+def test_fixed_layout_decoders_refuse_only_with_fedshield_error(layout, data):
+    decode, inputs, accepted = FIXED_LAYOUTS[layout]
+    raw = data.draw(inputs)
+    try:
+        value = decode(raw)
+    except FedShieldError:
+        return
+    assert accepted(value, raw)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedshield import outliers
 from fedshield.errors import InvalidConfigError
 from fedshield.fl import make_update, synthetic_dataset
 from fedshield.outliers import (
@@ -69,6 +70,60 @@ class TestCloneAggregate:
             clone_aggregate(updates, validation, guard_cfg(k=2, m=3), round_seed=0)
 
 
+def weighted_updates(n_clients, dim=4, seed=7):
+    """Distinct parameters and example counts, so the weights matter."""
+    rng = np.random.default_rng(seed)
+    return [make_update(f"c{i}", 1, rng.standard_normal(dim + 1), 20 + i)
+            for i in range(n_clients)]
+
+
+# (subset, utility) per clone, as computed by aggregating and scoring every
+# clone on its own, repeated subsets included.
+GOLDEN_SAMPLED = [
+    ("c2c3", 0.365), ("c2c3", 0.365), ("c1c3", 0.34), ("c0c2", 0.435),
+    ("c0c2", 0.435), ("c0c1", 0.395), ("c0c2", 0.435), ("c1c2", 0.495),
+    ("c1c2", 0.495), ("c2c3", 0.365), ("c2c3", 0.365), ("c1c3", 0.34),
+    ("c0c3", 0.34), ("c1c3", 0.34), ("c0c1", 0.395), ("c1c3", 0.34),
+    ("c0c1", 0.395), ("c1c3", 0.34), ("c0c2", 0.435), ("c0c2", 0.435),
+    ("c1c3", 0.34), ("c2c3", 0.365), ("c1c2", 0.495), ("c0c2", 0.435),
+    ("c1c3", 0.34), ("c0c2", 0.435), ("c1c2", 0.495), ("c1c2", 0.495),
+    ("c1c3", 0.34), ("c0c1", 0.395), ("c0c3", 0.34), ("c2c3", 0.365),
+]
+GOLDEN_LEAVE_ONE_OUT = [
+    ("c1c2c3c4", 0.2), ("c0c2c3c4", 0.17), ("c0c1c3c4", 0.18),
+    ("c0c1c2c4", 0.21), ("c0c1c2c3", 0.345),
+]
+
+
+class TestDistinctSubsets:
+    @pytest.mark.parametrize("n, k, m, golden", [
+        (4, 32, 2, GOLDEN_SAMPLED),
+        (5, 5, 4, GOLDEN_LEAVE_ONE_OUT),
+    ], ids=["sampled", "leave-one-out"])
+    def test_golden_subsets_and_utilities(self, n, k, m, golden):
+        validation = synthetic_dataset(200, 4, seed=11)
+        runs = clone_aggregate(weighted_updates(n), validation,
+                               guard_cfg(k=k, m=m, seed=7), round_seed=3)
+        assert [("".join(sorted(r.subset)), r.utility) for r in runs] == golden
+
+    def test_each_distinct_subset_aggregated_once(self, monkeypatch):
+        real_aggregate = outliers.aggregate
+        calls = []
+
+        def counting_aggregate(subset):
+            calls.append(frozenset(u.client_id for u in subset))
+            return real_aggregate(subset)
+
+        monkeypatch.setattr(outliers, "aggregate", counting_aggregate)
+        validation = synthetic_dataset(200, 4, seed=11)
+        runs = clone_aggregate(weighted_updates(4), validation,
+                               guard_cfg(k=32, m=2, seed=7), round_seed=3)
+        assert len(runs) == 32
+        distinct = {run.subset for run in runs}
+        assert len(calls) == len(distinct) == 6
+        assert set(calls) == distinct
+
+
 def pair_fixture():
     """4 clients, all 6 size-2 subsets; utility 0.5 whenever the attacker
     'a' participates, 0.9 otherwise. Hand-computed scores:
@@ -79,15 +134,15 @@ def pair_fixture():
         for j in range(i + 1, 4):
             subset = frozenset({clients[i], clients[j]})
             utility = 0.5 if "a" in subset else 0.9
-            runs.append(CloneRun(subset, np.zeros(2), utility))
+            runs.append(CloneRun(subset, utility))
     return clients, runs
 
 
 class TestScores:
     def test_identical_utilities_score_zero(self):
-        runs = [CloneRun(frozenset({"a", "b"}), np.zeros(2), 0.8),
-                CloneRun(frozenset({"b", "c"}), np.zeros(2), 0.8),
-                CloneRun(frozenset({"a", "c"}), np.zeros(2), 0.8)]
+        runs = [CloneRun(frozenset({"a", "b"}), 0.8),
+                CloneRun(frozenset({"b", "c"}), 0.8),
+                CloneRun(frozenset({"a", "c"}), 0.8)]
         scores = score_clients(runs, ["a", "b", "c"])
         assert all(s.score == 0.0 for s in scores)
 
@@ -101,8 +156,8 @@ class TestScores:
             assert scores[honest].score >= 0
 
     def test_client_in_every_subset_is_undefined(self):
-        runs = [CloneRun(frozenset({"a", "b"}), np.zeros(2), 0.7),
-                CloneRun(frozenset({"a", "c"}), np.zeros(2), 0.9)]
+        runs = [CloneRun(frozenset({"a", "b"}), 0.7),
+                CloneRun(frozenset({"a", "c"}), 0.9)]
         scores = {s.client_id: s for s in score_clients(runs, ["a", "b", "c"])}
         assert scores["a"].score is None
         assert scores["b"].score is not None
@@ -115,9 +170,9 @@ class TestFlagging:
         assert flag_outliers(scores, tau=0.02) == {"a"}
 
     def test_all_zero_scores_flags_nothing(self):
-        runs = [CloneRun(frozenset({"a", "b"}), np.zeros(2), 0.5),
-                CloneRun(frozenset({"b", "c"}), np.zeros(2), 0.5),
-                CloneRun(frozenset({"a", "c"}), np.zeros(2), 0.5)]
+        runs = [CloneRun(frozenset({"a", "b"}), 0.5),
+                CloneRun(frozenset({"b", "c"}), 0.5),
+                CloneRun(frozenset({"a", "c"}), 0.5)]
         scores = score_clients(runs, ["a", "b", "c"])
         for tau in (1e-9, 0.02, 0.5, 10.0):
             assert flag_outliers(scores, tau) == set()
