@@ -11,7 +11,6 @@ validation utility.
 from .attestation import (
     AttestationPolicy,
     AttestationVerdict,
-    ChannelBinding,
     SecureChannel,
     attested_handshake,
     binding_report_data,
@@ -59,7 +58,6 @@ __all__ = [
     "AttestationPolicy",
     "AttestationVerdict",
     "AuditLog",
-    "ChannelBinding",
     "ClientAgent",
     "CloneRun",
     "Coordinator",

@@ -99,23 +99,12 @@ class AttestationVerdict:
         return cls(False, check, detail)
 
 
-@dataclass(frozen=True)
-class ChannelBinding:
-    """Ties an ephemeral channel key to a role within one attested session."""
-
-    ephemeral_public_key: bytes
-    role: str
-    session_nonce: bytes
-
-    def report_data(self) -> bytes:
-        digest = sha256(self.ephemeral_public_key + self.role.encode("utf-8")
-                        + self.session_nonce)
-        return digest.ljust(REPORT_DATA_LEN, b"\x00")
-
-
 def binding_report_data(ephemeral_public_key: bytes, role: str,
                         session_nonce: bytes) -> bytes:
-    return ChannelBinding(ephemeral_public_key, role, session_nonce).report_data()
+    """Report data tying an ephemeral channel key to a role within one
+    attested session."""
+    digest = sha256(ephemeral_public_key + role.encode("utf-8") + session_nonce)
+    return digest.ljust(REPORT_DATA_LEN, b"\x00")
 
 
 def verify_quote(quote: Quote | bytes, policy: AttestationPolicy,

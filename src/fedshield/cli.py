@@ -2,8 +2,9 @@
 
 Verbs: keygen, measure, policy new|upload, encrypt-data, decrypt-data,
 counter init, run-manager, run-coordinator, run-client, audit verify, demo.
-Service verbs run `Deployment`'s set-up steps over TCP, one process per
-role; `demo` spins the whole desk-scale session inside one process.
+Service verbs run one role each over TCP and build it with the constructors
+`Deployment` uses, so each role provisions itself; `demo` spins the whole
+desk-scale session inside one process.
 """
 
 from __future__ import annotations
@@ -32,16 +33,7 @@ from .encoding import sha256
 from .errors import FedShieldError
 from .fl import dataset_from_csv_bytes
 from .orchestrator import ClientAgent, Coordinator
-from .policy import (
-    CHECKPOINT_KEY,
-    DATASET_KEY,
-    DATASET_SECRET,
-    VALIDATION_KEY,
-    VALIDATION_SECRET,
-    SessionConfig,
-    parse_policy,
-    secret_key_id,
-)
+from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
 from .shield import (
     read_shielded,
@@ -230,16 +222,10 @@ def cmd_run_coordinator(args) -> int:
     platform, enclave = _role_enclave(args)
     policy, manager_pin = _manager_pin(args, platform)
     # a missing input file fails before the manager is contacted
-    plaintext = Path(args.validation).read_bytes()
+    validation_csv = Path(args.validation).read_bytes()
     manager = _manager_channel(args, enclave, manager_pin, role="coordinator")
-    keys = manager.request_secrets(policy.policy_hash, "coordinator")
-    validation = dataset_from_csv_bytes(manager.shield_and_open(
-        Path(args.state_dir) / "validation.sfl", plaintext,
-        keys.key_bytes(VALIDATION_KEY),
-        secret_key_id(policy.policy_hash, VALIDATION_SECRET)))
     coordinator = Coordinator(policy, enclave, args.state_dir,
-                              platform.root_public_key, validation,
-                              keys.key_bytes(CHECKPOINT_KEY), manager,
+                              platform.root_public_key, validation_csv, manager,
                               round_deadline=args.round_deadline)
     listener = TcpNetwork().listen(args.listen)
     print(f"coordinator measurement: {enclave.measurement.hex()}")
@@ -264,13 +250,10 @@ def cmd_run_client(args) -> int:
     # a missing input file fails before the manager is contacted
     plaintext = Path(args.data).read_bytes()
     manager = _manager_channel(args, enclave, manager_pin, role="client")
-    keys = manager.request_secrets(policy.policy_hash, "client")
-    plaintext = manager.shield_and_open(
-        Path(args.data).with_suffix(".sfl"), plaintext,
-        keys.key_bytes(DATASET_KEY), secret_key_id(policy.policy_hash, DATASET_SECRET))
+    plaintext, _ = manager.provision(policy.policy_hash, "client",
+                                     Path(args.data).with_suffix(".sfl"), plaintext)
     agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
-                        sha256(plaintext), policy.session,
-                        policy.pin("coordinator", platform.root_public_key))
+                        sha256(plaintext), policy, platform.root_public_key)
     agent.join(TcpNetwork().connect(args.coordinator))
     print(f"{args.client_id}: admitted")
     result = agent.run()

@@ -1,9 +1,9 @@
 """Desk-scale deployment wiring every component together.
 
 ``Deployment`` builds a simulated platform, spawns manager/coordinator/client
-enclaves, uploads a policy, provisions secrets and encrypts datasets with
-counter-bound freshness, on a ``Hub`` or a ``TcpNetwork``; the CLI role verbs
-reuse its steps. ``run_demo`` runs a full federated session on a ``Hub``,
+enclaves on a ``Hub`` or a ``TcpNetwork``, uploads a policy and generates its
+secrets; each role then provisions itself through the constructors the CLI
+role verbs call. ``run_demo`` runs a full federated session on a ``Hub``,
 optionally records every wire frame in a capture log and collects the
 sensitive byte patterns (dataset rows, update vectors, released secrets)
 that confidentiality scans search for.
@@ -47,7 +47,6 @@ from .policy import (
     VALIDATION_SECRET,
     SessionConfig,
     parse_policy,
-    secret_key_id,
 )
 from .services import ManagerChannel, ServiceEndpoint, connect_manager
 from .transport import CaptureLog, Hub, TcpNetwork
@@ -146,7 +145,6 @@ class Deployment:
         workdir = Path(workdir)
         self.manager_dir = workdir / "manager"
         self.state_dir = workdir / "coordinator"
-        self.session = session
         self.threads: list[threading.Thread] = []
 
         self.platform = generate_platform()
@@ -170,7 +168,6 @@ class Deployment:
         self.policy = parse_policy(document)
         self.policy_hash = self.policy.policy_hash
         self.manager_policy = self.policy.pin("policy_manager_self", root)
-        self.coordinator_policy = self.policy.pin("coordinator", root)
 
         # Client platforms share the deployment root in this desk simulation.
         self.client_enclaves = {
@@ -186,26 +183,18 @@ class Deployment:
         self.dataset_hashes: dict[str, bytes] = {}
         for cid in self.client_ids:
             mgr = self.connect_manager(self.client_enclaves[cid], role="client")
-            bundle = mgr.request_secrets(self.policy_hash, "client")
-            self.dataset_key = bundle.key_bytes(DATASET_KEY)
-            plaintext = mgr.shield_and_open(
-                workdir / "clients" / cid / "data.sfl", self.csv_blobs[cid],
-                self.dataset_key, secret_key_id(self.policy_hash, DATASET_SECRET))
+            plaintext, self.client_secrets = mgr.provision(
+                self.policy_hash, "client", workdir / "clients" / cid / "data.sfl",
+                self.csv_blobs[cid])
             mgr.close()
             self.datasets[cid] = dataset_from_csv_bytes(plaintext)
             self.dataset_hashes[cid] = sha256(plaintext)
 
-        mgr = self.connect_manager(self.coordinator_enclave, role="coordinator")
-        bundle = mgr.request_secrets(self.policy_hash, "coordinator")
-        self.checkpoint_key = bundle.key_bytes(CHECKPOINT_KEY)
-        self.validation_key = bundle.key_bytes(VALIDATION_KEY)
-        self.validation = dataset_from_csv_bytes(mgr.shield_and_open(
-            self.state_dir / "validation.sfl", self.validation_csv,
-            self.validation_key, secret_key_id(self.policy_hash, VALIDATION_SECRET)))
-        self.coordinator = Coordinator(self.policy, self.coordinator_enclave,
-                                       self.state_dir, root, self.validation,
-                                       self.checkpoint_key, mgr,
-                                       round_deadline=round_deadline)
+        self.coordinator = Coordinator(
+            self.policy, self.coordinator_enclave, self.state_dir, root,
+            self.validation_csv,
+            self.connect_manager(self.coordinator_enclave, role="coordinator"),
+            round_deadline=round_deadline)
         self.listener = self.network.listen("coordinator")
 
     def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
@@ -227,7 +216,7 @@ class Deployment:
             enclave = (self.client_enclaves.get(client_id)
                        or spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG))
         return ClientAgent(client_id, enclave, dataset, dataset_hash,
-                           self.session, self.coordinator_policy, **kwargs)
+                           self.policy, self.platform.root_public_key, **kwargs)
 
     def accept_async(self, expected: int) -> threading.Thread:
         thread = threading.Thread(
@@ -302,11 +291,11 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
         sensitive[f"dataset-row:{cid}"] = lines[1]
         sensitive[f"dataset-tail:{cid}"] = lines[-2]
     sensitive["validation-row"] = dep.validation_csv.split(b"\n")[1]
-    sensitive["secret:dataset-key"] = dep.dataset_key
-    sensitive["secret:dataset-key-hex"] = dep.dataset_key.hex().encode("ascii")
-    sensitive["secret:checkpoint-key"] = dep.checkpoint_key
-    sensitive["secret:checkpoint-key-hex"] = dep.checkpoint_key.hex().encode("ascii")
-    sensitive["secret:validation-key"] = dep.validation_key
+    for name, key in (("dataset-key", dep.client_secrets.key_bytes(DATASET_KEY)),
+                      ("checkpoint-key", dep.coordinator.checkpoint_key)):
+        sensitive[f"secret:{name}"] = key
+        sensitive[f"secret:{name}-hex"] = key.hex().encode("ascii")
+    sensitive["secret:validation-key"] = dep.coordinator.secrets.key_bytes(VALIDATION_KEY)
 
     agents = [dep.make_agent(cid, update_transform=(scaling_attack(ATTACK_FACTOR)
                                                     if cid == attacker_id else None))

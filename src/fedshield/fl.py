@@ -120,11 +120,20 @@ def _scores(params: np.ndarray, features: np.ndarray) -> np.ndarray:
     return features @ params[:-1] + params[-1]
 
 
+def _mean_loss(z: np.ndarray, labels: np.ndarray) -> float:
+    """Mean logistic loss in log-sum-exp form: mean(softplus(z) - y*z)."""
+    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
+
+
+def _hit_rate(z: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows decided correctly; the tie sigma(z) = 0.5 predicts class 1."""
+    return float(np.mean((z >= 0.0) == labels))
+
+
 def logistic_loss(params: np.ndarray, features: np.ndarray,
                   labels: np.ndarray) -> float:
-    """Mean logistic loss in log-sum-exp form: mean(softplus(z) - y*z)."""
-    z = _scores(params, features)
-    return float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    """Mean logistic loss of params on the given rows."""
+    return _mean_loss(_scores(params, features), labels)
 
 
 def gradient(params: np.ndarray, features: np.ndarray,
@@ -138,22 +147,15 @@ def gradient(params: np.ndarray, features: np.ndarray,
     return np.append(grad_w, grad_b)
 
 
-def predict(params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Class decisions; the tie sigma(z) = 0.5 predicts class 1."""
-    return (_scores(params, features) >= 0.0).astype(np.float64)
-
-
 def accuracy(params: np.ndarray, dataset: Dataset) -> float:
     """Fraction of the dataset's rows that params classify correctly."""
-    if dataset.n < 1:
-        raise InvalidInputError("cannot evaluate on an empty dataset")
-    return float(np.mean(predict(params, dataset.features) == dataset.labels))
+    return _hit_rate(_scores(params, dataset.features), dataset.labels)
 
 
 def evaluate(params: np.ndarray, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean logistic loss) of params on a dataset."""
-    params = np.asarray(params, dtype=np.float64)
-    return accuracy(params, dataset), logistic_loss(params, dataset.features, dataset.labels)
+    """(accuracy, mean logistic loss) of params on a dataset, from one score pass."""
+    z = _scores(np.asarray(params, dtype=np.float64), dataset.features)
+    return _hit_rate(z, dataset.labels), _mean_loss(z, dataset.labels)
 
 
 def local_train(start: np.ndarray, data: Dataset, cfg, seed: int,

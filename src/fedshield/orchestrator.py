@@ -8,6 +8,10 @@ hash-chained audit log. The committed parameters reach the clients with the
 next round's broadcast, or with SESSION_END after the last round. Clients
 that fail admission receive no model material at all.
 
+Each role provisions itself: the coordinator refuses a validation CSV whose
+hash differs from the policy's and takes that set and its checkpoint key from
+one secret release; a client agent pins the coordinator the policy declares.
+
 Round protocol message types: JOIN(30), MODEL_BROADCAST(31),
 UPDATE_SUBMIT(32), SESSION_END(34). Parameter vectors travel raw as the
 message trailer (empty on a failed SESSION_END); a broadcast is encoded once
@@ -26,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import protocol
-from .attestation import (
-    ROLE_CLIENT,
-    ROLE_COORDINATOR,
-    AttestationPolicy,
-    attested_handshake,
-)
+from .attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from .audit import AuditLog
 from .enclave import Enclave
 from .encoding import b64, canonical_bytes, canonical_loads, sha256, unb64, unhex
@@ -50,13 +49,14 @@ from .fl import (
     ModelUpdate,
     aggregate,
     converged,
+    dataset_from_csv_bytes,
     deserialize_params,
     evaluate,
     local_train,
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
-from .policy import CHECKPOINT_SECRET, Policy, secret_key_id
+from .policy import CHECKPOINT_KEY, CHECKPOINT_SECRET, Policy, secret_key_id
 from .services import ManagerChannel
 from .shield import read_shielded, shield_decrypt, shield_encrypt, write_shielded
 
@@ -118,14 +118,14 @@ class ClientAgent:
     """
 
     def __init__(self, client_id: str, enclave: Enclave, dataset: Dataset,
-                 dataset_hash: bytes, cfg, coordinator_policy: AttestationPolicy,
+                 dataset_hash: bytes, policy: Policy, trusted_root: bytes,
                  *, update_transform=None, quote_provider=None):
         self.client_id = client_id
         self.enclave = enclave
         self.dataset = dataset
         self.dataset_hash = dataset_hash
-        self.cfg = cfg
-        self.coordinator_policy = coordinator_policy
+        self.cfg = policy.session
+        self.coordinator_policy = policy.pin("coordinator", trusted_root)
         self.update_transform = update_transform
         self.quote_provider = quote_provider
         self.channel = None
@@ -184,16 +184,21 @@ class Coordinator:
     """Round driver and checkpoint owner for one federated session."""
 
     def __init__(self, policy: Policy, enclave: Enclave, state_dir: str | Path,
-                 trusted_root: bytes, validation: Dataset,
-                 checkpoint_key: bytes, manager: ManagerChannel,
+                 trusted_root: bytes, validation_csv: bytes, manager: ManagerChannel,
                  *, round_deadline: float = 30.0):
+        if policy.validation_dataset_hash not in (None, sha256(validation_csv)):
+            raise InvalidInputError(
+                f"validation set hashes to {sha256(validation_csv).hex()}, not to "
+                f"the policy's {policy.validation_dataset_hash.hex()}")
         self.policy = policy
         self.cfg = policy.session
         self.enclave = enclave
         self.state_dir = Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.validation = validation
-        self.checkpoint_key = checkpoint_key
+        plaintext, self.secrets = manager.provision(
+            policy.policy_hash, "coordinator", self.state_dir / "validation.sfl",
+            validation_csv)
+        self.validation = dataset_from_csv_bytes(plaintext)
+        self.checkpoint_key = self.secrets.key_bytes(CHECKPOINT_KEY)
         self.checkpoint_key_id = secret_key_id(policy.policy_hash, CHECKPOINT_SECRET)
         self.manager = manager
         self.round_deadline = round_deadline
@@ -203,8 +208,7 @@ class Coordinator:
         self.admitted: dict[str, object] = {}
         self._admit_lock = threading.Lock()
         self.counter_id: bytes | None = None
-        self.model = GlobalModel(round_index=0,
-                                 params=np.zeros(validation.dim + 1), history=[])
+        self.model = GlobalModel(0, np.zeros(self.validation.dim + 1))
         self._resume_or_init()
 
     # -- checkpointing -----------------------------------------------------

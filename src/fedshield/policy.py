@@ -60,6 +60,12 @@ VALIDATION_SECRET = "validation-key"
 DATASET_KEY = "DATASET_KEY"
 CHECKPOINT_KEY = "CHECKPOINT_KEY"
 VALIDATION_KEY = "VALIDATION_KEY"
+# Per role: the variable holding the key that shields its dataset, and the
+# secret whose name derives that file's key id.
+ROLE_DATASET_KEYS = {
+    "client": (DATASET_KEY, DATASET_SECRET),
+    "coordinator": (VALIDATION_KEY, VALIDATION_SECRET),
+}
 
 
 @dataclass(frozen=True)

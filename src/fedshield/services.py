@@ -6,7 +6,9 @@ anchors (the counter service signs tokens with its own key); co-hosting is
 purely a deployment convenience. Inbound handshakes pin no measurement:
 callers attest the service, and the service gates secret release on the
 in-band quote presented with each request, verified against the freshness
-nonce this endpoint issued during that channel's handshake.
+nonce this endpoint issued during that channel's handshake. On the caller
+side, ``ManagerChannel.provision`` is every role's one set-up step: one
+secret release, then the role's dataset shielded and reopened.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     TemplateError,
     TransportClosedError,
 )
-from .policy import InjectionBundle, PolicyManager
+from .policy import ROLE_DATASET_KEYS, InjectionBundle, PolicyManager, secret_key_id
 from .shield import (
     read_shielded,
     shield_decrypt,
@@ -201,16 +203,20 @@ class ManagerChannel:
         stable value."""
         return shield_decrypt(read_shielded(path), key, self.stable_value)
 
-    def shield_and_open(self, path, plaintext: bytes, key: bytes,
-                        key_id: bytes) -> bytes:
-        """Write ``plaintext`` shielded under a new counter, then read it
-        back the way its consumer does: freshness from a verified stable read."""
-        token = self.counter_create()
-        shielded = shield_encrypt(plaintext, key, key_id, token,
-                                  self.counter_public_key)
+    def provision(self, policy_hash: bytes, role: str, path,
+                  plaintext: bytes) -> tuple[bytes, InjectionBundle]:
+        """Request ``role``'s secrets, write ``plaintext`` to ``path`` shielded
+        under the role's dataset key and a new counter, then read it back the
+        way its consumer does: freshness from a verified stable read.
+        Returns the opened bytes and the bundle."""
+        bundle = self.request_secrets(policy_hash, role)
+        variable, secret_name = ROLE_DATASET_KEYS[role]
+        key = bundle.key_bytes(variable)
+        shielded = shield_encrypt(plaintext, key, secret_key_id(policy_hash, secret_name),
+                                  self.counter_create(), self.counter_public_key)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
-        return self.open_shielded(path, key)
+        return self.open_shielded(path, key), bundle
 
     def close(self) -> None:
         self.channel.close()

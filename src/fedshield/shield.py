@@ -27,6 +27,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .counters import COUNTER_ID_LEN, CounterToken, verify_token
+from .enclave import AEAD_AES_256_GCM
 from .errors import (
     DecodeError,
     FreshnessTokenError,
@@ -37,7 +38,6 @@ from .errors import (
 
 MAGIC = b"SFL1"
 VERSION = 1
-AEAD_AES_256_GCM = 1
 KEY_ID_LEN = 16
 NONCE_LEN = 12
 HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + NONCE_LEN

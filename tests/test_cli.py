@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fedshield import cli
-from fedshield.audit import AuditVerdict
+from fedshield.audit import AuditVerdict, read_entries
 from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import generate_platform, measure, save_platform, spawn_enclave
 from fedshield.fl import save_dataset_csv, synthetic_dataset
@@ -282,9 +282,11 @@ def test_run_manager_and_policy_upload(tmp_path):
         server.wait(timeout=10)
 
 
-def test_session_over_tcp_from_plaintext_csv(tmp_path):
-    """The README's CLI flow: one process per role, each role shielding its
-    own plaintext CSV under a manager counter, two rounds to completion."""
+@pytest.fixture
+def cli_manager(tmp_path):
+    """A ``run-manager`` process holding the uploaded policy "study-1" and
+    its secrets: client alice, a declared validation set, two rounds.
+    Yields the role bundles and the flags every role verb shares."""
     run_cli("keygen", "--out", tmp_path / "platform.json")
     run_cli("keygen", "--kind", "signing", "--out", tmp_path / "counter.json")
     config = tmp_path / "session.cfg"
@@ -309,28 +311,55 @@ def test_session_over_tcp_from_plaintext_csv(tmp_path):
         "run-manager", "--listen", "127.0.0.1:0", "--store-dir", tmp_path / "store",
         "--bundle", bundles["manager"], *role,
         "--counter-key", tmp_path / "counter.json")
+    try:
+        flags = ("--manager", manager_address, "--policy", tmp_path / "policy.json",
+                 "--counter-public-key", printed["counter service public key"], *role)
+        run_cli("policy", "upload", *flags, "--bundle", bundles["agent"], "--generate")
+        yield bundles, flags
+    finally:
+        manager.kill()
+        manager.wait(timeout=10)
+
+
+def test_session_over_tcp_from_plaintext_csv(tmp_path, cli_manager):
+    """The README's CLI flow: one process per role, each role shielding its
+    own plaintext CSV under a manager counter, two rounds to completion."""
+    bundles, flags = cli_manager
     coordinator = None
     try:
-        session = ("--manager", manager_address, "--policy", tmp_path / "policy.json",
-                   "--counter-public-key", printed["counter service public key"])
-        run_cli("policy", "upload", *session, "--bundle", bundles["agent"], *role,
-                "--generate")
         coordinator, _, coordinator_address = start_service(
-            "run-coordinator", "--listen", "127.0.0.1:0", *session,
-            "--bundle", bundles["coord"], *role,
+            "run-coordinator", "--listen", "127.0.0.1:0", *flags,
+            "--bundle", bundles["coord"],
             "--state-dir", tmp_path / "state", "--validation", tmp_path / "val.csv")
         client = run_cli("run-client", "--coordinator", coordinator_address,
-                         *session, "--bundle", bundles["agent"], *role,
+                         *flags, "--bundle", bundles["agent"],
                          "--client-id", "alice", "--data", tmp_path / "alice.csv",
                          timeout=60)
         assert "alice: admitted" in client.stdout
         assert coordinator.wait(timeout=60) == 0
         assert "session finished at round 2" in coordinator.stdout.read()
     finally:
-        for proc in (manager, coordinator):
-            if proc is not None:
-                proc.kill()
-                proc.wait(timeout=10)
+        if coordinator is not None:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
     assert (tmp_path / "alice.sfl").exists()
     assert (tmp_path / "state" / "validation.sfl").exists()
     assert "accepted" in run_cli("audit", "verify", tmp_path / "state" / "audit.log").stdout
+
+
+def test_coordinator_refuses_validation_set_the_policy_does_not_hash(
+        tmp_path, cli_manager):
+    bundles, flags = cli_manager
+    save_dataset_csv(synthetic_dataset(60, 3, seed=7), tmp_path / "other.csv")
+    result = run_cli("run-coordinator", "--listen", "127.0.0.1:0", *flags,
+                     "--bundle", bundles["coord"], "--state-dir", tmp_path / "state",
+                     "--validation", tmp_path / "other.csv", "--join-deadline", 0.5,
+                     check=False, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: validation set hashes to ")
+    assert "Traceback" not in result.stderr
+    released = [entry.payload["role"]
+                for entry in read_entries(tmp_path / "store" / "audit.log")
+                if entry.kind == "secrets-released"]
+    assert "coordinator" not in released
+    assert not (tmp_path / "state" / "validation.sfl").exists()

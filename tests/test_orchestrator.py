@@ -155,7 +155,7 @@ class TestAdmission:
         silent = deployment.make_agent("client-1")
         channel = attested_handshake(
             silent.enclave, deployment.network.connect("coordinator"),
-            deployment.coordinator_policy, role=ROLE_CLIENT,
+            silent.coordinator_policy, role=ROLE_CLIENT,
             expected_peer_role=ROLE_COORDINATOR)
         channel.close()
         deployment.make_agent("client-1").join(deployment.network.connect("coordinator"))
@@ -201,7 +201,8 @@ class TestRounds:
         assert second.counter_value == 3
         # committed hash equals the hash of the persisted checkpoint plaintext
         plaintext = deployment.coordinator.manager.open_shielded(
-            deployment.state_dir / "checkpoint-a.sfl", deployment.checkpoint_key)
+            deployment.state_dir / "checkpoint-a.sfl",
+            deployment.coordinator.checkpoint_key)
         assert sha256(plaintext) == second.committed_hash
 
     def test_corrupted_frame_drops_client_only(self, tmp_path):
@@ -323,8 +324,7 @@ class TestCrashRecovery:
             mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             revived = Coordinator(dep.policy, dep.coordinator_enclave,
                                   dep.state_dir, dep.platform.root_public_key,
-                                  dep.validation, dep.checkpoint_key, mgr,
-                                  round_deadline=5.0)
+                                  dep.validation_csv, mgr, round_deadline=5.0)
             assert revived.model.round_index == 2
             assert revived.model.history == history_before
             assert np.array_equal(revived.model.params, params_before)
@@ -361,8 +361,8 @@ class TestCrashRecovery:
             mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             with pytest.raises(RollbackDetectedError):
                 Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
-                            dep.platform.root_public_key, dep.validation,
-                            dep.checkpoint_key, mgr, round_deadline=5.0)
+                            dep.platform.root_public_key, dep.validation_csv,
+                            mgr, round_deadline=5.0)
         finally:
             dep.close()
 
