@@ -3,10 +3,12 @@
 ``Deployment`` builds a simulated platform, spawns manager/coordinator/client
 enclaves on a ``Hub`` or a ``TcpNetwork``, uploads a policy and generates its
 secrets; each role then provisions itself through the constructors the CLI
-role verbs call. ``run_demo`` runs a full federated session on a ``Hub``,
-optionally records every wire frame in a capture log and collects the
-sensitive byte patterns (dataset rows, update vectors, released secrets)
-that confidentiality scans search for.
+role verbs call. ``Deployment.join_all`` is the one join path: it joins the
+agents expected to be refused first, then the roster agents. ``run_demo``
+runs a full federated session on a ``Hub`` through it, optionally records
+every wire frame in a capture log and collects the sensitive byte patterns
+(dataset rows, the tail of each update vector, released secrets) that
+confidentiality scans search for.
 
 All plaintext staging happens in memory: the only artifacts that reach
 disk are sealed blobs, shielded files, policy documents, key files, and
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,21 +221,27 @@ class Deployment:
         return ClientAgent(client_id, enclave, dataset, dataset_hash,
                            self.policy, self.platform.root_public_key, **kwargs)
 
-    def accept_async(self, expected: int) -> threading.Thread:
-        thread = threading.Thread(
-            target=self.coordinator.accept_clients,
-            kwargs={"listener": self.listener, "expected": expected,
-                    "deadline": JOIN_DEADLINE},
+    def join_all(self, agents: Sequence[ClientAgent],
+                 refused: Sequence[ClientAgent] = ()) -> dict[str, FedShieldError]:
+        """Join the refused agents, then the agents, while the coordinator
+        handles that many connections; the listener stays open. Returns each
+        refused agent's join error by client id (none if it was admitted)."""
+        accept = threading.Thread(
+            target=self.coordinator.accept_clients, args=(self.listener,),
+            kwargs={"connections": len(refused) + len(agents), "deadline": JOIN_DEADLINE},
             daemon=True)
-        thread.start()
-        return thread
-
-    def join_all(self, agents: list[ClientAgent]) -> None:
-        accept = self.accept_async(len(agents))
-        for agent in agents:
-            agent.join(self.network.connect(self.listener.name,
-                                            label=f"client:{agent.client_id}"))
+        accept.start()
+        rejected = {}
+        for agent in [*refused, *agents]:
+            try:
+                agent.join(self.network.connect(self.listener.name,
+                                                label=f"client:{agent.client_id}"))
+            except FedShieldError as exc:
+                if agent in agents:
+                    raise
+                rejected[agent.client_id] = exc
         accept.join(timeout=JOIN_DEADLINE)
+        return rejected
 
     def start_agents(self, agents: list[ClientAgent]) -> None:
         for agent in agents:
@@ -300,29 +309,21 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     agents = [dep.make_agent(cid, update_transform=(scaling_attack(ATTACK_FACTOR)
                                                     if cid == attacker_id else None))
               for cid in client_ids]
-    accept = dep.accept_async(expected=num_clients)
-    rejected: dict[str, str] = {}
+    refused = []
     if unpinned_client_id is not None:
         bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" (modified)",
                                     ROLE_CONFIG)
-        bad_agent = dep.make_agent(unpinned_client_id, enclave=bad_enclave,
-                                   dataset=dep.datasets[client_ids[0]])
-        try:
-            bad_agent.join(dep.network.connect("coordinator", label="unpinned"))
-        except FedShieldError as exc:
-            rejected[unpinned_client_id] = type(exc).__name__
-    for agent in agents:
-        agent.join(dep.network.connect("coordinator",
-                                       label=f"client:{agent.client_id}"))
-    accept.join(timeout=JOIN_DEADLINE)
+        refused.append(dep.make_agent(unpinned_client_id, enclave=bad_enclave,
+                                      dataset=dep.datasets[client_ids[0]]))
+    rejected = dep.join_all(agents, refused=refused)
 
     dep.start_agents(agents)
     model = dep.coordinator.run_session()
     dep.close()
 
     for agent in agents:
-        for i, blob in enumerate(agent.sent_update_blobs):
-            sensitive[f"update:{agent.client_id}:{i}"] = blob
+        for i, tail in enumerate(agent.sent_update_tails):
+            sensitive[f"update:{agent.client_id}:{i}"] = tail
 
     return DemoResult(
         workdir=Path(workdir),
@@ -336,7 +337,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             "manager": dep.manager_dir / "audit.log",
         },
         sensitive=sensitive,
-        rejected=rejected,
+        rejected={cid: type(exc).__name__ for cid, exc in rejected.items()},
     )
 
 

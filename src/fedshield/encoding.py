@@ -17,12 +17,11 @@ from .errors import DecodeError, InvalidInputError
 
 def canonical_bytes(value) -> bytes:
     """Encode a JSON-compatible value into canonical bytes."""
-    try:
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False, allow_nan=False)
+    try:  # UnicodeEncodeError (a lone surrogate) is a ValueError too
+        return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"value is not canonically encodable: {exc}") from exc
-    return text.encode("utf-8")
 
 
 def canonical_loads(data: bytes | str):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import struct
-import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -64,6 +63,7 @@ logger = logging.getLogger(__name__)
 
 _SLOTS = ("checkpoint-a.sfl", "checkpoint-b.sfl")
 AGENT_RECV_TIMEOUT = 120.0  # seconds a client waits for the next coordinator message
+SENT_TAIL_BYTES = 64  # a client keeps this tail of each sent update, for leak scans
 
 
 def _int_field(body: dict, key: str) -> int:
@@ -130,7 +130,7 @@ class ClientAgent:
         self.quote_provider = quote_provider
         self.channel = None
         self.params: np.ndarray | None = None  # the latest global model received
-        self.sent_update_blobs: list[bytes] = []
+        self.sent_update_tails: list[bytes] = []  # see SENT_TAIL_BYTES
         self.result: dict | None = None
 
     def join(self, transport) -> None:
@@ -171,7 +171,7 @@ class ClientAgent:
         if self.update_transform is not None:
             update = self.update_transform(update)
         blob = serialize_params(update.params)
-        self.sent_update_blobs.append(blob)
+        self.sent_update_tails.append(blob[-SENT_TAIL_BYTES:])
         protocol.send_message(self.channel, protocol.UPDATE_SUBMIT, {
             "client_id": update.client_id,
             "round": update.round_index,
@@ -206,7 +206,6 @@ class Coordinator:
         self.audit = AuditLog(self.state_dir / "audit.log")
         self.records: list[RoundRecord] = []
         self.admitted: dict[str, object] = {}
-        self._admit_lock = threading.Lock()
         self.counter_id: bytes | None = None
         self.model = GlobalModel(0, np.zeros(self.validation.dim + 1))
         self._resume_or_init()
@@ -294,9 +293,8 @@ class Coordinator:
             return
         client_id = str(body.get("client_id", "")) if mtype == protocol.JOIN else None
         reason = None
-        if mtype != protocol.JOIN or not client_id:
-            reason = "roster"
-        elif self.policy.roster_hash(client_id) is None or client_id in self.admitted:
+        if (not client_id or self.policy.roster_hash(client_id) is None
+                or client_id in self.admitted):
             reason = "roster"
         else:
             try:
@@ -309,8 +307,7 @@ class Coordinator:
             protocol.send_err(channel, "admission-rejected", reason)
             channel.close()
         else:
-            with self._admit_lock:
-                self.admitted[client_id] = channel
+            self.admitted[client_id] = channel
             protocol.send_ok(channel, {"admitted": True})
         self.audit.append("admission", {
             "client_id": client_id,
@@ -318,12 +315,13 @@ class Coordinator:
             "reason": reason,
         })
 
-    def accept_clients(self, listener, *, expected: int | None = None,
+    def accept_clients(self, listener, *, connections: int | None = None,
                        deadline: float = 30.0) -> None:
-        """Accept joins until the roster (or ``expected``) is admitted."""
-        want = expected if expected is not None else len(self.policy.roster)
-        end = time.time() + deadline
-        while len(self.admitted) < want and time.time() < end:
+        """Handle ``connections`` joins, admitted or not, or with no count
+        until the roster is admitted; stop at ``deadline`` or a closed listener."""
+        end, handled = time.time() + deadline, 0
+        while time.time() < end and (handled < connections if connections is not None
+                                     else len(self.admitted) < len(self.policy.roster)):
             try:
                 transport = listener.accept(timeout=0.2)
             except TimeoutError:
@@ -331,6 +329,7 @@ class Coordinator:
             except TransportClosedError:
                 return
             self.handle_join(transport)
+            handled += 1
 
     # -- rounds ------------------------------------------------------------
 

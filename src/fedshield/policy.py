@@ -34,6 +34,7 @@ from .errors import (
     AccessDeniedError,
     AlreadyGeneratedError,
     DecodeError,
+    InvalidInputError,
     KeyResolutionError,
     NotFoundError,
     PolicyConflictError,
@@ -47,7 +48,7 @@ MECHANISMS = ("argument", "environment-variable", "file-template")
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _TOKEN_RE = re.compile(r"\$\$([A-Za-z_][A-Za-z0-9_-]*)\$\$")
-_RANDOM_HEX_RE = re.compile(r"^random-hex-(\d+)$")
+_RANDOM_HEX_RE = re.compile(r"^random-hex-([0-9]{1,4})$")  # ASCII, under 10,000
 
 SYMMETRIC_KEY_256 = "symmetric-key-256"
 PROVIDED_VALUE = "provided-value"
@@ -134,7 +135,7 @@ class SessionConfig:
         """Every field is required and coerced to the type of its default."""
         try:
             return cls(**{f.name: type(f.default)(doc[f.name]) for f in fields(cls)})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PolicyInvalidError(f"bad session config: {exc}") from exc
 
 
@@ -162,15 +163,14 @@ class Policy:
                 return entry.dataset_hash
         return None
 
-    def pin(self, role: str, trusted_root: bytes, min_svn: int = 0) -> AttestationPolicy:
+    def pin(self, role: str, trusted_root: bytes) -> AttestationPolicy:
         """What a peer acting in ``role`` must attest: the measurement this
         policy pins for the role, under ``trusted_root``."""
         if role not in self.allowed_measurements:
             raise RoleUnknownError(f"role {role!r} not declared in policy")
         return AttestationPolicy(
             trusted_root=trusted_root,
-            expected_measurements=frozenset({self.allowed_measurements[role]}),
-            min_svn=min_svn)
+            expected_measurements=frozenset({self.allowed_measurements[role]}))
 
 
 def policy_hash_of(document_text: str) -> bytes:
@@ -277,6 +277,8 @@ def parse_policy(document_text: str) -> Policy:
             raise PolicyInvalidError(f"injection rule {i}: unknown role {role!r}")
         if mechanism not in MECHANISMS:
             raise PolicyInvalidError(f"injection rule {i}: unknown mechanism {mechanism!r}")
+        if not isinstance(rule_name, str):
+            raise PolicyInvalidError(f"injection rule {i}: name must be a string")
         if mechanism in ("environment-variable", "file-template") and not rule_name:
             raise PolicyInvalidError(f"injection rule {i}: {mechanism} needs a name")
         if not isinstance(template, str):
@@ -285,13 +287,16 @@ def parse_policy(document_text: str) -> Policy:
             if token not in seen_names:
                 raise PolicyInvalidError(
                     f"injection rule {i} references undeclared secret {token!r}")
-        rules.append(InjectionRule(role, mechanism, str(rule_name), template))
+        rules.append(InjectionRule(role, mechanism, rule_name, template))
 
     validation_hash = None
     if doc.get("validation_dataset_hash") is not None:
         validation_hash = _hex32(doc, "validation_dataset_hash", "policy")
 
-    canonical = canonical_bytes(doc)
+    try:  # NaN and infinities parse but have no canonical form
+        canonical = canonical_bytes(doc)
+    except InvalidInputError as exc:
+        raise PolicyInvalidError(str(exc)) from exc
     return Policy(
         name=name,
         allowed_measurements=allowed,
@@ -397,11 +402,10 @@ class PolicyManager:
     """
 
     def __init__(self, store_dir: str | Path, enclave: Enclave,
-                 trusted_root: bytes, *, min_svn: int = 0):
+                 trusted_root: bytes):
         self.store_dir = Path(store_dir)
         self.enclave = enclave
         self.trusted_root = trusted_root
-        self.min_svn = min_svn
         (self.store_dir / "policies").mkdir(parents=True, exist_ok=True)
         (self.store_dir / "secrets").mkdir(parents=True, exist_ok=True)
         self.audit = AuditLog(self.store_dir / "audit.log")
@@ -482,7 +486,7 @@ class PolicyManager:
         zero secret bytes.
         """
         policy = self.get_policy(policy_hash)
-        gate = policy.pin(role, self.trusted_root, self.min_svn)
+        gate = policy.pin(role, self.trusted_root)
         if not self.secrets_generated(policy_hash):
             raise NotFoundError("secrets have not been generated for this policy")
         verdict = verify_quote(quote, gate, expected_nonce)

@@ -8,7 +8,8 @@ callers attest the service, and the service gates secret release on the
 in-band quote presented with each request, verified against the freshness
 nonce this endpoint issued during that channel's handshake. On the caller
 side, ``ManagerChannel.provision`` is every role's one set-up step: one
-secret release, then the role's dataset shielded and reopened.
+secret release, then the role's dataset shielded and reopened, or reused
+when a current file already holds the same bytes.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from .errors import (
     AlreadyGeneratedError,
     DecodeError,
     FedShieldError,
+    IntegrityError,
     NotFoundError,
     PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
+    RollbackDetectedError,
+    ServiceError,
     TemplateError,
     TransportClosedError,
 )
@@ -205,13 +209,20 @@ class ManagerChannel:
 
     def provision(self, policy_hash: bytes, role: str, path,
                   plaintext: bytes) -> tuple[bytes, InjectionBundle]:
-        """Request ``role``'s secrets, write ``plaintext`` to ``path`` shielded
-        under the role's dataset key and a new counter, then read it back the
-        way its consumer does: freshness from a verified stable read.
-        Returns the opened bytes and the bundle."""
+        """Request ``role``'s secrets and open ``plaintext`` from ``path``,
+        shielded under the role's dataset key, the way its consumer does:
+        freshness from a verified stable read. A current file there that holds
+        exactly ``plaintext`` is reused; anything else is replaced by a new
+        file under a new counter. Returns the opened bytes and the bundle."""
         bundle = self.request_secrets(policy_hash, role)
         variable, secret_name = ROLE_DATASET_KEYS[role]
         key = bundle.key_bytes(variable)
+        try:
+            if self.open_shielded(path, key) == plaintext:
+                return plaintext, bundle
+        except (OSError, DecodeError, IntegrityError, RollbackDetectedError,
+                ServiceError):
+            pass  # missing, foreign, tampered, stale or of an unknown counter
         shielded = shield_encrypt(plaintext, key, secret_key_id(policy_hash, secret_name),
                                   self.counter_create(), self.counter_public_key)
         Path(path).parent.mkdir(parents=True, exist_ok=True)

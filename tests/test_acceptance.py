@@ -34,6 +34,7 @@ from fedshield.fl import (
     make_update,
     synthetic_dataset,
 )
+from fedshield.orchestrator import SENT_TAIL_BYTES
 from fedshield.outliers import clone_aggregate, flag_outliers, score_clients
 from fedshield.policy import SessionConfig
 from fedshield.shield import shield_decrypt, shield_encrypt, verified_stable_lookup
@@ -157,19 +158,10 @@ def test_criterion_2_attestation_gating(tmp_path):
                         agent = dep.make_agent(dep.client_ids[0],
                                                enclave=good_enclave,
                                                quote_provider=provider)
-                        accept = dep.accept_async(expected=1)
-                        try:
-                            agent.join(dep.network.connect(dep.listener.name,
-                                                       label=f"cell{cell}"))
+                        if not dep.join_all([], refused=[agent]):
                             admitted_cells.append(cell)
-                        except FedShieldError:
-                            pass
-                        dep.listener.close()
-                        accept.join(timeout=10)
-                        dep.listener = dep.network.listen(
-                            f"coordinator-{pinned}-{valid_sig}-{fresh}")
                         if cell != (True, True, True):
-                            for _, wire in capture2.frames(f"cell{cell}"):
+                            for _, wire in capture2.frames(f"client:{agent.client_id}"):
                                 assert wire[4] in (1, 2, 3, 4), "non-handshake frame leaked"
                             assert dep.coordinator.admitted == {}
                         else:
@@ -301,6 +293,9 @@ def test_criterion_7_confidentiality_scan(tmp_path):
         assert len(patterns) >= 10
         for pattern in patterns.values():
             assert len(pattern) >= 16
+        # Each sent update is kept as a bounded tail, not as the whole blob.
+        tails = [p for name, p in patterns.items() if name.startswith("update:")]
+        assert tails and all(len(p) == SENT_TAIL_BYTES for p in tails)
         tree_findings = scan_tree(tmp_path, patterns)
         wire_findings = scan_capture(capture, patterns)
         print(f"  scanned {len(patterns)} patterns over "

@@ -1,12 +1,16 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
-shielded-file and counter-token decoders on arbitrary bytes.
+shielded-file and counter-token decoders on arbitrary bytes, and the policy
+parser on arbitrary text.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
-audit verification always returns a verdict.
+audit verification always returns a verdict; a policy document parses or
+raises PolicyInvalidError.
 """
 
+import copy
 import csv
 import io
+import json
 import re
 import struct
 
@@ -22,12 +26,18 @@ from hypothesis import strategies as st  # noqa: E402
 from fedshield import enclave, protocol, shield  # noqa: E402
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
 from fedshield.counters import TOKEN_LEN, CounterToken  # noqa: E402
-from fedshield.errors import FedShieldError, InvalidInputError  # noqa: E402
+from fedshield.demo import author_policy, role_measurements  # noqa: E402
+from fedshield.errors import (  # noqa: E402
+    FedShieldError,
+    InvalidInputError,
+    PolicyInvalidError,
+)
 from fedshield.fl import (  # noqa: E402
     Dataset,
     dataset_from_csv_bytes,
     deserialize_params,
 )
+from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
@@ -282,3 +292,42 @@ def test_fixed_layout_decoders_refuse_only_with_fedshield_error(layout, data):
     except FedShieldError:
         return
     assert accepted(value, raw)
+
+
+BASE_POLICY = author_policy("fuzz", role_measurements(), [("client-1", bytes(32))],
+                            SessionConfig(rng_seed=4), validation_hash=bytes(32))
+policy_values = json_values | st.floats() | st.integers() | st.sampled_from(
+    ["random-hex-8", "symmetric-key-256", "provided-value", "$$dataset-key$$",
+     "client", "environment-variable", "00" * 32])
+
+
+@st.composite
+def mutated_policies(draw):
+    """The standard policy with one value, at any depth, replaced or removed."""
+    doc = copy.deepcopy(json.loads(BASE_POLICY))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+            del node[key]
+            return json.dumps(doc)
+        else:
+            node[key] = draw(policy_values)
+            return json.dumps(doc)
+
+
+@FUZZ
+@given(st.text(max_size=200) | mutated_policies())
+@example(BASE_POLICY.replace('"rng_seed":4', '"rng_seed":1e400'))  # int(inf)
+@example(BASE_POLICY.replace('"rng_seed":4', '"rng_seed":NaN'))  # no canonical form
+@example(BASE_POLICY.replace('symmetric-key-256', 'random-hex-' + '2' * 5000))  # int() limit
+@example(BASE_POLICY.replace('"name":"fuzz"', '"name":"\\ud800"'))  # a lone surrogate
+def test_parse_policy_gives_a_policy_or_policy_invalid_error(text):
+    try:
+        policy = parse_policy(text)
+    except PolicyInvalidError:
+        return
+    assert parse_policy(policy.document) == policy

@@ -1,6 +1,7 @@
 """Coordinator rounds, admission gating, crash recovery, determinism."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fedshield import demo, protocol
 from fedshield.attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
+from fedshield.counters import COUNTER_ID_LEN
 from fedshield.enclave import spawn_enclave
 from fedshield.encoding import canonical_bytes, sha256
 from fedshield.errors import (
@@ -100,6 +102,22 @@ MALFORMED_COORDINATOR_MESSAGES = {
 }
 
 
+def wal_counter_ids(dep) -> set[bytes]:
+    """The counter ids the counter service's write-ahead log holds."""
+    wal = (dep.manager_dir / "counters.wal").read_bytes()
+    record = COUNTER_ID_LEN + 8 + 4  # counter id, u64 value, crc32
+    return {wal[i:i + COUNTER_ID_LEN] for i in range(0, len(wal), record)}
+
+
+class RawPeer:
+    """A refused peer for ``Deployment.join_all`` that acts on its raw
+    connection instead of joining."""
+
+    def __init__(self, client_id, act):
+        self.client_id = client_id
+        self.join = act
+
+
 @pytest.fixture
 def deployment(tmp_path):
     dep = make_deployment(tmp_path)
@@ -117,11 +135,9 @@ class TestAdmission:
         # roster client whose (decrypted) dataset is another client's data
         agent = deployment.make_agent(
             "client-1", dataset=deployment.datasets["client-2"])
-        accept = deployment.accept_async(expected=1)
+        rejected = deployment.join_all([], refused=[agent])
         with pytest.raises(ServiceError, match="dataset-hash"):
-            agent.join(deployment.network.connect("coordinator"))
-        deployment.listener.close()
-        accept.join(timeout=5)
+            raise rejected["client-1"]
         assert "client-1" not in deployment.coordinator.admitted
         entries = [e for e in read_entries(deployment.state_dir / "audit.log")
                    if e.kind == "admission"]
@@ -131,18 +147,24 @@ class TestAdmission:
     def test_non_roster_id_rejected(self, deployment):
         agent = deployment.make_agent("intruder",
                                       dataset=deployment.datasets["client-1"])
-        accept = deployment.accept_async(expected=1)
+        rejected = deployment.join_all([], refused=[agent])
         with pytest.raises(ServiceError, match="roster"):
-            agent.join(deployment.network.connect("coordinator"))
-        deployment.listener.close()
-        accept.join(timeout=5)
+            raise rejected["intruder"]
+
+    def test_refused_only_join_leaves_the_listener_open(self, deployment):
+        intruder = deployment.make_agent("intruder",
+                                         dataset=deployment.datasets["client-1"])
+        start = time.monotonic()
+        rejected = deployment.join_all([], refused=[intruder])
+        assert time.monotonic() - start < demo.JOIN_DEADLINE / 10
+        assert list(rejected) == ["intruder"]
+        deployment.join_all([deployment.make_agent("client-1")])
+        assert list(deployment.coordinator.admitted) == ["client-1"]
 
     def test_undecodable_hello_does_not_stop_admission(self, deployment):
-        accept = deployment.accept_async(expected=1)
-        rogue = deployment.network.connect("coordinator", label="rogue")
-        rogue.send_frame(bytes([1]) + bytes(32) + bytes([2]) + b"\xff\xfe")
-        deployment.make_agent("client-1").join(deployment.network.connect("coordinator"))
-        accept.join(timeout=10)
+        rogue = RawPeer("rogue", lambda transport: transport.send_frame(
+            bytes([1]) + bytes(32) + bytes([2]) + b"\xff\xfe"))
+        deployment.join_all([deployment.make_agent("client-1")], refused=[rogue])
         assert list(deployment.coordinator.admitted) == ["client-1"]
         admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
                       if e.kind == "admission"]
@@ -151,15 +173,11 @@ class TestAdmission:
         assert admissions[1]["admitted"] is True
 
     def test_attested_peer_closing_before_join_is_audited(self, deployment):
-        accept = deployment.accept_async(expected=1)
         silent = deployment.make_agent("client-1")
-        channel = attested_handshake(
-            silent.enclave, deployment.network.connect("coordinator"),
-            silent.coordinator_policy, role=ROLE_CLIENT,
-            expected_peer_role=ROLE_COORDINATOR)
-        channel.close()
-        deployment.make_agent("client-1").join(deployment.network.connect("coordinator"))
-        accept.join(timeout=10)
+        closer = RawPeer("silent", lambda transport: attested_handshake(
+            silent.enclave, transport, silent.coordinator_policy, role=ROLE_CLIENT,
+            expected_peer_role=ROLE_COORDINATOR).close())
+        deployment.join_all([deployment.make_agent("client-1")], refused=[closer])
         assert list(deployment.coordinator.admitted) == ["client-1"]
         admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
                       if e.kind == "admission"]
@@ -174,13 +192,11 @@ class TestAdmission:
             bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b"x",
                                         ROLE_CONFIG)
             agent = dep.make_agent("client-1", enclave=bad_enclave)
-            accept = dep.accept_async(expected=1)
+            rejected = dep.join_all([], refused=[agent])
             with pytest.raises(FedShieldError):
-                agent.join(dep.network.connect("coordinator", label="rogue"))
-            dep.listener.close()
-            accept.join(timeout=5)
+                raise rejected["client-1"]
             assert "client-1" not in dep.coordinator.admitted
-            for _, wire in capture.frames("rogue"):
+            for _, wire in capture.frames("client:client-1"):
                 assert wire[4] in (1, 2, 3, 4)  # handshake types only
         finally:
             dep.close()
@@ -331,8 +347,6 @@ class TestCrashRecovery:
 
             # clients reconnect and the session continues unbroken
             dep.coordinator = revived
-            dep.listener.close()
-            dep.listener = dep.network.listen("coordinator-revived")
             fresh_agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(fresh_agents)
             dep.start_agents(fresh_agents)
@@ -342,6 +356,43 @@ class TestCrashRecovery:
             assert verdict.ok
             kinds = [e.kind for e in read_entries(dep.state_dir / "audit.log")]
             assert "resume" in kinds
+        finally:
+            dep.close()
+
+    def test_resume_reuses_the_shielded_datasets(self, tmp_path):
+        dep = make_deployment(tmp_path)
+        try:
+            agents = [dep.make_agent(cid) for cid in dep.client_ids]
+            dep.join_all(agents)
+            dep.start_agents(agents)
+            dep.coordinator.run_round(1)
+            dep.coordinator.run_round(2)
+            dep.coordinator._close_clients()  # simulated kill
+            counters = wal_counter_ids(dep)
+            validation_sfl = (dep.state_dir / "validation.sfl").read_bytes()
+
+            mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
+            dep.coordinator = Coordinator(
+                dep.policy, dep.coordinator_enclave, dep.state_dir,
+                dep.platform.root_public_key, dep.validation_csv, mgr,
+                round_deadline=5.0)
+            assert dep.coordinator.model.round_index == 2
+            assert wal_counter_ids(dep) == counters
+            assert (dep.state_dir / "validation.sfl").read_bytes() == validation_sfl
+
+            # a client's rerun takes the same path; other bytes are shielded anew
+            data_sfl = tmp_path / "clients" / "client-1" / "data.sfl"
+            shielded = data_sfl.read_bytes()
+            client = dep.connect_manager(dep.client_enclaves["client-1"], role="client")
+            opened, _ = client.provision(dep.policy_hash, "client", data_sfl,
+                                         dep.csv_blobs["client-1"])
+            assert opened == dep.csv_blobs["client-1"]
+            assert data_sfl.read_bytes() == shielded
+            assert wal_counter_ids(dep) == counters
+            other = dep.csv_blobs["client-2"]
+            assert client.provision(dep.policy_hash, "client", data_sfl, other)[0] == other
+            assert len(wal_counter_ids(dep) - counters) == 1
+            client.close()
         finally:
             dep.close()
 
@@ -428,7 +479,7 @@ class TestAdmissionSoundness:
         round_payloads = [e.payload for e in entries if e.kind == "round"]
         assert all("mallet" not in p["admitted"] for p in round_payloads)
         # its connection carried handshake frames only: no model material
-        rogue_frames = capture.frames("unpinned")
+        rogue_frames = capture.frames("client:mallet")
         assert rogue_frames
         for _, wire in rogue_frames:
             assert wire[4] in (1, 2, 3, 4)

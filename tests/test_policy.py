@@ -103,10 +103,9 @@ class TestCanonicalization:
 class TestPin:
     def test_pin_is_the_measurement_of_the_role(self):
         policy = parse_policy(json.dumps(policy_doc()))
-        pin = policy.pin("coordinator", b"\x07" * 32, min_svn=2)
+        pin = policy.pin("coordinator", b"\x07" * 32)
         assert pin.trusted_root == b"\x07" * 32
         assert pin.expected_measurements == frozenset({bytes.fromhex("22" * 32)})
-        assert pin.min_svn == 2
 
     def test_role_the_policy_does_not_pin_is_unknown(self):
         policy = parse_policy(json.dumps(policy_doc(measurements={"client": "33" * 32})))
@@ -153,6 +152,14 @@ class TestValidation:
         doc["session"]["target_accuracy"] = 1.5
         with pytest.raises(PolicyInvalidError):
             parse_policy(json.dumps(doc))
+
+    def test_random_hex_length_is_ascii_and_bounded(self):
+        for kind in ("random-hex-\u0662\u0662", "random-hex-10000", "random-hex-" + "2" * 5000):
+            doc = policy_doc(extra_secret={"secret_name": "salt", "kind": kind})
+            with pytest.raises(PolicyInvalidError, match="unknown kind"):
+                parse_policy(json.dumps(doc))
+        doc = policy_doc(extra_secret={"secret_name": "salt", "kind": "random-hex-9998"})
+        assert parse_policy(json.dumps(doc)).secrets[-1].kind == "random-hex-9998"
 
     def test_session_field_missing_or_non_numeric(self):
         missing, non_numeric = policy_doc(), policy_doc()

@@ -42,6 +42,25 @@ def test_manager_and_counters_over_tcp(tmp_path):
         dep.close()
 
 
+def test_out_of_range_policy_numbers_get_a_reply(tmp_path):
+    dep = Deployment(tmp_path, {"client-1": synthetic_dataset(30, 3, seed=1)},
+                     synthetic_dataset(30, 3, seed=2), SessionConfig(rng_seed=4),
+                     network=TcpNetwork())
+    try:
+        client_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE, ROLE_CONFIG)
+        channel = dep.connect_manager(client_enclave, role="client")
+        document = dep.policy.document
+        assert '"rng_seed":4' in document
+        for bad in ('"rng_seed":1e400', '"rng_seed":NaN'):
+            with pytest.raises(ServiceError, match="policy-invalid"):
+                channel.upload_policy(document.replace('"rng_seed":4', bad))
+        # the connection thread survived and serves the next request
+        assert channel.upload_policy(document) == dep.policy_hash
+        channel.close()
+    finally:
+        dep.close()
+
+
 def test_small_session_over_tcp(tmp_path):
     client_ids = ["client-1", "client-2"]
     datasets = {cid: synthetic_dataset(40, 3, seed=i, separation=4.0)
