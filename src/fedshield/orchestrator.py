@@ -224,6 +224,8 @@ class Coordinator:
         })
 
     def _write_checkpoint(self, model: GlobalModel) -> tuple[bytes, int]:
+        if self.counter_id is None:  # the session's first commit
+            self.counter_id = self.manager.counter_create().counter_id
         token = self.manager.counter_increment(self.counter_id)
         plaintext = self._checkpoint_plaintext(model)
         shielded = shield_encrypt(plaintext, self.checkpoint_key,
@@ -239,8 +241,7 @@ class Coordinator:
     def _resume_or_init(self) -> None:
         existing = [p for p in (self.state_dir / s for s in _SLOTS) if p.exists()]
         if not existing:
-            self.counter_id = self.manager.counter_create().counter_id
-            return
+            return  # the checkpoint counter is created at the first commit
         rollbacks = 0
         for path in existing:
             shielded = read_shielded(path)

@@ -145,6 +145,9 @@ class ServiceEndpoint:
                               check=exc.verdict.check)
         except FedShieldError as exc:
             protocol.send_err(channel, _error_kind(exc), str(exc))
+        except Exception as exc:  # a handler fault must not end the service loop
+            logger.exception("service request type %d failed", mtype)
+            protocol.send_err(channel, "internal", type(exc).__name__)
 
     def _handle_request_secrets(self, channel, body: dict) -> None:
         policy_hash = unhex(body.get("policy_hash", ""), 32)

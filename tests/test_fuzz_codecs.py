@@ -1,10 +1,11 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
-shielded-file and counter-token decoders on arbitrary bytes, and the policy
-parser on arbitrary text.
+shielded-file and counter-token decoders on arbitrary bytes, the policy
+parser on arbitrary text, and the dataset encoder on arbitrary matrices.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict; a policy document parses or
-raises PolicyInvalidError.
+raises PolicyInvalidError. The dataset codec gives the bytes and arrays of
+its reference implementations.
 """
 
 import copy
@@ -22,6 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from fedshield import enclave, protocol, shield  # noqa: E402
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
@@ -35,6 +37,7 @@ from fedshield.errors import (  # noqa: E402
 from fedshield.fl import (  # noqa: E402
     Dataset,
     dataset_from_csv_bytes,
+    dataset_to_csv_bytes,
     deserialize_params,
 )
 from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
@@ -96,6 +99,18 @@ def test_deserialize_params_refuses_only_with_fedshield_error(data):
         return
     assert vec.shape == (struct.unpack(">I", data[:4])[0],)
     assert len(data) == 4 + 8 * vec.size
+
+
+def reference_dataset_to_csv_bytes(dataset: Dataset) -> bytes:
+    """The one-``repr``-per-value encoder as it was before orjson wrote the
+    plain-decimal values, kept verbatim as the oracle for the differential
+    test."""
+    lines = [",".join([f"x{i}" for i in range(dataset.dim)] + ["y"])]
+    features = np.asarray(dataset.features, dtype=np.float64).tolist()
+    for row, label in zip(features, dataset.labels.tolist()):
+        lines.append(",".join([*map(repr, row), str(int(label))]))
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
 
 
 def reference_dataset_from_csv_bytes(data: bytes) -> Dataset:
@@ -214,6 +229,49 @@ def test_dataset_from_csv_bytes_matches_reference(data):
     for a, b in ((got.features, want.features), (got.labels, want.labels)):
         assert a.dtype == np.float64 and a.flags.c_contiguous
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+matrix_shapes = st.tuples(st.integers(1, 4), st.integers(0, 12))
+# every float64, plain-decimal ones drawn often: orjson writes those
+float64_matrices = (
+    hnp.arrays(np.uint64, matrix_shapes).map(lambda bits: bits.view(np.float64))
+    | hnp.arrays(np.float64, matrix_shapes,
+                 elements=st.floats() | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4)))
+other_matrices = (hnp.arrays(np.float32, matrix_shapes, elements=st.floats(width=32))
+                  | hnp.arrays(np.int64, matrix_shapes) | hnp.arrays(np.bool_, matrix_shapes))
+
+
+def labelled(features: np.ndarray):
+    """A Dataset of ``features`` with drawn 0/1 labels, as bools or floats."""
+    return (hnp.arrays(np.bool_, features.shape[0])
+            .flatmap(lambda y: st.sampled_from([y, y.astype(np.float64)]))
+            .map(lambda y: Dataset(features, y)))
+
+
+# the edges of repr's plain-decimal range on both sides, the values orjson
+# spells otherwise and an integer that rounds; first and last in a row, and
+# next to each other
+EDGES = [0.0, -0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0), -1e-4, 1e16,
+         np.nextafter(1e16, 0), -1e16, np.nan, np.inf, -np.inf, 2.0**53 + 1]
+EDGE_DATASETS = [
+    Dataset(np.array([EDGES, EDGES[::-1]]), np.array([0.0, 1.0])),
+    Dataset(np.array([[1e-5, 1.5], [0.25, 1e300]]), np.array([1.0, 0.0])),
+    Dataset(np.zeros((2, 0)), np.array([True, False])),
+    Dataset(np.arange(12.0).reshape(3, 4)[:, ::2] / 7, np.ones(3)),  # strided
+]
+
+
+def with_edge_datasets(test):
+    for dataset in EDGE_DATASETS:
+        test = example(dataset)(test)
+    return test
+
+
+@FUZZ
+@given(float64_matrices.flatmap(labelled) | other_matrices.flatmap(labelled))
+@with_edge_datasets
+def test_dataset_to_csv_bytes_matches_reference(dataset):
+    assert dataset_to_csv_bytes(dataset) == reference_dataset_to_csv_bytes(dataset)
 
 
 @FUZZ

@@ -396,6 +396,29 @@ class TestCrashRecovery:
         finally:
             dep.close()
 
+    def test_revival_before_the_first_commit_creates_no_counter(self, tmp_path):
+        dep = make_deployment(tmp_path)
+        try:
+            counters = wal_counter_ids(dep)
+            for _ in range(2):  # killed before round 1 committed, twice
+                mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
+                dep.coordinator = Coordinator(
+                    dep.policy, dep.coordinator_enclave, dep.state_dir,
+                    dep.platform.root_public_key, dep.validation_csv, mgr,
+                    round_deadline=5.0)
+                assert dep.coordinator.model.round_index == 0
+                assert wal_counter_ids(dep) == counters
+
+            # the first commit creates the checkpoint counter, and only it
+            agents = [dep.make_agent(cid) for cid in dep.client_ids]
+            dep.join_all(agents)
+            dep.start_agents(agents)
+            assert dep.coordinator.run_round(1).counter_value == 2
+            assert dep.coordinator.run_round(2).counter_value == 3
+            assert len(wal_counter_ids(dep) - counters) == 1
+        finally:
+            dep.close()
+
     def test_replayed_stale_checkpoint_refused(self, tmp_path):
         dep = make_deployment(tmp_path)
         try:

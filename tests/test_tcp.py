@@ -1,6 +1,9 @@
 """Service and session flows over real TCP sockets, and the listener
 contract both networks share."""
 
+import logging
+import time
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,34 @@ def test_out_of_range_policy_numbers_get_a_reply(tmp_path):
                 channel.upload_policy(document.replace('"rng_seed":4', bad))
         # the connection thread survived and serves the next request
         assert channel.upload_policy(document) == dep.policy_hash
+        channel.close()
+    finally:
+        dep.close()
+
+
+def test_handler_fault_gets_an_internal_reply(tmp_path, monkeypatch, caplog):
+    dep = Deployment(tmp_path, {"client-1": synthetic_dataset(30, 3, seed=1)},
+                     synthetic_dataset(30, 3, seed=2), SessionConfig(rng_seed=4),
+                     network=TcpNetwork())
+    try:
+        client_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE, ROLE_CONFIG)
+        channel = dep.connect_manager(client_enclave, role="client")
+
+        def faulty_upload(document):
+            raise ValueError("handler secret")
+
+        monkeypatch.setattr(dep.endpoint.manager, "upload_policy", faulty_upload)
+        started = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger="fedshield.services"):
+            with pytest.raises(ServiceError) as err:
+                channel.upload_policy(dep.policy.document)
+        assert time.monotonic() - started < 5.0  # not the 30 s request timeout
+        # the class name crosses the wire, the exception text does not
+        assert (err.value.kind, err.value.detail) == ("internal", "ValueError")
+        assert [r.exc_info[0] for r in caplog.records] == [ValueError]
+        # the connection thread survived and serves the next request
+        monkeypatch.undo()
+        assert channel.upload_policy(dep.policy.document) == dep.policy_hash
         channel.close()
     finally:
         dep.close()
