@@ -141,19 +141,19 @@ class SecureChannel:
     """AEAD-framed duplex channel with per-direction monotone counters.
 
     One logical user per direction; concurrent sends must be serialized by
-    the caller. Any authentication failure closes the channel.
+    the caller. Any authentication failure closes the channel. ``peer_quote``
+    verified over ``local_nonce`` and binds the peer's channel key.
     """
 
     def __init__(self, transport, send_key: bytes, recv_key: bytes,
-                 local_nonce: bytes, peer_nonce: bytes, local_quote_bytes: bytes):
+                 local_nonce: bytes, peer_quote: Quote):
         self._transport = transport
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
         self._send_counter = 0
         self._recv_counter = 0
         self.local_nonce = local_nonce
-        self.peer_nonce = peer_nonce
-        self.local_quote_bytes = local_quote_bytes
+        self.peer_quote = peer_quote
         self.closed = False
 
     def send(self, payload: bytes) -> None:
@@ -233,7 +233,7 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         peer_hello_body = _expect(transport, MSG_HELLO, timeout)
         if len(peer_hello_body) < QUOTE_NONCE_LEN + 1:
             raise HandshakeError("decode", "short HELLO")
-        peer_nonce = peer_hello_body[:QUOTE_NONCE_LEN]
+        challenge = peer_hello_body[:QUOTE_NONCE_LEN]
         role_len = peer_hello_body[QUOTE_NONCE_LEN]
         try:
             peer_role = peer_hello_body[QUOTE_NONCE_LEN + 1:QUOTE_NONCE_LEN + 1 + role_len].decode("utf-8")
@@ -250,13 +250,13 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         if len(peer_eph) != 32:
             raise HandshakeError("decode", "ephemeral key must be 32 bytes")
 
-        local_rd = binding_report_data(local_eph, role, peer_nonce)
-        local_quote = quote_provider(enclave, local_rd, peer_nonce)
+        local_rd = binding_report_data(local_eph, role, challenge)
+        local_quote = quote_provider(enclave, local_rd, challenge)
         transport.send_frame(bytes([MSG_QUOTE]) + local_quote)
-        peer_quote_bytes = _expect(transport, MSG_QUOTE, timeout)
+        peer_quote_raw = _expect(transport, MSG_QUOTE, timeout)
 
         try:
-            peer_quote = Quote.from_bytes(peer_quote_bytes)
+            peer_quote = Quote.from_bytes(peer_quote_raw)
         except QuoteDecodeError as exc:
             raise HandshakeError("decode", str(exc)) from exc
         verdict = verify_quote(peer_quote, policy, expected_nonce=local_nonce)
@@ -269,9 +269,9 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         shared = private.exchange(X25519PublicKey.from_public_bytes(peer_eph))
         # Transcript in role order so both sides hash identical bytes.
         local_msgs = hello + keyshare + bytes([MSG_QUOTE]) + local_quote
-        peer_msgs = (_encode_hello(peer_nonce, peer_role)
+        peer_msgs = (_encode_hello(challenge, peer_role)
                      + bytes([MSG_KEYSHARE]) + peer_eph
-                     + bytes([MSG_QUOTE]) + peer_quote_bytes)
+                     + bytes([MSG_QUOTE]) + peer_quote_raw)
         if role < peer_role:
             transcript = sha256(local_msgs + peer_msgs)
         else:
@@ -292,5 +292,4 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         transport.close()
         raise
 
-    return SecureChannel(transport, send_key, recv_key, local_nonce, peer_nonce,
-                         local_quote)
+    return SecureChannel(transport, send_key, recv_key, local_nonce, peer_quote)

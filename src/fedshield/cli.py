@@ -29,8 +29,8 @@ from .enclave import (
     save_signing_key,
     spawn_enclave,
 )
-from .encoding import sha256
-from .errors import FedShieldError
+from .encoding import sha256, unhex
+from .errors import FedShieldError, InvalidInputError
 from .fl import dataset_from_csv_bytes
 from .orchestrator import ClientAgent, Coordinator
 from .policy import SessionConfig, parse_policy
@@ -49,7 +49,12 @@ def _apply_session_file(args, keys: tuple[str, ...]) -> None:
     """Fill missing flags from the session file (keys match flag dests)."""
     if not getattr(args, "session_file", None):
         return
-    doc = json.loads(Path(args.session_file).read_text())
+    try:
+        doc = json.loads(Path(args.session_file).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise InvalidInputError(f"session file {args.session_file}: {exc}") from exc
     for key in keys:
         if not getattr(args, key, None) and key in doc:
             setattr(args, key, doc[key])
@@ -95,9 +100,9 @@ def cmd_policy_new(args) -> int:
             return 2
         roster.append((client_id, sha256(Path(dataset).read_bytes())))
     measurements = {
-        "policy_manager_self": bytes.fromhex(args.manager_measurement),
-        "coordinator": bytes.fromhex(args.coordinator_measurement),
-        "client": bytes.fromhex(args.client_measurement),
+        "policy_manager_self": unhex(args.manager_measurement),
+        "coordinator": unhex(args.coordinator_measurement),
+        "client": unhex(args.client_measurement),
     }
     validation_hash = (sha256(Path(args.validation).read_bytes())
                        if args.validation else None)
@@ -118,23 +123,21 @@ def _role_enclave(args):
 
 
 def _manager_pin(args, platform):
-    """The policy file and the manager pin it declares."""
+    """The policy file and the manager pin it declares, under this platform's root."""
     policy = parse_policy(Path(args.policy).read_text())
     pinned = getattr(args, "policy_hash", None)
     if pinned and policy.policy_hash.hex() != pinned:
         raise FedShieldError(
             f"policy file hashes to {policy.policy_hash.hex()}, "
             f"session file pins {pinned}")
-    root = (bytes.fromhex(args.trusted_root) if args.trusted_root
-            else platform.root_public_key)
-    return policy, policy.pin("policy_manager_self", root)
+    return policy, policy.pin("policy_manager_self", platform.root_public_key)
 
 
 def _manager_channel(args, enclave, manager_pin, role):
     """An attested channel to the pinned manager."""
     transport = TcpNetwork().connect(args.manager)
     return connect_manager(enclave, transport, manager_pin, role,
-                           bytes.fromhex(args.counter_public_key))
+                           unhex(args.counter_public_key))
 
 
 def cmd_policy_upload(args) -> int:
@@ -168,7 +171,7 @@ def cmd_counter_init(args) -> int:
 def cmd_encrypt_data(args) -> int:
     service = _local_counters(args)
     if args.counter_id:
-        counter_id = bytes.fromhex(args.counter_id)
+        counter_id = unhex(args.counter_id)
         token = service.increment_async(counter_id)
         service.stabilize()
     else:
@@ -176,8 +179,8 @@ def cmd_encrypt_data(args) -> int:
         token = service.read_stable(counter_id)
         print(f"counter_id: {counter_id.hex()}")
     shielded = shield_encrypt(
-        Path(args.infile).read_bytes(), bytes.fromhex(args.key_hex),
-        bytes.fromhex(args.key_id) if args.key_id else sha256(b"cli-key")[:16],
+        Path(args.infile).read_bytes(), unhex(args.key_hex),
+        unhex(args.key_id) if args.key_id else sha256(b"cli-key")[:16],
         token, service.public_key)
     write_shielded(args.out, shielded)
     service.close()
@@ -189,7 +192,7 @@ def cmd_decrypt_data(args) -> int:
     service = _local_counters(args)
     freshness = verified_stable_lookup(service.read_stable, service.public_key)
     plaintext = shield_decrypt(read_shielded(args.infile),
-                               bytes.fromhex(args.key_hex), freshness)
+                               unhex(args.key_hex), freshness)
     service.close()
     Path(args.out).write_bytes(plaintext)
     print(f"plaintext written to {args.out}")
@@ -215,8 +218,7 @@ def cmd_run_manager(args) -> int:
 
 def cmd_run_coordinator(args) -> int:
     _apply_session_file(args, ("manager", "policy", "policy_hash",
-                               "counter_public_key", "trusted_root",
-                               "validation", "state_dir"))
+                               "counter_public_key", "validation", "state_dir"))
     _require(args, "manager", "policy", "counter_public_key", "validation",
              "state_dir")
     platform, enclave = _role_enclave(args)
@@ -242,8 +244,7 @@ def cmd_run_coordinator(args) -> int:
 
 def cmd_run_client(args) -> int:
     _apply_session_file(args, ("manager", "coordinator", "policy",
-                               "policy_hash", "counter_public_key",
-                               "trusted_root"))
+                               "policy_hash", "counter_public_key"))
     _require(args, "manager", "coordinator", "policy", "counter_public_key")
     platform, enclave = _role_enclave(args)
     policy, manager_pin = _manager_pin(args, platform)
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--manager", required=True, metavar="HOST:PORT")
     p.add_argument("--counter-public-key", required=True)
-    p.add_argument("--trusted-root", default="")
     p.add_argument("--generate", action="store_true")
     p.set_defaults(func=cmd_policy_upload)
 
@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir")
     p.add_argument("--validation", help="validation dataset CSV")
     p.add_argument("--counter-public-key")
-    p.add_argument("--trusted-root", default="")
     p.add_argument("--round-deadline", type=float, default=30.0)
     p.add_argument("--join-deadline", type=float, default=60.0)
     p.add_argument("--session-file")
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--client-id", required=True)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--counter-public-key")
-    p.add_argument("--trusted-root", default="")
     p.add_argument("--session-file")
     p.set_defaults(func=cmd_run_client)
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .enclave import (
     Enclave,
@@ -162,12 +164,12 @@ class Deployment:
         self.endpoint.start()
 
         self.client_ids = list(datasets)
-        self.csv_blobs = {cid: dataset_to_csv_bytes(ds) for cid, ds in datasets.items()}
-        self.validation_csv = dataset_to_csv_bytes(validation)
+        csv_blobs = {cid: dataset_to_csv_bytes(ds) for cid, ds in datasets.items()}
+        validation_csv = dataset_to_csv_bytes(validation)
         measurements = role_measurements()
-        roster = [(cid, sha256(self.csv_blobs[cid])) for cid in self.client_ids]
+        roster = [(cid, sha256(csv_blobs[cid])) for cid in self.client_ids]
         document = author_policy("desk-scale-session", measurements, roster, session,
-                                 validation_hash=sha256(self.validation_csv))
+                                 validation_hash=sha256(validation_csv))
         self.policy = parse_policy(document)
         self.policy_hash = self.policy.policy_hash
         self.manager_policy = self.policy.pin("policy_manager_self", root)
@@ -188,14 +190,14 @@ class Deployment:
             mgr = self.connect_manager(self.client_enclaves[cid], role="client")
             plaintext, self.client_secrets = mgr.provision(
                 self.policy_hash, "client", workdir / "clients" / cid / "data.sfl",
-                self.csv_blobs[cid])
+                csv_blobs[cid])
             mgr.close()
             self.datasets[cid] = dataset_from_csv_bytes(plaintext)
             self.dataset_hashes[cid] = sha256(plaintext)
 
         self.coordinator = Coordinator(
             self.policy, self.coordinator_enclave, self.state_dir, root,
-            self.validation_csv,
+            validation_csv,
             self.connect_manager(self.coordinator_enclave, role="coordinator"),
             round_deadline=round_deadline)
         self.listener = self.network.listen("coordinator")
@@ -294,12 +296,10 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             outlier_threshold=0.02, rng_seed=seed)
     dep = Deployment(workdir, datasets, validation, session, network=Hub(capture))
 
-    sensitive: dict[str, bytes] = {}
-    for cid in client_ids:
-        lines = dep.csv_blobs[cid].split(b"\n")
-        sensitive[f"dataset-row:{cid}"] = lines[1]
-        sensitive[f"dataset-tail:{cid}"] = lines[-2]
-    sensitive["validation-row"] = dep.validation_csv.split(b"\n")[1]
+    rows = {f"dataset-{kind}:{cid}": (dep.datasets[cid], index)
+            for cid in client_ids for kind, index in (("row", 0), ("tail", -1))}
+    rows["validation-row"] = (dep.coordinator.validation, 0)
+    sensitive: dict[str, bytes] = dict(zip(rows, _csv_lines(rows.values())))
     for name, key in (("dataset-key", dep.client_secrets.key_bytes(DATASET_KEY)),
                       ("checkpoint-key", dep.coordinator.checkpoint_key)):
         sensitive[f"secret:{name}"] = key
@@ -339,6 +339,13 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
         sensitive=sensitive,
         rejected={cid: type(exc).__name__ for cid, exc in rejected.items()},
     )
+
+
+def _csv_lines(rows: Collection[tuple[Dataset, int]]) -> list[bytes]:
+    """Each ``(dataset, index)`` row as its CSV spells it; rows encode alone."""
+    picked = Dataset(np.vstack([d.features[[i]] for d, i in rows]),
+                     np.concatenate([d.labels[[i]] for d, i in rows]))
+    return dataset_to_csv_bytes(picked).split(b"\n")[1:-1]
 
 
 def _matches(blob: bytes, patterns: dict[str, bytes]) -> list[str]:

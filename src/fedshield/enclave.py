@@ -214,16 +214,24 @@ def save_platform(platform: Platform, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _load_key_file(path: str | Path, kind: str, parse):
+    """``parse(doc)`` of a ``kind`` key file; any other file is ``InvalidInputError``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if doc.get("kind") == kind:
+            return parse(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path} is not a valid {kind} key file: {exc!r}") from exc
+    raise InvalidInputError(f"{path} is not a {kind} key file")
+
+
 def load_platform(path: str | Path) -> Platform:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") != "platform":
-        raise InvalidInputError(f"{path} is not a platform key file")
-    return Platform(
+    return _load_key_file(path, "platform", lambda doc: Platform(
         platform_id=bytes.fromhex(doc["platform_id"]),
         svn=int(doc["svn"]),
         signing_key=Ed25519PrivateKey.from_private_bytes(bytes.fromhex(doc["signing_key"])),
         platform_secret=bytes.fromhex(doc["platform_secret"]),
-    )
+    ))
 
 
 def _sealing_key(platform_secret: bytes, measurement: bytes) -> bytes:
@@ -311,10 +319,8 @@ def save_signing_key(key: Ed25519PrivateKey, path: str | Path) -> None:
 
 
 def load_signing_key(path: str | Path) -> Ed25519PrivateKey:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") != "signing":
-        raise InvalidInputError(f"{path} is not a signing key file")
-    return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(doc["signing_key"]))
+    return _load_key_file(path, "signing", lambda doc: (
+        Ed25519PrivateKey.from_private_bytes(bytes.fromhex(doc["signing_key"]))))
 
 
 def public_key_bytes(key: Ed25519PrivateKey) -> bytes:

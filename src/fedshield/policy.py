@@ -173,11 +173,6 @@ class Policy:
             expected_measurements=frozenset({self.allowed_measurements[role]}))
 
 
-def policy_hash_of(document_text: str) -> bytes:
-    """Hash of the canonical form of a policy document."""
-    return sha256(canonical_bytes(canonical_loads(document_text)))
-
-
 def _hex32(doc: dict, key: str, context: str) -> bytes:
     value = doc.get(key)
     if not isinstance(value, str):

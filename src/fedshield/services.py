@@ -5,8 +5,8 @@ policy manager, 20-22 to the counter service. They remain distinct trust
 anchors (the counter service signs tokens with its own key); co-hosting is
 purely a deployment convenience. Inbound handshakes pin no measurement:
 callers attest the service, and the service gates secret release on the
-in-band quote presented with each request, verified against the freshness
-nonce this endpoint issued during that channel's handshake. On the caller
+quote that opened the request's channel, which the handshake verified over
+this endpoint's nonce and bound to the channel's keys. On the caller
 side, ``ManagerChannel.provision`` is every role's one set-up step: one
 secret release, then the role's dataset shielded and reopened, or reused
 when a current file already holds the same bytes.
@@ -21,7 +21,7 @@ from pathlib import Path
 from . import protocol
 from .attestation import AttestationPolicy, ROLE_POLICY_MANAGER, attested_handshake
 from .counters import CounterService, CounterToken
-from .enclave import Enclave, Quote
+from .enclave import Enclave
 from .encoding import b64, unb64, unhex
 from .errors import (
     AccessDeniedError,
@@ -152,9 +152,8 @@ class ServiceEndpoint:
     def _handle_request_secrets(self, channel, body: dict) -> None:
         policy_hash = unhex(body.get("policy_hash", ""), 32)
         role = str(body.get("role", ""))
-        quote = Quote.from_bytes(unb64(body.get("quote", "")))
         bundle = self.manager.release_secrets(
-            policy_hash, role, quote, expected_nonce=channel.local_nonce)
+            policy_hash, role, channel.peer_quote, expected_nonce=channel.local_nonce)
         protocol.send_ok(channel, {"bundle": bundle.to_dict()})
 
 
@@ -174,16 +173,10 @@ class ManagerChannel:
         protocol.request(self.channel, protocol.GENERATE,
                          {"policy_hash": policy_hash.hex()})
 
-    def request_secrets(self, policy_hash: bytes, role: str,
-                        quote_bytes: bytes | None = None) -> InjectionBundle:
-        """Present a quote (the channel's own handshake quote by default)."""
-        if quote_bytes is None:
-            quote_bytes = self.channel.local_quote_bytes
-        body = protocol.request(self.channel, protocol.REQUEST_SECRETS, {
-            "policy_hash": policy_hash.hex(),
-            "role": role,
-            "quote": b64(quote_bytes),
-        })
+    def request_secrets(self, policy_hash: bytes, role: str) -> InjectionBundle:
+        """The role's bundle, released on this channel's handshake quote."""
+        body = protocol.request(self.channel, protocol.REQUEST_SECRETS,
+                                {"policy_hash": policy_hash.hex(), "role": role})
         return InjectionBundle.from_dict(body.get("bundle"))
 
     def _token(self, body: dict) -> CounterToken:

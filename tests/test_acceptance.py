@@ -12,7 +12,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fedshield.audit import verify_audit
+from fedshield import protocol
+from fedshield.attestation import (
+    MSG_HELLO,
+    MSG_KEYSHARE,
+    MSG_QUOTE,
+    ROLE_POLICY_MANAGER,
+    attested_handshake,
+)
+from fedshield.audit import read_entries, verify_audit
 from fedshield.counters import CounterService
 from fedshield.demo import (
     CLIENT_BUNDLE,
@@ -22,8 +30,9 @@ from fedshield.demo import (
     scan_capture,
     scan_tree,
 )
-from fedshield.enclave import generate_signing_key, spawn_enclave
-from fedshield.errors import FedShieldError, RollbackDetectedError
+from fedshield.enclave import Quote, generate_signing_key, spawn_enclave
+from fedshield.encoding import b64
+from fedshield.errors import FedShieldError, RollbackDetectedError, ServiceError
 from fedshield.fl import (
     Dataset,
     aggregate,
@@ -37,8 +46,9 @@ from fedshield.fl import (
 from fedshield.orchestrator import SENT_TAIL_BYTES
 from fedshield.outliers import clone_aggregate, flag_outliers, score_clients
 from fedshield.policy import SessionConfig
+from fedshield.services import ManagerChannel
 from fedshield.shield import shield_decrypt, shield_encrypt, verified_stable_lookup
-from fedshield.transport import CaptureLog
+from fedshield.transport import CaptureLog, transport_pair
 
 from test_counters import run_random_schedule
 from test_orchestrator import make_deployment
@@ -120,32 +130,7 @@ def test_criterion_2_attestation_gating(tmp_path):
                         cell = (pinned, valid_sig, fresh)
                         enclave = good_enclave if pinned else bad_enclave
 
-                        # release leg: good handshake, cell-controlled quote
-                        capture = CaptureLog()
-                        dep.network.capture = capture
-                        mgr = dep.connect_manager(good_enclave, role="client")
-                        challenge = mgr.channel.peer_nonce
-                        nonce = challenge if fresh else bytes(32)
-                        quote = bytearray(
-                            enclave.generate_quote(b"\x00" * 64, nonce).to_bytes())
-                        if not valid_sig:
-                            quote[-3] ^= 0x20
-                        try:
-                            bundle = mgr.request_secrets(dep.policy_hash,
-                                                         "client", bytes(quote))
-                            released_cells.append(cell)
-                            assert bundle.environment["DATASET_KEY"]
-                        except FedShieldError:
-                            pass
-                        mgr.close()
-                        if cell != (True, True, True):
-                            assert not capture.contains(secret_hex)
-                            assert not capture.contains(secret_raw)
-
-                        # admission leg: the handshake quote is the gate
-                        capture2 = CaptureLog()
-                        dep.network.capture = capture2
-
+                        # both legs gate on the handshake quote
                         def provider(e, report_data, issued_nonce,
                                      _cell=cell, _enclave=enclave):
                             n = issued_nonce if _cell[2] else bytes(32)
@@ -155,6 +140,30 @@ def test_criterion_2_attestation_gating(tmp_path):
                                 q[-3] ^= 0x20
                             return bytes(q)
 
+                        # release leg
+                        capture = CaptureLog()
+                        dep.network.capture = capture
+                        try:
+                            mgr = ManagerChannel(attested_handshake(
+                                good_enclave, dep.network.connect("manager"),
+                                dep.manager_policy, role="client",
+                                quote_provider=provider), b"")
+                            try:
+                                bundle = mgr.request_secrets(dep.policy_hash,
+                                                             "client")
+                            finally:
+                                mgr.close()
+                            released_cells.append(cell)
+                            assert bundle.environment["DATASET_KEY"]
+                        except FedShieldError:
+                            pass
+                        if cell != (True, True, True):
+                            assert not capture.contains(secret_hex)
+                            assert not capture.contains(secret_raw)
+
+                        # admission leg
+                        capture2 = CaptureLog()
+                        dep.network.capture = capture2
                         agent = dep.make_agent(dep.client_ids[0],
                                                enclave=good_enclave,
                                                quote_provider=provider)
@@ -171,6 +180,51 @@ def test_criterion_2_attestation_gating(tmp_path):
             assert admitted_cells == [(True, True, True)]
         finally:
             dep.close()
+
+
+def test_relayed_quote_releases_nothing(tmp_path):
+    """A quote relayed in a request body does not stand in for the channel's.
+
+    A peer on an unpinned enclave learns the endpoint's nonce from its own
+    handshake, poses as the manager to an honest client enclave to get that
+    enclave's quote over the nonce, and relays it in REQUEST_SECRETS."""
+    dep = make_deployment(tmp_path, num_clients=1)
+    try:
+        relay = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" relay", ROLE_CONFIG)
+        issued = []
+
+        def record(enclave, report_data, nonce):
+            issued.append(nonce)
+            return enclave.generate_quote(report_data, nonce).to_bytes()
+
+        channel = attested_handshake(relay, dep.network.connect("manager"),
+                                     dep.manager_policy, role="client",
+                                     expected_peer_role=ROLE_POLICY_MANAGER,
+                                     quote_provider=record)
+        victim_end, relay_end = transport_pair()
+        relay_end.send_frame(bytes([MSG_HELLO]) + issued[0]
+                             + bytes([len(ROLE_POLICY_MANAGER)])
+                             + ROLE_POLICY_MANAGER.encode())
+        relay_end.send_frame(bytes([MSG_KEYSHARE]) + bytes(32))
+        relay_end.close()  # the victim fails once it has sent its quote
+        with pytest.raises(FedShieldError):
+            attested_handshake(dep.client_enclaves[dep.client_ids[0]], victim_end,
+                               dep.manager_policy, role="client")
+        frames = [relay_end.recv_frame(timeout=1.0) for _ in range(3)]
+        assert frames[2][0] == MSG_QUOTE
+        assert Quote.from_bytes(frames[2][1:]).nonce == issued[0]
+
+        with pytest.raises(ServiceError, match="access-denied") as err:
+            protocol.request(channel, protocol.REQUEST_SECRETS, {
+                "policy_hash": dep.policy_hash.hex(),
+                "role": "client",
+                "quote": b64(frames[2][1:]),
+            })
+        assert err.value.body["check"] == "measurement"
+        assert read_entries(dep.manager_dir / "audit.log")[-1].kind == "secrets-denied"
+        channel.close()
+    finally:
+        dep.close()
 
 
 def test_criterion_3_fedavg_oracle():

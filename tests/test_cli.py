@@ -205,6 +205,31 @@ def test_run_client_refuses_a_policy_that_pins_no_manager(tmp_path, capsys):
     assert "'policy_manager_self' not declared in policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["session-file", "key-file", "hex-flag"])
+def test_malformed_operator_input_ends_in_an_error_line(tmp_path, case):
+    if case == "hex-flag":
+        save_dataset_csv(synthetic_dataset(20, 3, seed=1), tmp_path / "alice.csv")
+        argv = ["policy", "new", "--out", tmp_path / "policy.json", "--name", "bad",
+                "--manager-measurement", "zz",
+                "--coordinator-measurement", "22" * 32,
+                "--client-measurement", "33" * 32,
+                "--client", f"alice={tmp_path / 'alice.csv'}"]
+    else:
+        argv = run_client_argv(tmp_path, role_measurements())
+        if case == "session-file":
+            (tmp_path / "session.json").write_text("{not json")
+            argv += ["--session-file", str(tmp_path / "session.json")]
+        else:
+            key_file = tmp_path / "platform.json"
+            doc = json.loads(key_file.read_text())
+            del doc["platform_id"]
+            key_file.write_text(json.dumps(doc))
+    result = run_cli(*argv, check=False)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def run_client_argv(tmp_path, measurements) -> list[str]:
     """``run-client`` arguments for a policy pinning ``measurements``; the
     manager and coordinator addresses are unreachable."""

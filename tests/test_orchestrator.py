@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fedshield.errors import (
     SessionFailedError,
     TransportClosedError,
 )
-from fedshield.fl import serialize_params, synthetic_dataset
+from fedshield.fl import dataset_to_csv_bytes, serialize_params, synthetic_dataset
 from fedshield.orchestrator import Coordinator, derive_training_seed
 from fedshield.policy import SessionConfig
 from fedshield.transport import CaptureLog, Hub
@@ -42,6 +43,11 @@ def make_deployment(tmp_path, num_clients=3, session=None, capture=None,
     return demo.Deployment(tmp_path, datasets, synthetic_dataset(120, 4, seed=88),
                            session, network=Hub(capture),
                            round_deadline=round_deadline)
+
+
+def validation_csv(deployment) -> bytes:
+    """The validation CSV the deployment's policy hashes."""
+    return dataset_to_csv_bytes(deployment.coordinator.validation)
 
 
 # Rounds go ahead with two of the three clients.
@@ -249,6 +255,23 @@ class TestRounds:
         finally:
             deployment.close()
 
+    def test_guard_falls_back_to_leave_one_out_over_the_responders(self, tmp_path):
+        session = replace(QUORUM_OF_TWO, clone_count=3, clone_subset_size=2)
+        deployment = make_deployment(tmp_path, session=session)
+        try:
+            record, _ = run_round_with_saboteur(
+                deployment, lambda channel: protocol.send_message(
+                    channel, *REJECTED_UPDATES["hash-mismatch"]))
+            assert record.dropped == {"client-3": "DecodeError"}
+            # two responders cannot fill subsets of two: one clone leaves
+            # out each responder instead
+            entry = read_entries(deployment.state_dir / "audit.log")[-1]
+            assert entry.kind == "round"
+            assert sorted(clone["subset"] for clone in entry.payload["clone"]["clones"]) \
+                == [["client-1"], ["client-2"]]
+        finally:
+            deployment.close()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_COORDINATOR_MESSAGES))
     def test_agent_refuses_malformed_coordinator_message(self, deployment, case):
         agent = deployment.make_agent("client-1")
@@ -340,7 +363,7 @@ class TestCrashRecovery:
             mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             revived = Coordinator(dep.policy, dep.coordinator_enclave,
                                   dep.state_dir, dep.platform.root_public_key,
-                                  dep.validation_csv, mgr, round_deadline=5.0)
+                                  validation_csv(dep), mgr, round_deadline=5.0)
             assert revived.model.round_index == 2
             assert revived.model.history == history_before
             assert np.array_equal(revived.model.params, params_before)
@@ -374,7 +397,7 @@ class TestCrashRecovery:
             mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             dep.coordinator = Coordinator(
                 dep.policy, dep.coordinator_enclave, dep.state_dir,
-                dep.platform.root_public_key, dep.validation_csv, mgr,
+                dep.platform.root_public_key, validation_csv(dep), mgr,
                 round_deadline=5.0)
             assert dep.coordinator.model.round_index == 2
             assert wal_counter_ids(dep) == counters
@@ -384,12 +407,11 @@ class TestCrashRecovery:
             data_sfl = tmp_path / "clients" / "client-1" / "data.sfl"
             shielded = data_sfl.read_bytes()
             client = dep.connect_manager(dep.client_enclaves["client-1"], role="client")
-            opened, _ = client.provision(dep.policy_hash, "client", data_sfl,
-                                         dep.csv_blobs["client-1"])
-            assert opened == dep.csv_blobs["client-1"]
+            own = dataset_to_csv_bytes(dep.datasets["client-1"])
+            assert client.provision(dep.policy_hash, "client", data_sfl, own)[0] == own
             assert data_sfl.read_bytes() == shielded
             assert wal_counter_ids(dep) == counters
-            other = dep.csv_blobs["client-2"]
+            other = dataset_to_csv_bytes(dep.datasets["client-2"])
             assert client.provision(dep.policy_hash, "client", data_sfl, other)[0] == other
             assert len(wal_counter_ids(dep) - counters) == 1
             client.close()
@@ -404,7 +426,7 @@ class TestCrashRecovery:
                 mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
                 dep.coordinator = Coordinator(
                     dep.policy, dep.coordinator_enclave, dep.state_dir,
-                    dep.platform.root_public_key, dep.validation_csv, mgr,
+                    dep.platform.root_public_key, validation_csv(dep), mgr,
                     round_deadline=5.0)
                 assert dep.coordinator.model.round_index == 0
                 assert wal_counter_ids(dep) == counters
@@ -435,7 +457,7 @@ class TestCrashRecovery:
             mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             with pytest.raises(RollbackDetectedError):
                 Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
-                            dep.platform.root_public_key, dep.validation_csv,
+                            dep.platform.root_public_key, validation_csv(dep),
                             mgr, round_deadline=5.0)
         finally:
             dep.close()

@@ -20,7 +20,6 @@ from fedshield.policy import (
     PolicyManager,
     SessionConfig,
     parse_policy,
-    policy_hash_of,
     render_template,
     secret_key_id,
 )
@@ -83,15 +82,16 @@ class TestCanonicalization:
     def test_hash_invariant_under_key_reordering(self):
         doc = policy_doc()
         rng = random.Random(31)
-        reference = policy_hash_of(json.dumps(doc))
+        reference = parse_policy(json.dumps(doc)).policy_hash
         for _ in range(20):
-            assert policy_hash_of(shuffled_json(doc, rng)) == reference
+            assert parse_policy(shuffled_json(doc, rng)).policy_hash == reference
 
     def test_different_content_different_hash(self):
         a = policy_doc()
         b = policy_doc()
         b["session"]["max_rounds"] += 1
-        assert policy_hash_of(json.dumps(a)) != policy_hash_of(json.dumps(b))
+        assert (parse_policy(json.dumps(a)).policy_hash
+                != parse_policy(json.dumps(b)).policy_hash)
 
     def test_parse_round_trips_canonical_document(self):
         policy = parse_policy(json.dumps(policy_doc()))

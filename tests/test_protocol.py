@@ -82,8 +82,7 @@ def manager(body) -> ManagerChannel:
 CALLS = {
     "upload_policy": lambda body: manager(body).upload_policy("{}"),
     "counter_create": lambda body: manager(body).counter_create(),
-    "request_secrets": lambda body: manager(body).request_secrets(
-        b"\x00" * 32, "client", quote_bytes=b""),
+    "request_secrets": lambda body: manager(body).request_secrets(b"\x00" * 32, "client"),
     "from_dict": InjectionBundle.from_dict,
 }
 

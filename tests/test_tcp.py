@@ -27,13 +27,15 @@ def test_manager_and_counters_over_tcp(tmp_path):
         bundle = channel.request_secrets(dep.policy_hash, "client")
         assert len(bytes.fromhex(bundle.environment["DATASET_KEY"])) == 32
 
-        # a corrupted in-band quote is denied and the failing check crosses
-        # the wire with the error
-        bad_quote = bytearray(channel.channel.local_quote_bytes)
-        bad_quote[-1] ^= 0x01
+        # an unpinned enclave attests the channel but is denied its secrets,
+        # and the failing check crosses the wire with the error
+        unpinned = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" modified",
+                                 ROLE_CONFIG)
+        denied = dep.connect_manager(unpinned, role="client")
         with pytest.raises(ServiceError, match="access-denied") as err:
-            channel.request_secrets(dep.policy_hash, "client", bytes(bad_quote))
-        assert err.value.body["check"] == "signature"
+            denied.request_secrets(dep.policy_hash, "client")
+        assert err.value.body["check"] == "measurement"
+        denied.close()
 
         token = channel.counter_create()
         assert token.value == 1 and token.stable
