@@ -8,6 +8,18 @@ clone-and-sample guard flags poisoning clients by their influence on
 validation utility.
 """
 
+import os
+
+# BLAS on one thread per calling thread. Each role runs on its own thread (in
+# SecFL, in its own enclave), so parallelism comes from the roles, not from
+# inside one BLAS call. numpy's bundled OpenBLAS otherwise keeps a pool of one
+# thread per core, and after any matvec of at least about 460,800 values (the
+# coordinator's `evaluate` on a 16 x 50,000 validation set) its idle worker
+# busy-waits about 130 ms of CPU, taking a core from the next round's
+# `local_train` threads. This must run before the first submodule import,
+# which loads numpy; an operator's explicit value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .attestation import (
     AttestationPolicy,
     AttestationVerdict,

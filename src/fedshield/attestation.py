@@ -33,6 +33,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .enclave import (
+    QUOTE_LEN,
     QUOTE_NONCE_LEN,
     REPORT_DATA_LEN,
     Enclave,
@@ -57,6 +58,11 @@ MSG_FINISH = 4
 ROLE_CLIENT = "client"
 ROLE_COORDINATOR = "coordinator"
 ROLE_POLICY_MANAGER = "policy-manager"
+
+# The largest handshake frame: a HELLO with a 255-byte role, or a QUOTE. The
+# peer is not yet authenticated, so a larger announced frame is refused
+# before its body is buffered.
+HANDSHAKE_FRAME_MAX = max(1 + QUOTE_NONCE_LEN + 1 + 255, 1 + QUOTE_LEN)
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ def _encode_hello(nonce: bytes, role: str) -> bytes:
 
 
 def _expect(transport, expected_type: int, timeout: float | None) -> bytes:
-    body = transport.recv_frame(timeout=timeout)
+    body = transport.recv_frame(timeout=timeout, max_size=HANDSHAKE_FRAME_MAX)
     if not body:
         raise DecodeError("empty handshake frame")
     if body[0] != expected_type:

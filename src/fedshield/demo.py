@@ -261,9 +261,11 @@ class Deployment:
 
 
 def _run_agent(agent: ClientAgent) -> None:
+    # a coordinator silent for AGENT_RECV_TIMEOUT ends the agent like any
+    # other stop, not as a bare traceback from the thread
     try:
         agent.run()
-    except FedShieldError as exc:
+    except (FedShieldError, TimeoutError) as exc:
         logger.info("agent %s stopped: %s", agent.client_id, exc)
 
 

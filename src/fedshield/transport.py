@@ -51,6 +51,11 @@ class CaptureLog:
         return pattern in self.all_bytes()
 
 
+def _check_size(length: int, max_size: int) -> None:
+    if length > max_size:
+        raise DecodeError(f"frame of {length} bytes exceeds the {max_size}-byte limit")
+
+
 def _frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME:
         raise InvalidInputError("frame exceeds maximum size")
@@ -75,7 +80,8 @@ class InProcessTransport:
             self._capture.record(self.label, _frame(payload))
         self._tx.put(bytes(payload))
 
-    def recv_frame(self, timeout: float | None = None) -> bytes:
+    def recv_frame(self, timeout: float | None = None,
+                   max_size: int = MAX_FRAME) -> bytes:
         try:
             item = self._rx.get(timeout=timeout)
         except queue.Empty:
@@ -83,6 +89,7 @@ class InProcessTransport:
         if item is _CLOSE:
             self._rx.put(_CLOSE)  # keep closed state observable
             raise TransportClosedError("transport closed by peer")
+        _check_size(len(item), max_size)
         return item
 
     def close(self) -> None:
@@ -187,12 +194,14 @@ class TcpTransport:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv_frame(self, timeout: float | None = None) -> bytes:
+    def recv_frame(self, timeout: float | None = None,
+                   max_size: int = MAX_FRAME) -> bytes:
+        """The next frame; one announcing more than ``max_size`` bytes is
+        refused after its 4-byte header, before any of its body is read."""
         self._sock.settimeout(timeout)
         header = self._recv_exact(4)
         (length,) = struct.unpack(">I", header)
-        if length > MAX_FRAME:
-            raise DecodeError("frame exceeds maximum size")
+        _check_size(length, max_size)
         return self._recv_exact(length)
 
     def close(self) -> None:

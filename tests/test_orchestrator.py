@@ -1,5 +1,6 @@
 """Coordinator rounds, admission gating, crash recovery, determinism."""
 
+import logging
 import threading
 import time
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedshield import demo, protocol
+from fedshield import demo, orchestrator, protocol
 from fedshield.attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
@@ -528,6 +529,25 @@ class TestAdmissionSoundness:
         assert rogue_frames
         for _, wire in rogue_frames:
             assert wire[4] in (1, 2, 3, 4)
+
+
+def test_agent_receive_timeout_is_logged_not_raised_in_its_thread(
+        tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(orchestrator, "AGENT_RECV_TIMEOUT", 0.2)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    dep = make_deployment(tmp_path, num_clients=1)
+    try:
+        agent = dep.make_agent("client-1")
+        dep.join_all([agent])
+        with caplog.at_level(logging.INFO, logger="fedshield.demo"):
+            dep.start_agents([agent])  # the coordinator never broadcasts
+            dep.threads[-1].join(timeout=10)
+            assert not dep.threads[-1].is_alive()
+    finally:
+        dep.close()
+    assert uncaught == []
+    assert "agent client-1 stopped" in caplog.text
 
 
 class TestDeterminism:

@@ -2,14 +2,17 @@
 contract both networks share."""
 
 import logging
+import socket
+import struct
 import time
 
 import numpy as np
 import pytest
 
+from fedshield.attestation import ROLE_COORDINATOR, AttestationPolicy, attested_handshake
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, Deployment
 from fedshield.enclave import spawn_enclave
-from fedshield.errors import ServiceError, TransportClosedError
+from fedshield.errors import DecodeError, ServiceError, TransportClosedError
 from fedshield.fl import synthetic_dataset
 from fedshield.policy import SessionConfig
 from fedshield.transport import Hub, TcpNetwork
@@ -92,6 +95,23 @@ def test_handler_fault_gets_an_internal_reply(tmp_path, monkeypatch, caplog):
         channel.close()
     finally:
         dep.close()
+
+
+def test_oversized_handshake_frame_is_refused_after_its_header(platform, enclave_a):
+    listener = TcpNetwork().listen("coordinator")
+    peer = socket.create_connection(listener.address)
+    try:
+        transport = listener.accept(timeout=5.0)
+        peer.sendall(struct.pack(">I", 1 << 20))  # a 1 MiB HELLO whose body never comes
+        start = time.monotonic()
+        with pytest.raises(DecodeError, match="exceeds"):
+            attested_handshake(enclave_a, transport,
+                               AttestationPolicy(platform.root_public_key, None),
+                               ROLE_COORDINATOR, timeout=3.0)
+        assert time.monotonic() - start < 1.0
+    finally:
+        peer.close()
+        listener.close()
 
 
 def test_small_session_over_tcp(tmp_path):
