@@ -241,6 +241,9 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
             raise HandshakeError("decode", "short HELLO")
         challenge = peer_hello_body[:QUOTE_NONCE_LEN]
         role_len = peer_hello_body[QUOTE_NONCE_LEN]
+        # the transcript re-encodes the HELLO, so it must hold nothing else
+        if len(peer_hello_body) != QUOTE_NONCE_LEN + 1 + role_len:
+            raise HandshakeError("decode", "HELLO length does not match its role")
         try:
             peer_role = peer_hello_body[QUOTE_NONCE_LEN + 1:QUOTE_NONCE_LEN + 1 + role_len].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -272,7 +275,10 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         if peer_quote.report_data != expected_rd:
             raise HandshakeError("binding", "quote does not bind the presented ephemeral key")
 
-        shared = private.exchange(X25519PublicKey.from_public_bytes(peer_eph))
+        try:
+            shared = private.exchange(X25519PublicKey.from_public_bytes(peer_eph))
+        except ValueError as exc:  # a low-order point: the shared secret is all zeros
+            raise HandshakeError("binding", "ephemeral key is a low-order point") from exc
         # Transcript in role order so both sides hash identical bytes.
         local_msgs = hello + keyshare + bytes([MSG_QUOTE]) + local_quote
         peer_msgs = (_encode_hello(challenge, peer_role)

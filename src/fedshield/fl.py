@@ -11,7 +11,10 @@ LF line ends, and read as UTF-8 with LF or CRLF line ends; any malformed
 dataset raises InvalidInputError. orjson writes the ``repr`` digits of every
 feature whose ``repr`` is plain decimal; the exponent-form and non-finite
 ones, which it spells otherwise, are written by ``repr`` itself, so the
-bytes are those of a ``repr`` per value. Parameter vectors serialize as
+bytes are those of a ``repr`` per value. orjson also reads the rows of a
+clean file, one at a time, and every other file goes to ``csv`` and
+``float()``; either way each value decodes as ``float()`` reads it.
+Parameter vectors serialize as
 ``u32 BE dimension | IEEE-754 binary64 BE entries``.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -274,97 +278,92 @@ def _orjson_cells(values: np.ndarray) -> bytes:
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
 
 
-# Characters numpy's float parser strips as whitespace and float() refuses.
-# In ASCII text they are the only input numpy reads as a number where
-# float() does not (the reverse, such as "1_0", numpy refuses).
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# The bytes of a clean data row. orjson reads every number they spell as
+# float() does, or refuses it, except the token -0 (see _NEGATIVE_ZERO).
+_CLEAN_ROW_BYTES = b"0123456789+-.eE, "
+# Non-empty printable ASCII without a quote: csv splits it at every comma.
+_CLEAN_HEADER = re.compile(rb"[ !#-~]+")
+# orjson reads -0 as the integer 0, losing the sign float("-0") keeps.
+_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
 def dataset_from_csv_bytes(data: bytes) -> Dataset:
     """Decode a dataset file; any malformed input raises InvalidInputError.
 
-    Well-formed files go through numpy's C reader. Everything it refuses or
-    might read differently from ``float()`` goes to the row-by-row parser,
-    which decodes it exactly or names the failing row.
+    A clean file (see ``_read_clean_table``) is read by orjson, one row at
+    a time. Every other file, CRLF ones included, goes to the row-by-row
+    parser, which decodes it exactly or names the failing row.
     """
-    features = _features_array(data)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"CSV is not UTF-8: {exc}") from exc
-    table = _read_table(text)
+    table = _read_clean_table(data)
     if table is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"CSV is not UTF-8: {exc}") from exc
         return _parse_rows(text)
-    labels = table[:, -1]
+    features, labels = table
     bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
     if bad.size:
         raise _label_error(int(bad[0]) + 2)  # the header is row 1
-    shape = (table.shape[0], table.shape[1] - 1)
-    if features is None or features.shape != shape:
-        features = np.empty(shape)
-    # copies: a strided view may take another BLAS path and change result bits
-    features[...] = table[:, :-1]
-    return Dataset(features, np.ascontiguousarray(labels))
+    return Dataset(features, labels)
 
 
-def _features_array(data: bytes) -> np.ndarray | None:
-    """An empty feature array of the shape a well-formed file of ``data``
-    decodes to, or None when no well-formed file has its line and comma
-    counts.
+def _read_clean_table(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The features and labels of a clean file, or None when the row parser
+    must read it.
 
-    The features outlive the text, lines and table they are parsed from.
-    Allocated first, they lie below that scratch, so the heap can shrink
-    once the scratch is freed. Allocated last, they can land above it and
-    keep it resident: in the ``wide-model`` benchmark, about 30 MB of peak
-    RSS for the coordinator's validation set, depending on the heap layout.
+    A clean file ends in LF, its header matches ``_CLEAN_HEADER``, no field
+    may pass the csv module's size limit, and each row holds only
+    ``_CLEAN_ROW_BYTES``, no token -0, parses as the body of a JSON array
+    and is as wide as the header. orjson refuses the numbers float() reads
+    that JSON does not spell (``1e400``, ``nan``, ``+1``, ``.5``, ``1.``,
+    ``00``) and empty fields. Its integers fit in 64 bits, and numpy rounds
+    them to float64 as float() does.
     """
-    rows = data.count(b"\n") - data.endswith(b"\n")
-    columns = data[:data.find(b"\n")].count(b",")
+    header = data[:data.find(b"\n")]
+    if (not data.endswith(b"\n") or not _CLEAN_HEADER.fullmatch(header)
+            or _may_exceed_field_limit(data)):
+        return None
+    rows, columns = data.count(b"\n") - 1, header.count(b",")
     if rows < 1 or rows * (2 * columns + 1) > len(data):  # a field and a comma: 2 bytes
         return None
-    return np.empty((rows, columns))
-
-
-def _read_table(text: str) -> np.ndarray | None:
-    """The data rows as one (rows, columns) float64 table, or None when the
-    row parser must read the text: it is not ASCII or holds a character of
-    ``_NUMPY_ONLY_SPACE``, has a line break other than LF and CRLF, a blank
-    line, a quoted header or a field past the csv module's size limit, or
-    numpy refuses a row (quoting, underscores, a bad number or width)."""
-    if not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE):
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
+    # The features outlive the rows they are parsed from. Allocated first,
+    # they lie below that scratch, so the heap can shrink once it is freed.
+    # Allocated last, they can land above it and keep it resident: in the
+    # wide-model benchmark, about 30 MB of peak RSS for the coordinator's
+    # validation set, depending on the heap layout.
+    features, labels = np.empty((rows, columns)), np.empty(rows)
+    view = memoryview(data)
+    start = len(header) + 1
+    for i in range(rows):
+        end = data.index(b"\n", start)
+        # a copy of one row, never of the file
+        row = b"".join((b"[", view[start:end], b"]"))
+        start = end + 1
+        if row.translate(None, _CLEAN_ROW_BYTES) != b"[]" or _NEGATIVE_ZERO.search(row):
             return None
-    if _may_exceed_field_limit(text):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or "" in lines or '"' in lines[0]:
-        return None
-    try:
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
-                           dtype=np.float64)
-    except ValueError:
-        return None
-    if table.shape != (len(lines) - 1, lines[0].count(",") + 1):
-        return None
-    return table
+        try:
+            values = orjson.loads(row)
+        except orjson.JSONDecodeError:
+            return None
+        if len(values) != columns + 1:
+            return None
+        features[i] = values[:-1]
+        labels[i] = values[-1]
+    return features, labels
 
 
-def _may_exceed_field_limit(text: str) -> bool:
+def _may_exceed_field_limit(data: bytes) -> bool:
     """Whether a field may be longer than ``csv.field_size_limit()``.
 
-    A run of ``2 * step`` characters without a comma or LF covers a whole
+    A run of ``2 * step`` bytes without a comma or LF covers a whole
     aligned block of ``step``, so if every block holds one, no field is
     longer than ``2 * step - 1``, which is at most the limit.
     """
     step = (csv.field_size_limit() + 1) // 2
-    for start in range(0, len(text) - step + 1, step):
+    for start in range(0, len(data) - step + 1, step):
         end = start + step
-        if text.find(",", start, end) < 0 and text.find("\n", start, end) < 0:
+        if data.find(b",", start, end) < 0 and data.find(b"\n", start, end) < 0:
             return True
     return False
 

@@ -1,18 +1,21 @@
 """Quote verification policy and attested-channel behavior."""
 
+import logging
 import os
 import random
+import threading
 
 import pytest
 
 from fedshield.attestation import (
+    MSG_KEYSHARE,
     AttestationPolicy,
     AttestationVerdict,
     attested_handshake,
     binding_report_data,
     verify_quote,
 )
-from fedshield.enclave import generate_platform
+from fedshield.enclave import generate_platform, generate_signing_key
 from fedshield.errors import (
     ChannelIntegrityError,
     ChannelReplayError,
@@ -22,9 +25,10 @@ from fedshield.errors import (
     InvalidInputError,
     QuoteDecodeError,
 )
-from fedshield.transport import CaptureLog, transport_pair
+from fedshield.services import ServiceEndpoint
+from fedshield.transport import CaptureLog, Hub, transport_pair
 
-from conftest import run_handshake_pair
+from conftest import EditedTransport, quote_binding, run_handshake_pair
 
 NONCE = b"\x42" * 32
 RD = b"\x00" * 64
@@ -189,6 +193,54 @@ class TestHandshake:
             assert chan_b.recv(timeout=5) == payload
             assert not capture.contains(payload)
             assert not capture.contains(payload[:16])
+
+
+# X25519 points of small order: the shared secret with any key is all zeros
+LOW_ORDER_KEYS = [bytes(32), (1).to_bytes(32, "little")]
+
+
+def keyshare_of(key: bytes):
+    """An edit that sends ``key`` as the KEYSHARE."""
+    return MSG_KEYSHARE, lambda frame: bytes([MSG_KEYSHARE]) + key
+
+
+class TestLowOrderKeyshare:
+    """An attested peer presents a low-order key, bound by its own genuine
+    quote, to a side that pins no measurement."""
+
+    @pytest.mark.parametrize("key", LOW_ORDER_KEYS, ids=["zero", "one"])
+    def test_bare_handshake_raises_binding_error(self, platform, enclave_a,
+                                                 enclave_b, key):
+        result_a, _ = run_handshake_pair(
+            enclave_a, "policy-manager", AttestationPolicy(platform.root_public_key, None),
+            enclave_b, "client", policy_for(platform, enclave_a),
+            quote_provider_b=quote_binding(key), edit_b=keyshare_of(key), timeout=5)
+        assert isinstance(result_a, HandshakeError) and result_a.check == "binding"
+
+    def test_service_endpoint_logs_it_in_the_connection_thread(
+            self, tmp_path, monkeypatch, caplog, platform, enclave_a, enclave_b):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        hub = Hub()
+        endpoint = ServiceEndpoint(hub.listen("manager"), tmp_path, enclave_a,
+                                   platform.root_public_key, generate_signing_key())
+        endpoint.start()
+        running = set(threading.enumerate())
+        try:
+            with caplog.at_level(logging.INFO, logger="fedshield.services"):
+                with pytest.raises(FedShieldError):
+                    attested_handshake(
+                        enclave_b, EditedTransport(hub.connect("manager"),
+                                                   *keyshare_of(bytes(32))),
+                        AttestationPolicy(platform.root_public_key, None), "client",
+                        quote_provider=quote_binding(bytes(32)), timeout=5)
+                for thread in set(threading.enumerate()) - running:
+                    thread.join(timeout=5)
+                    assert not thread.is_alive()
+        finally:
+            endpoint.stop()
+        assert uncaught == []
+        assert "low-order point" in caplog.text
 
 
 def established_pair(platform, enclave_a, enclave_b, capture=None):

@@ -1,6 +1,7 @@
 """Training substrate oracles: gradients, aggregation, evaluation, stopping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,18 @@ class TestSerialization:
             assert got.dtype == np.float64 and got.flags.c_contiguous
             want = np.asarray(want, dtype=np.float64)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_csv_decode_peaks_below_one_and_a_half_file_sizes(self):
+        # rows are parsed one at a time: the decoder holds the features and
+        # one row's scratch, never a parsed copy of the whole file
+        blob = dataset_to_csv_bytes(synthetic_dataset(16, 50_000, seed=5))
+        tracemalloc.start()
+        try:
+            dataset_from_csv_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(blob)
 
     def test_csv_rejects_bad_labels(self):
         blob = b"x0,y\n1.0,2\n"

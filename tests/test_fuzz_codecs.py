@@ -1,11 +1,13 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
 shielded-file and counter-token decoders on arbitrary bytes, the policy
-parser on arbitrary text, and the dataset encoder on arbitrary matrices.
+parser on arbitrary text, the dataset encoder on arbitrary matrices, and
+each handshake stage on edited frames from an attested peer.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict; a policy document parses or
-raises PolicyInvalidError. The dataset codec gives the bytes and arrays of
-its reference implementations.
+raises PolicyInvalidError; a handshake given an edited frame ends in a
+FedShieldError. The dataset codec gives the bytes and arrays of its
+reference implementations.
 """
 
 import copy
@@ -26,6 +28,15 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from fedshield import enclave, protocol, shield  # noqa: E402
+from fedshield.attestation import (  # noqa: E402
+    MSG_FINISH,
+    MSG_HELLO,
+    MSG_KEYSHARE,
+    MSG_QUOTE,
+    ROLE_CLIENT,
+    ROLE_POLICY_MANAGER,
+    AttestationPolicy,
+)
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
 from fedshield.counters import TOKEN_LEN, CounterToken  # noqa: E402
 from fedshield.demo import author_policy, role_measurements  # noqa: E402
@@ -41,6 +52,8 @@ from fedshield.fl import (  # noqa: E402
     deserialize_params,
 )
 from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
+
+from conftest import quote_binding, run_handshake_pair  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
@@ -152,7 +165,20 @@ def mostly(common, odd):
     return st.integers(0, 19).flatmap(lambda k: odd if k == 0 else common)
 
 
-feature_fields = mostly(st.floats().map(repr), odd_fields)
+# tokens orjson reads otherwise than float(), or refuses, or reads only
+# through an int: a sign lost, an overflow, a 64-bit and a wider integer,
+# an integer float64 must round, non-numbers and non-JSON spellings
+orjson_fields = st.sampled_from([
+    "-0", " -0 ", "-0e5", "-0.0", "1e-0", "1e400", "-1e-400",
+    "18446744073709551616", "18446744073709551615", "9007199254740993",
+    "true", "null", "[1]", "+1", "1e+16", "00", ".5", "1.",
+])
+# numbers both JSON and float() spell, with up to 40 digits and exponents
+# past both ends of the float64 range
+numerals = st.builds("{}{}{}{}".format, st.sampled_from(["", "-"]), st.integers(0, 10**40),
+                     st.sampled_from(["", ".5", ".05"]),
+                     st.just("") | st.integers(-345, 307).map("e{}".format))
+feature_fields = mostly(st.floats().map(repr) | numerals, odd_fields | orjson_fields)
 label_fields = mostly(st.sampled_from(["0", "1", "1.0", "-0.0", "1e0"]), odd_fields)
 line_ends = mostly(st.just("\n"), st.sampled_from(["\r\n", "\r", "\n\n", "\x0b", "\u2028"]))
 header_names = mostly(st.just("x0"), st.sampled_from(['"a,b"', "", "a\x00"]))
@@ -181,6 +207,7 @@ CSV_ESCAPES = [
     b"x0,y\n\xff,1\n",                        # not UTF-8
     b"\n\n",                                   # empty header and empty row
     b"x0,y\n" + b"0" * 131_073 + b",1\n",       # a field past csv's size limit
+    b"x0,y\n1." + b"0" * 131_072 + b",1\n",      # ... which orjson reads as 1.0
     b"x0,y\n1.0,1\r2.0,0\n",                   # a bare CR inside a row
 ]
 
@@ -214,6 +241,14 @@ ROW_NUMBER = re.compile(r"CSV row (\d+)")
 @example(b"x0,y\n1.0,1\n\n")                  # a blank line is a row of no columns
 @example(b"x0,y\n1.0,2\n1.0\n")               # the label error comes first
 @example(b"x0,x1,y\n1.0,1\n")                 # every row narrower than the header
+@example(b"x0,y\n-0,1\n")                     # orjson reads -0 as the integer 0
+@example(b"x0,y\n1,,0\n")                     # an empty field
+@example(b"x0,x1,y\ntrue,null,1\n")           # JSON literals float() refuses
+@example(b"x0,y\n[1],1\n")                    # a JSON array in a field
+@example(b"x0,y\n")                           # a header and no rows
+@example(b"x0,y\n1.0,1")                      # no final LF
+@example(b"\n0\n")                            # an empty header is 0 columns to csv
+@example(b"x0,y\r\n1.0,1\r\n")               # CRLF line ends
 def test_dataset_from_csv_bytes_matches_reference(data):
     try:
         want = reference_dataset_from_csv_bytes(data)
@@ -389,3 +424,60 @@ def test_parse_policy_gives_a_policy_or_policy_invalid_error(text):
     except PolicyInvalidError:
         return
     assert parse_policy(policy.document) == policy
+
+
+# The policy manager's side of a handshake pins no measurement, so a peer on
+# any enclave of the platform gets through quote verification.
+PLATFORM = enclave.generate_platform()
+MANAGER = enclave.spawn_enclave(PLATFORM, b"fuzz: policy manager", b"mode=fuzz\n")
+PEER = enclave.spawn_enclave(PLATFORM, b"fuzz: unpinned peer", b"mode=fuzz\n")
+UNPINNED = AttestationPolicy(PLATFORM.root_public_key, None)
+
+
+def manager_outcome(edit_b, quote_provider=None):
+    """What the manager's side ends in when the peer's side of an otherwise
+    honest handshake applies ``edit_b``, a ``(message_type, edit)`` pair."""
+    outcome, _ = run_handshake_pair(
+        MANAGER, ROLE_POLICY_MANAGER, UNPINNED, PEER, ROLE_CLIENT, UNPINNED,
+        quote_provider_b=quote_provider, edit_b=edit_b, timeout=5)
+    return outcome
+
+
+# raw bytes in place of a frame, or the frame with one byte changed, cut
+# short or extended
+frame_edits = (st.tuples(st.just("replace"), st.binary(max_size=300))
+               | st.tuples(st.just("flip"), st.integers(0, 300), st.integers(1, 255))
+               | st.tuples(st.just("cut"), st.integers(0, 300))
+               | st.tuples(st.just("extend"), st.binary(min_size=1, max_size=8)))
+
+
+def edited(frame: bytes, edit) -> bytes:
+    kind, *args = edit
+    if kind == "replace":
+        return args[0]
+    if kind == "flip":
+        at = args[0] % len(frame)
+        return frame[:at] + bytes([frame[at] ^ args[1]]) + frame[at + 1:]
+    if kind == "cut":
+        return frame[:args[0] % len(frame)]
+    return frame + args[0]
+
+
+@pytest.mark.parametrize("stage", [MSG_HELLO, MSG_KEYSHARE, MSG_QUOTE, MSG_FINISH],
+                         ids=["hello", "keyshare", "quote", "finish"])
+@FUZZ
+@given(edit=frame_edits)
+@example(edit=("extend", b"\x00"))  # a trailing byte the HELLO parse once ignored
+def test_edited_handshake_frame_ends_in_fedshield_error(stage, edit):
+    outcome = manager_outcome((stage, lambda frame: edited(frame, edit)))
+    assert isinstance(outcome, FedShieldError)
+
+
+@FUZZ
+@given(st.binary(min_size=32, max_size=32) | st.binary(max_size=40))
+@example(bytes(32))                      # low-order points: an all-zero secret
+@example((1).to_bytes(32, "little"))
+def test_keyshare_bound_by_a_genuine_quote_ends_in_fedshield_error(key):
+    outcome = manager_outcome((MSG_KEYSHARE, lambda frame: bytes([MSG_KEYSHARE]) + key),
+                              quote_binding(key))
+    assert isinstance(outcome, FedShieldError)
