@@ -52,5 +52,5 @@ with tempfile.TemporaryDirectory() as d:
     # The counter log survives restarts; stable values never regress.
     service.close()
     revived = CounterService(Path(d) / "counters.wal", generate_signing_key())
-    print("\nstable value after restart:", revived.stable_value(counter_id))
+    print("\nstable value after restart:", revived.read_stable(counter_id).value)
     revived.close()

@@ -169,19 +169,19 @@ def cmd_counter_init(args) -> int:
 
 
 def cmd_encrypt_data(args) -> int:
+    # every input is checked before the counter moves: a failed run must
+    # not make the last written file stale
+    plaintext = Path(args.infile).read_bytes()
+    key = unhex(args.key_hex, 32)
+    key_id = unhex(args.key_id, 16) if args.key_id else sha256(b"cli-key")[:16]
     service = _local_counters(args)
     if args.counter_id:
-        counter_id = unhex(args.counter_id)
-        token = service.increment_async(counter_id)
-        service.stabilize()
+        token = service.increment_async(unhex(args.counter_id))
     else:
         counter_id = service.create_counter()
         token = service.read_stable(counter_id)
         print(f"counter_id: {counter_id.hex()}")
-    shielded = shield_encrypt(
-        Path(args.infile).read_bytes(), unhex(args.key_hex),
-        unhex(args.key_id) if args.key_id else sha256(b"cli-key")[:16],
-        token, service.public_key)
+    shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
     write_shielded(args.out, shielded)
     service.close()
     print(f"shielded file written to {args.out}")

@@ -36,6 +36,7 @@ from .encoding import b64, canonical_bytes, canonical_loads, sha256, unb64, unhe
 from .errors import (
     DecodeError,
     FedShieldError,
+    IntegrityError,
     InvalidInputError,
     RollbackDetectedError,
     RoundQuorumError,
@@ -232,24 +233,29 @@ class Coordinator:
                                   self.checkpoint_key_id, token,
                                   self.manager.counter_public_key)
         write_shielded(self._slot_path(model.round_index), shielded)
+        # until a counter answers only to its creator, this read-back is the
+        # only sign at commit time that a peer moved the counter
         stable = self.manager.stable_value(self.counter_id)
         if stable != token.value:
             raise RollbackDetectedError(
-                f"checkpoint counter did not stabilize at {token.value}")
+                f"checkpoint counter moved past {token.value} during the commit "
+                f"(now {stable})")
         return sha256(plaintext), token.value
 
     def _resume_or_init(self) -> None:
         existing = [p for p in (self.state_dir / s for s in _SLOTS) if p.exists()]
         if not existing:
             return  # the checkpoint counter is created at the first commit
-        rollbacks = 0
+        failures: dict[str, FedShieldError] = {}
         for path in existing:
-            shielded = read_shielded(path)
+            # a damaged slot is skipped like a stale one: only an authentic,
+            # current slot is ever accepted
             try:
+                shielded = read_shielded(path)
                 plaintext = shield_decrypt(shielded, self.checkpoint_key,
                                            self.manager.stable_value)
-            except RollbackDetectedError:
-                rollbacks += 1
+            except (DecodeError, IntegrityError, RollbackDetectedError) as exc:
+                failures[path.name] = exc
                 continue
             doc = canonical_loads(plaintext)
             if doc["policy_hash"] != self.policy.policy_hash.hex():
@@ -262,10 +268,11 @@ class Coordinator:
             self.counter_id = shielded.header.counter_id
             self.audit.append("resume", {"round": self.model.round_index})
             return
-        if rollbacks:
-            raise RollbackDetectedError(
-                "every checkpoint candidate is stale; refusing to resume")
-        raise InvalidInputError("no decryptable checkpoint found")
+        detail = "; ".join(f"{name}: {exc}" for name, exc in failures.items())
+        if any(isinstance(exc, RollbackDetectedError) for exc in failures.values()):
+            raise RollbackDetectedError(f"no checkpoint slot is current; refusing "
+                                        f"to resume ({detail})")
+        raise IntegrityError(f"no checkpoint slot opens ({detail})")
 
     # -- admission ---------------------------------------------------------
 

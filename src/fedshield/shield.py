@@ -93,9 +93,9 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
                    *, nonce: bytes | None = None) -> ShieldedFile:
     """Seal a payload under a key and bind it to a counter state.
 
-    The token may be provisional or stable; it must verify under the
-    counter service key and carry a positive value. Readers will require
-    the embedded value to have become the stable one.
+    The token must verify under the counter service key and carry a
+    positive value. Readers require the embedded value to be the
+    counter's stable value.
     """
     if len(key) != 32:
         raise InvalidInputError("shield key must be 32 bytes")
@@ -122,7 +122,8 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
 
     ``freshness_check(counter_id) -> stable value`` is the caller's counter
     lookup, typically a verified read against the counter service. Stale or
-    forward-dated files raise ``RollbackDetectedError`` after the tag check.
+    forward-dated files raise ``RollbackDetectedError`` after the tag check;
+    its message says which of the two the file is.
     """
     if len(key) != 32:
         raise InvalidInputError("shield key must be 32 bytes")
@@ -131,11 +132,16 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
         plaintext = AESGCM(key).decrypt(shielded.header.nonce, shielded.body, header_bytes)
     except InvalidTag as exc:
         raise IntegrityError("shielded file failed authentication") from exc
+    written = shielded.header.counter_value
     stable = freshness_check(shielded.header.counter_id)
-    if shielded.header.counter_value != stable:
+    if written < stable:
         raise RollbackDetectedError(
-            f"file written at counter {shielded.header.counter_value}, "
-            f"stable value is {stable}")
+            f"file written at counter {written} is older than the stable "
+            f"value {stable}: a replay")
+    if written > stable:
+        raise RollbackDetectedError(
+            f"file written at counter {written} is newer than the stable "
+            f"value {stable}: the counter never made that value stable")
     return plaintext
 
 

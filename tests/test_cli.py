@@ -9,8 +9,15 @@ import pytest
 
 from fedshield import cli
 from fedshield.audit import AuditVerdict, read_entries
+from fedshield.counters import CounterService
 from fedshield.demo import author_policy, role_measurements
-from fedshield.enclave import generate_platform, measure, save_platform, spawn_enclave
+from fedshield.enclave import (
+    generate_platform,
+    load_signing_key,
+    measure,
+    save_platform,
+    spawn_enclave,
+)
 from fedshield.fl import save_dataset_csv, synthetic_dataset
 from fedshield.policy import SessionConfig, parse_policy
 
@@ -78,6 +85,34 @@ def test_encrypt_decrypt_with_rollback(tmp_path):
                     "--counter-key", tmp_path / "svc.json", check=False)
     assert stale.returncode == 1
     assert "counter" in stale.stderr
+
+
+def test_failed_encrypt_data_leaves_the_counter_alone(tmp_path, capsys):
+    counters = ["--counter-dir", str(tmp_path / "counters"),
+                "--counter-key", str(tmp_path / "svc.json")]
+    assert cli.main(["keygen", "--kind", "signing", "--out",
+                     str(tmp_path / "svc.json")]) == 0
+    assert cli.main(["counter", "init", *counters]) == 0
+    counter_id = capsys.readouterr().out.strip().splitlines()[-1]
+    secret = tmp_path / "secret.txt"
+    secret.write_bytes(b"version 1")
+    write = ["encrypt-data", "--out", str(tmp_path / "v1.sfl"),
+             "--counter-id", counter_id, *counters]
+    assert cli.main([*write, "--in", str(secret), "--key-hex", "ab" * 32]) == 0
+
+    # a missing input and a short key both fail before the counter moves
+    assert cli.main([*write, "--in", str(tmp_path / "missing.txt"),
+                     "--key-hex", "ab" * 32]) == 1
+    assert cli.main([*write, "--in", str(secret), "--key-hex", "1122"]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+    service = CounterService(tmp_path / "counters" / "counters.wal",
+                             load_signing_key(tmp_path / "svc.json"))
+    assert service.read_stable(bytes.fromhex(counter_id)).value == 2
+    service.close()
+    assert cli.main(["decrypt-data", "--in", str(tmp_path / "v1.sfl"),
+                     "--out", str(tmp_path / "v1.out"), "--key-hex", "ab" * 32,
+                     *counters]) == 0
+    assert (tmp_path / "v1.out").read_bytes() == b"version 1"
 
 
 def test_policy_new(tmp_path):

@@ -1,4 +1,4 @@
-"""Monotonic counter semantics: async acknowledgment, durability, tokens."""
+"""Monotonic counter semantics: durable acknowledgment, replay, tokens."""
 
 import random
 import threading
@@ -12,8 +12,7 @@ from fedshield.errors import NotFoundError
 
 @pytest.fixture
 def service(tmp_path):
-    svc = CounterService(tmp_path / "wal", generate_signing_key(),
-                         auto_stabilize=True, use_fsync=False)
+    svc = CounterService(tmp_path / "wal", generate_signing_key(), use_fsync=False)
     yield svc
     svc.close()
 
@@ -53,16 +52,7 @@ class TestBasics:
 
 
 class TestAsyncSemantics:
-    def test_increment_is_provisional_until_stabilized(self, tmp_path):
-        svc = CounterService(tmp_path / "wal", generate_signing_key(),
-                             auto_stabilize=False, use_fsync=False)
-        cid = svc.create_counter()
-        token = svc.increment_async(cid)
-        assert token.value == 2 and not token.stable
-        assert svc.read_stable(cid).value == 1  # not yet durable
-        svc.stabilize()
-        assert svc.read_stable(cid).value == 2
-        svc.close()
+    """`increment_async`: the increment is durable when acknowledged."""
 
     def test_sequential_increments(self, service):
         cid = service.create_counter()
@@ -86,7 +76,6 @@ class TestAsyncSemantics:
             t.start()
         for t in threads:
             t.join()
-        service.stabilize()
         assert service.read_stable(cid).value == len(acknowledged) + 1 == 11
         assert sorted(acknowledged) == list(range(2, 12))
 
@@ -102,19 +91,6 @@ class TestCrashSafety:
         assert svc2.read_stable(cid).value == 2
         svc2.close()
 
-    def test_crash_between_ack_and_stabilize_never_regresses(self, tmp_path):
-        svc = CounterService(tmp_path / "wal", generate_signing_key(),
-                             auto_stabilize=False, use_fsync=False)
-        cid = svc.create_counter()
-        svc.increment_async(cid)
-        svc.stabilize()
-        served = svc.read_stable(cid).value  # 2, durable
-        svc.increment_async(cid)  # acknowledged, NOT stabilized
-        svc.simulate_crash()
-        assert svc.read_stable(cid).value >= served
-        assert svc.read_stable(cid).value == 2
-        svc.close()
-
     def test_torn_tail_is_discarded(self, tmp_path):
         key = generate_signing_key()
         svc = CounterService(tmp_path / "wal", key, use_fsync=False)
@@ -129,32 +105,36 @@ class TestCrashSafety:
 
 
 def run_random_schedule(tmp_path, seed: int, tag: str) -> None:
-    """One randomized interleaving of increments, stabilizes, crashes and
-    reads; asserts stable reads are non-decreasing per counter."""
+    """One randomized schedule of creates, increments, restarts, torn-tail
+    restarts and reads; every read must equal the last acknowledged value."""
     rng = random.Random(seed)
     key = generate_signing_key()
     path = tmp_path / f"wal-{tag}"
-    svc = CounterService(path, key, auto_stabilize=rng.random() < 0.5,
-                         use_fsync=False)
-    counters = [svc.create_counter() for _ in range(rng.randrange(1, 3))]
-    last_seen = {cid: 0 for cid in counters}
+    svc = CounterService(path, key, use_fsync=False)
+    acknowledged = {svc.create_counter(): 1}
+    killed = []
     for _ in range(rng.randrange(4, 12)):
-        op = rng.randrange(4)
-        cid = rng.choice(counters)
+        op = rng.randrange(5)
         if op == 0:
-            svc.increment_async(cid)
+            acknowledged[svc.create_counter()] = 1
         elif op == 1:
-            svc.stabilize()
-        elif op == 2:
-            svc.simulate_crash()
+            cid = rng.choice(list(acknowledged))
+            acknowledged[cid] = svc.increment_async(cid).value
+        elif op in (2, 3):
+            if op == 3:  # the kill tore the record being written
+                with open(path, "ab") as fh:
+                    fh.write(rng.randbytes(rng.randrange(1, 28)))
+            # a restart on the same log; the killed service is not closed
+            killed.append(svc)
+            svc = CounterService(path, key, use_fsync=False)
         else:
-            value = svc.read_stable(cid).value
-            assert value >= last_seen[cid], f"stable value regressed (seed {seed})"
-            last_seen[cid] = value
-    for cid in counters:
-        value = svc.read_stable(cid).value
-        assert value >= last_seen[cid]
-    svc.close()
+            cid = rng.choice(list(acknowledged))
+            assert svc.read_stable(cid).value == acknowledged[cid], \
+                f"read lost an acknowledged increment (seed {seed})"
+    for cid, value in acknowledged.items():
+        assert svc.read_stable(cid).value == value, f"seed {seed}"
+    for service in [*killed, svc]:
+        service.close()
 
 
 def test_monotonicity_over_randomized_schedules(tmp_path):

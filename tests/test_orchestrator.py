@@ -19,6 +19,7 @@ from fedshield.errors import (
     ChannelIntegrityError,
     DecodeError,
     FedShieldError,
+    IntegrityError,
     RollbackDetectedError,
     ServiceError,
     SessionFailedError,
@@ -463,6 +464,47 @@ class TestCrashRecovery:
         finally:
             dep.close()
 
+
+    @pytest.mark.parametrize("damage", ["truncated", "last-byte-flipped"])
+    def test_damaged_stale_slot_does_not_hide_the_current_one(self, tmp_path, damage):
+        dep = make_deployment(tmp_path)
+        try:
+            agents = [dep.make_agent(cid) for cid in dep.client_ids]
+            dep.join_all(agents)
+            dep.start_agents(agents)
+            for round_index in (1, 2, 3):
+                dep.coordinator.run_round(round_index)
+            dep.coordinator._close_clients()
+            slot_a = dep.state_dir / "checkpoint-a.sfl"  # round 2, read first
+            slot_b = dep.state_dir / "checkpoint-b.sfl"  # round 3, current
+            stale, current = slot_a.read_bytes(), slot_b.read_bytes()
+
+            def damaged(blob: bytes) -> bytes:
+                if damage == "truncated":
+                    return blob[:10]
+                return blob[:-1] + bytes([blob[-1] ^ 0x01])
+
+            def revive() -> Coordinator:
+                mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
+                return Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
+                                   dep.platform.root_public_key, validation_csv(dep),
+                                   mgr, round_deadline=5.0)
+
+            slot_a.write_bytes(damaged(stale))
+            assert revive().model.round_index == 3
+
+            # no slot opens: the error names each slot's failure
+            slot_b.write_bytes(damaged(current))
+            with pytest.raises(IntegrityError,
+                               match="checkpoint-a.sfl: .+; checkpoint-b.sfl: .+"):
+                revive()
+
+            # an authentic stale slot beside a damaged current one is a rollback
+            slot_a.write_bytes(stale)
+            with pytest.raises(RollbackDetectedError, match="older than the stable"):
+                revive()
+        finally:
+            dep.close()
 
 class TestSessionRegression:
     def test_separable_fixture_converges_at_frozen_round(self, tmp_path):

@@ -159,19 +159,27 @@ class TestFreshness:
         with pytest.raises(RollbackDetectedError):
             shield_decrypt(old, key, lookup)
 
-    def test_provisional_write_not_readable_until_stable(self, tmp_path):
-        svc = CounterService(tmp_path / "wal2", generate_signing_key(),
-                             auto_stabilize=False, use_fsync=False)
+    def test_refusal_says_whether_the_file_is_older_or_newer(self, tmp_path):
+        signing_key = generate_signing_key()
+        svc = CounterService(tmp_path / "wal2", signing_key, use_fsync=False)
         key = b"\x0a" * 32
         cid = svc.create_counter()
-        token = svc.increment_async(cid)  # provisional value 2
-        shielded = shield_encrypt(b"eager write", key, b"\x00" * 16, token,
-                                  svc.public_key)
+        old = shield_encrypt(b"version 1", key, b"\x00" * 16,
+                             svc.read_stable(cid), svc.public_key)
+        svc.increment_async(cid)
+        # a token above the stable value, signed with the service's own key
+        payload = CounterToken(cid, 3, True, b"").signed_payload()
+        ahead = CounterToken(cid, 3, True, signing_key.sign(payload))
+        newer = shield_encrypt(b"version 3", key, b"\x00" * 16, ahead,
+                               svc.public_key)
         lookup = verified_stable_lookup(svc.read_stable, svc.public_key)
-        with pytest.raises(RollbackDetectedError):
-            shield_decrypt(shielded, key, lookup)  # stable is still 1
-        svc.stabilize()
-        assert shield_decrypt(shielded, key, lookup) == b"eager write"
+        with pytest.raises(RollbackDetectedError,
+                           match="counter 1 is older than the stable value 2: a replay"):
+            shield_decrypt(old, key, lookup)
+        with pytest.raises(RollbackDetectedError,
+                           match="counter 3 is newer than the stable value 2: "
+                                 "the counter never made that value stable"):
+            shield_decrypt(newer, key, lookup)
         svc.close()
 
     @pytest.mark.parametrize("writes", range(1, 11))
