@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -174,16 +176,26 @@ def cmd_encrypt_data(args) -> int:
     plaintext = Path(args.infile).read_bytes()
     key = unhex(args.key_hex, 32)
     key_id = unhex(args.key_id, 16) if args.key_id else sha256(b"cli-key")[:16]
-    service = _local_counters(args)
-    if args.counter_id:
-        token = service.increment_async(unhex(args.counter_id))
-    else:
-        counter_id = service.create_counter()
-        token = service.read_stable(counter_id)
-        print(f"counter_id: {counter_id.hex()}")
-    shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
-    write_shielded(args.out, shielded)
-    service.close()
+    # so is --out: the file is staged beside it and moved into place last
+    out = Path(args.out)
+    if out.is_dir():
+        raise InvalidInputError(f"--out {out} is a directory")
+    fd, staged = tempfile.mkstemp(prefix=f".{out.name}.", dir=out.parent)
+    os.close(fd)
+    try:
+        service = _local_counters(args)
+        if args.counter_id:
+            token = service.increment_async(unhex(args.counter_id))
+        else:
+            counter_id = service.create_counter()
+            token = service.read_stable(counter_id)
+            print(f"counter_id: {counter_id.hex()}")
+        shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
+        write_shielded(staged, shielded)
+        service.close()
+        os.replace(staged, out)
+    finally:
+        Path(staged).unlink(missing_ok=True)
     print(f"shielded file written to {args.out}")
     return 0
 

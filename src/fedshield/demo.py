@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .enclave import (
     Enclave,
@@ -201,6 +199,15 @@ class Deployment:
             self.connect_manager(self.coordinator_enclave, role="coordinator"),
             round_deadline=round_deadline)
         self.listener = self.network.listen("coordinator")
+        # The rows a leak scan looks for, cut from the files, not re-encoded.
+        # Cut last, they reuse the heap set-up has freed; cut while the
+        # datasets were decoded, they raised wide-model's peak RSS by 5-12 MB.
+        self.leak_rows: dict[str, bytes] = {}
+        for cid in self.client_ids:
+            first, last = _first_and_last_rows(csv_blobs[cid])
+            self.leak_rows[f"dataset-row:{cid}"] = first
+            self.leak_rows[f"dataset-tail:{cid}"] = last
+        self.leak_rows["validation-row"] = _first_and_last_rows(validation_csv)[0]
 
     def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
         return connect_manager(enclave, self.network.connect("manager"),
@@ -298,10 +305,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             outlier_threshold=0.02, rng_seed=seed)
     dep = Deployment(workdir, datasets, validation, session, network=Hub(capture))
 
-    rows = {f"dataset-{kind}:{cid}": (dep.datasets[cid], index)
-            for cid in client_ids for kind, index in (("row", 0), ("tail", -1))}
-    rows["validation-row"] = (dep.coordinator.validation, 0)
-    sensitive: dict[str, bytes] = dict(zip(rows, _csv_lines(rows.values())))
+    sensitive: dict[str, bytes] = dict(dep.leak_rows)
     for name, key in (("dataset-key", dep.client_secrets.key_bytes(DATASET_KEY)),
                       ("checkpoint-key", dep.coordinator.checkpoint_key)):
         sensitive[f"secret:{name}"] = key
@@ -343,11 +347,12 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     )
 
 
-def _csv_lines(rows: Collection[tuple[Dataset, int]]) -> list[bytes]:
-    """Each ``(dataset, index)`` row as its CSV spells it; rows encode alone."""
-    picked = Dataset(np.vstack([d.features[[i]] for d, i in rows]),
-                     np.concatenate([d.labels[[i]] for d, i in rows]))
-    return dataset_to_csv_bytes(picked).split(b"\n")[1:-1]
+def _first_and_last_rows(csv: bytes) -> tuple[bytes, bytes]:
+    """The first and the last data line of a dataset file, which ends in LF.
+    Each is a copy, so neither keeps the file alive."""
+    first = csv.index(b"\n") + 1
+    last = csv.rfind(b"\n", 0, len(csv) - 1) + 1
+    return csv[first:csv.index(b"\n", first)], csv[last:-1]
 
 
 def _matches(blob: bytes, patterns: dict[str, bytes]) -> list[str]:

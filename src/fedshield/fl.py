@@ -25,6 +25,7 @@ import io
 import re
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import orjson
@@ -61,26 +62,56 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelUpdate:
-    """One client's trained parameters for a round."""
+    """One client's trained parameters for a round.
+
+    ``blob`` is the serialization the update is sent as and ``params_hash``
+    its SHA-256. Each is made once, on first use, and belongs to this
+    vector: ``params`` is read-only, and ``dataclasses.replace`` makes a
+    new update that serializes its own vector.
+    """
 
     client_id: str
     round_index: int
     params: np.ndarray
     num_examples: int
-    params_hash: bytes
 
     def __post_init__(self):
         if self.num_examples < 1:
             raise InvalidInputError("num_examples must be >= 1")
+        object.__setattr__(self, "params", _read_only(self.params))
+
+    @cached_property
+    def blob(self) -> bytes:
+        return serialize_params(self.params)
+
+    @cached_property
+    def params_hash(self) -> bytes:
+        return sha256(self.blob)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalModel:
-    """Committed global parameters plus the per-round metrics history."""
+    """Committed global parameters plus the per-round metrics history.
+
+    ``blob`` is ``serialize_params(params)``, made where the model is made;
+    the checkpoint and the broadcasts send it. ``params`` is read-only, so
+    it cannot change under its blob.
+    """
 
     round_index: int
     params: np.ndarray
+    blob: bytes
     history: list[tuple[int, float, float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _read_only(self.params))
+
+
+def _read_only(params: np.ndarray) -> np.ndarray:
+    """A read-only float64 view of ``params``; the caller's array keeps its flags."""
+    view = np.asarray(params, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
 
 
 def serialize_params(params: np.ndarray) -> bytes:
@@ -104,9 +135,14 @@ def params_hash(params: np.ndarray) -> bytes:
 
 
 def make_update(client_id: str, round_index: int, params: np.ndarray,
-                num_examples: int) -> ModelUpdate:
-    params = np.asarray(params, dtype=np.float64)
-    return ModelUpdate(client_id, round_index, params, num_examples, params_hash(params))
+                num_examples: int, *, params_hash: bytes | None = None) -> ModelUpdate:
+    """An update of ``params``. ``params_hash``, when given, must be the
+    SHA-256 of their serialization, such as a hash already checked against
+    the bytes the update arrived as; it is kept, not computed again."""
+    update = ModelUpdate(client_id, round_index, params, num_examples)
+    if params_hash is not None:
+        object.__setattr__(update, "params_hash", params_hash)  # cached_property's slot
+    return update
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -16,10 +16,17 @@ Round protocol message types: JOIN(30), MODEL_BROADCAST(31),
 UPDATE_SUBMIT(32), SESSION_END(34). Parameter vectors travel raw as the
 message trailer (empty on a failed SESSION_END); a broadcast is encoded once
 and sent on every channel under its own key.
+
+Each parameter vector is serialized once, where it is made, and carries
+those bytes (``ModelUpdate.blob``, ``GlobalModel.blob``): a client hashes
+and sends the same blob, and the coordinator seals a committed model's blob
+into the checkpoint and sends it with the next broadcast or SESSION_END. A
+resumed model's blob is the bytes its checkpoint held.
 """
 
 from __future__ import annotations
 
+import base64
 import logging
 import struct
 import time
@@ -32,7 +39,7 @@ from . import protocol
 from .attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from .audit import AuditLog
 from .enclave import Enclave
-from .encoding import b64, canonical_bytes, canonical_loads, sha256, unb64, unhex
+from .encoding import canonical_bytes, canonical_loads, sha256, unb64, unhex
 from .errors import (
     DecodeError,
     FedShieldError,
@@ -53,6 +60,7 @@ from .fl import (
     deserialize_params,
     evaluate,
     local_train,
+    make_update,
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
@@ -81,6 +89,22 @@ def _params_of(trailer: bytes) -> np.ndarray:
         return deserialize_params(trailer)
     except InvalidInputError as exc:
         raise DecodeError(f"malformed parameter trailer: {exc}") from exc
+
+
+def checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes:
+    """The checkpoint body: canonical JSON of the history, the base64 of the
+    model's blob, the policy hash and the round. Base64 needs no JSON escape,
+    so it is spliced into the JSON of the other fields: the same bytes as
+    encoding it with them, without scanning it as a JSON string."""
+    body = canonical_bytes({
+        "history": [[r, acc, loss] for r, acc, loss in model.history],
+        "params": "",
+        "policy_hash": policy_hash.hex(),
+        "round": model.round_index,
+    })
+    # "history" sorts first and holds only numbers, so this is the key
+    cut = body.index(b'"params":""') + len(b'"params":"')
+    return b"".join((body[:cut], base64.b64encode(model.blob), body[cut:]))
 
 
 def derive_training_seed(rng_seed: int, client_id: str, round_index: int) -> int:
@@ -171,14 +195,13 @@ class ClientAgent:
                              client_id=self.client_id, round_index=round_index)
         if self.update_transform is not None:
             update = self.update_transform(update)
-        blob = serialize_params(update.params)
-        self.sent_update_tails.append(blob[-SENT_TAIL_BYTES:])
+        self.sent_update_tails.append(update.blob[-SENT_TAIL_BYTES:])
         protocol.send_message(self.channel, protocol.UPDATE_SUBMIT, {
             "client_id": update.client_id,
             "round": update.round_index,
             "num_examples": update.num_examples,
             "params_hash": update.params_hash.hex(),
-        }, blob)
+        }, update.blob)
 
 
 class Coordinator:
@@ -208,7 +231,8 @@ class Coordinator:
         self.records: list[RoundRecord] = []
         self.admitted: dict[str, object] = {}
         self.counter_id: bytes | None = None
-        self.model = GlobalModel(0, np.zeros(self.validation.dim + 1))
+        zeros = np.zeros(self.validation.dim + 1)
+        self.model = GlobalModel(0, zeros, serialize_params(zeros))
         self._resume_or_init()
 
     # -- checkpointing -----------------------------------------------------
@@ -216,19 +240,11 @@ class Coordinator:
     def _slot_path(self, round_index: int) -> Path:
         return self.state_dir / _SLOTS[round_index % 2]
 
-    def _checkpoint_plaintext(self, model: GlobalModel) -> bytes:
-        return canonical_bytes({
-            "history": [[r, acc, loss] for r, acc, loss in model.history],
-            "params": b64(serialize_params(model.params)),
-            "policy_hash": self.policy.policy_hash.hex(),
-            "round": model.round_index,
-        })
-
     def _write_checkpoint(self, model: GlobalModel) -> tuple[bytes, int]:
         if self.counter_id is None:  # the session's first commit
             self.counter_id = self.manager.counter_create().counter_id
         token = self.manager.counter_increment(self.counter_id)
-        plaintext = self._checkpoint_plaintext(model)
+        plaintext = checkpoint_plaintext(model, self.policy.policy_hash)
         shielded = shield_encrypt(plaintext, self.checkpoint_key,
                                   self.checkpoint_key_id, token,
                                   self.manager.counter_public_key)
@@ -260,9 +276,11 @@ class Coordinator:
             doc = canonical_loads(plaintext)
             if doc["policy_hash"] != self.policy.policy_hash.hex():
                 raise InvalidInputError("checkpoint belongs to a different policy")
+            blob = unb64(doc["params"])  # authenticated with the slot
             self.model = GlobalModel(
                 round_index=int(doc["round"]),
-                params=deserialize_params(unb64(doc["params"])),
+                params=deserialize_params(blob),
+                blob=blob,
                 history=[(int(r), float(a), float(l)) for r, a, l in doc["history"]],
             )
             self.counter_id = shielded.header.counter_id
@@ -401,7 +419,8 @@ class Coordinator:
             raise DecodeError("update hash mismatch")
         if params.shape != (self.validation.dim + 1,):
             raise DecodeError("update dimension mismatch")
-        return ModelUpdate(client_id, round_index, params, num_examples, declared)
+        return make_update(client_id, round_index, params, num_examples,
+                           params_hash=declared)
 
     def _run_guard(self, round_index: int, updates: dict[str, ModelUpdate]
                    ) -> tuple[set[str], dict | None]:
@@ -433,7 +452,7 @@ class Coordinator:
     def run_round(self, round_index: int) -> RoundRecord:
         """One broadcast-train-collect-aggregate-commit cycle."""
         self._broadcast(protocol.MODEL_BROADCAST, {"round": round_index},
-                        serialize_params(self.model.params))
+                        self.model.blob)
         updates, dropped = self._collect_updates(round_index)
         if len(updates) < self.cfg.min_clients:
             raise RoundQuorumError(
@@ -446,7 +465,7 @@ class Coordinator:
         new_params = aggregate(kept)
         accuracy, loss = evaluate(new_params, self.validation)
         # the model advances only once the checkpoint and the audit entry hold it
-        candidate = GlobalModel(round_index, new_params,
+        candidate = GlobalModel(round_index, new_params, serialize_params(new_params),
                                 self.model.history + [(round_index, accuracy, loss)])
         committed_hash, counter_value = self._write_checkpoint(candidate)
         record = RoundRecord(
@@ -492,7 +511,7 @@ class Coordinator:
         })
         self._broadcast(protocol.SESSION_END, {
             "status": "converged", "reason": reason, "round": record.round_index,
-        }, serialize_params(self.model.params))
+        }, self.model.blob)
         self._close_clients()
         return self.model
 

@@ -115,6 +115,38 @@ def test_failed_encrypt_data_leaves_the_counter_alone(tmp_path, capsys):
     assert (tmp_path / "v1.out").read_bytes() == b"version 1"
 
 
+@pytest.mark.parametrize("out", ["nodir/v2.sfl", "adir"])
+def test_encrypt_data_to_an_unwritable_out_leaves_the_counter_alone(tmp_path, capsys, out):
+    counters = ["--counter-dir", str(tmp_path / "counters"),
+                "--counter-key", str(tmp_path / "svc.json")]
+    assert cli.main(["keygen", "--kind", "signing", "--out",
+                     str(tmp_path / "svc.json")]) == 0
+    assert cli.main(["counter", "init", *counters]) == 0
+    counter_id = capsys.readouterr().out.strip().splitlines()[-1]
+    secret = tmp_path / "secret.txt"
+    secret.write_bytes(b"version 1")
+    write = ["encrypt-data", "--in", str(secret), "--key-hex", "ab" * 32,
+             "--counter-id", counter_id, *counters]
+    assert cli.main([*write, "--out", str(tmp_path / "v1.sfl")]) == 0
+
+    # a missing directory or a directory as the file: the run fails before
+    # the counter moves
+    (tmp_path / "adir").mkdir()
+    assert cli.main([*write, "--out", str(tmp_path / out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    service = CounterService(tmp_path / "counters" / "counters.wal",
+                             load_signing_key(tmp_path / "svc.json"))
+    assert service.read_stable(bytes.fromhex(counter_id)).value == 2
+    service.close()
+    assert cli.main(["decrypt-data", "--in", str(tmp_path / "v1.sfl"),
+                     "--out", str(tmp_path / "v1.out"), "--key-hex", "ab" * 32,
+                     *counters]) == 0
+    assert (tmp_path / "v1.out").read_bytes() == b"version 1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adir", "counters", "secret.txt", "svc.json", "v1.out", "v1.sfl"]  # nothing staged
+    assert not any((tmp_path / "adir").iterdir())
+
+
 def test_policy_new(tmp_path):
     data = tmp_path / "alice.csv"
     save_dataset_csv(synthetic_dataset(20, 3, seed=1), data)

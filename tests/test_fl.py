@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fedshield.errors import InvalidInputError, NumericalDivergenceError
 from fedshield.fl import (
     Dataset,
+    GlobalModel,
     aggregate,
     converged,
     dataset_from_csv_bytes,
@@ -236,6 +238,25 @@ class TestSerialization:
         import hashlib
         vec = np.array([0.1, 0.2])
         assert params_hash(vec) == hashlib.sha256(serialize_params(vec)).digest()
+
+    def test_update_blob_belongs_to_its_vector(self):
+        update = make_update("a", 1, np.array([0.5, -1.0]), 3)
+        assert update.blob == serialize_params(np.array([0.5, -1.0]))
+        assert update.params_hash == params_hash(update.params)
+        flipped = replace(update, params=update.params * -10)
+        assert flipped.blob == serialize_params(np.array([-5.0, 10.0]))
+        assert flipped.params_hash == params_hash(flipped.params)
+        received = make_update("a", 1, update.params, 3, params_hash=update.params_hash)
+        assert received.params_hash is update.params_hash
+
+    def test_a_vector_with_a_blob_is_read_only(self):
+        start = np.array([0.5, -1.0])
+        update = make_update("a", 1, start, 3)
+        model = GlobalModel(1, start, serialize_params(start))
+        for params in (update.params, model.params):
+            with pytest.raises(ValueError, match="read-only"):
+                params[0] = 2.0
+        assert start.flags.writeable  # the caller's array keeps its flags
 
     def test_bad_lengths(self):
         with pytest.raises(InvalidInputError):

@@ -1,13 +1,14 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
 shielded-file and counter-token decoders on arbitrary bytes, the policy
-parser on arbitrary text, the dataset encoder on arbitrary matrices, and
-each handshake stage on edited frames from an attested peer.
+parser on arbitrary text, the dataset encoder on arbitrary matrices, the
+checkpoint body on arbitrary models, and each handshake stage on edited
+frames from an attested peer.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict; a policy document parses or
 raises PolicyInvalidError; a handshake given an edited frame ends in a
-FedShieldError. The dataset codec gives the bytes and arrays of its
-reference implementations.
+FedShieldError. The dataset codec and the checkpoint body give the bytes
+and arrays of their reference implementations.
 """
 
 import copy
@@ -40,6 +41,7 @@ from fedshield.attestation import (  # noqa: E402
 from fedshield.audit import AuditLog, verify_audit  # noqa: E402
 from fedshield.counters import TOKEN_LEN, CounterToken  # noqa: E402
 from fedshield.demo import author_policy, role_measurements  # noqa: E402
+from fedshield.encoding import b64, canonical_bytes  # noqa: E402
 from fedshield.errors import (  # noqa: E402
     FedShieldError,
     InvalidInputError,
@@ -47,10 +49,13 @@ from fedshield.errors import (  # noqa: E402
 )
 from fedshield.fl import (  # noqa: E402
     Dataset,
+    GlobalModel,
     dataset_from_csv_bytes,
     dataset_to_csv_bytes,
     deserialize_params,
+    serialize_params,
 )
+from fedshield.orchestrator import checkpoint_plaintext  # noqa: E402
 from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
 
 from conftest import quote_binding, run_handshake_pair  # noqa: E402
@@ -307,6 +312,47 @@ def with_edge_datasets(test):
 @with_edge_datasets
 def test_dataset_to_csv_bytes_matches_reference(dataset):
     assert dataset_to_csv_bytes(dataset) == reference_dataset_to_csv_bytes(dataset)
+
+
+def reference_checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes:
+    """The checkpoint body as the coordinator built it before the splice,
+    verbatim but for taking the policy hash as an argument."""
+    return canonical_bytes({
+        "history": [[r, acc, loss] for r, acc, loss in model.history],
+        "params": b64(serialize_params(model.params)),
+        "policy_hash": policy_hash.hex(),
+        "round": model.round_index,
+    })
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+histories = st.lists(st.tuples(st.integers(0, 2**31), finite, finite), max_size=6)
+
+
+@FUZZ
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=finite),
+       histories, st.integers(0, 2**40), st.binary(min_size=32, max_size=32))
+@example(np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-05]),
+         [(1, -0.0, 5e-324), (2, 1e16, 1e-05)], 2, bytes(32))
+@example(np.zeros(0), [], 0, bytes(32))
+def test_checkpoint_plaintext_matches_reference(params, history, round_index, policy_hash):
+    model = GlobalModel(round_index, params, serialize_params(params), history)
+    assert (checkpoint_plaintext(model, policy_hash)
+            == reference_checkpoint_plaintext(model, policy_hash))
+
+
+@pytest.mark.parametrize("column", [1, 2])  # accuracy, loss
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_metric_refused_as_by_reference(column, value):
+    entry = [1, 0.5, 0.25]
+    entry[column] = value
+    params = np.array([0.5, -1.0])
+    model = GlobalModel(1, params, serialize_params(params), [(2, 0.5, 0.25), tuple(entry)])
+    with pytest.raises(InvalidInputError) as spliced:
+        checkpoint_plaintext(model, bytes(32))
+    with pytest.raises(InvalidInputError) as reference:
+        reference_checkpoint_plaintext(model, bytes(32))
+    assert str(spliced.value) == str(reference.value)
 
 
 @FUZZ

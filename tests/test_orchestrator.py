@@ -25,8 +25,20 @@ from fedshield.errors import (
     SessionFailedError,
     TransportClosedError,
 )
-from fedshield.fl import dataset_to_csv_bytes, serialize_params, synthetic_dataset
-from fedshield.orchestrator import Coordinator, derive_training_seed
+from fedshield.fl import (
+    Dataset,
+    GlobalModel,
+    dataset_to_csv_bytes,
+    local_train,
+    serialize_params,
+    synthetic_dataset,
+)
+from fedshield.orchestrator import (
+    SENT_TAIL_BYTES,
+    Coordinator,
+    checkpoint_plaintext,
+    derive_training_seed,
+)
 from fedshield.policy import SessionConfig
 from fedshield.transport import CaptureLog, Hub
 
@@ -229,6 +241,27 @@ class TestRounds:
             deployment.coordinator.checkpoint_key)
         assert sha256(plaintext) == second.committed_hash
 
+    def test_replaced_update_sends_its_own_vector(self, tmp_path):
+        # dataclasses.replace keeps no cached bytes: the agent sends, and
+        # the coordinator takes, the vector the transform made
+        dep = make_deployment(tmp_path)
+        try:
+            agents = [dep.make_agent(cid, update_transform=(
+                (lambda update: replace(update, params=update.params * -10))
+                if cid == "client-1" else None)) for cid in dep.client_ids]
+            dep.join_all(agents)
+            dep.start_agents(agents)
+            record = dep.coordinator.run_round(1)
+        finally:
+            dep.close()
+        cfg = dep.policy.session
+        trained = local_train(np.zeros(5), dep.datasets["client-1"], cfg,
+                              derive_training_seed(cfg.rng_seed, "client-1", 1))
+        sent = serialize_params(trained.params * -10)
+        assert agents[0].sent_update_tails == [sent[-SENT_TAIL_BYTES:]]
+        assert record.dropped == {}
+        assert record.update_hashes["client-1"] == sha256(sent).hex()
+
     def test_corrupted_frame_drops_client_only(self, tmp_path):
         deployment = make_deployment(tmp_path, session=QUORUM_OF_TWO)
         # the saboteur answers its broadcast with a frame whose tag cannot
@@ -349,6 +382,51 @@ class TestRounds:
         assert [agent.result["status"] for agent in agents] == ["failed"] * 3
 
 
+def reference_csv_lines(rows):
+    """``demo._csv_lines`` as it was before the leak rows were cut from the
+    files: each ``(dataset, index)`` row re-encoded."""
+    picked = Dataset(np.vstack([d.features[[i]] for d, i in rows]),
+                     np.concatenate([d.labels[[i]] for d, i in rows]))
+    return dataset_to_csv_bytes(picked).split(b"\n")[1:-1]
+
+
+def test_leak_rows_are_the_rows_as_encoded(tmp_path):
+    # orjson writes the plain-decimal values, repr the rest
+    odd = np.array([1e-05, 5e-324, 1e16, -0.0, 0.1, -2.5e-07, 123456.789, 1e22])
+    rng = np.random.default_rng(4)
+
+    def mixed(n, seed):
+        base = synthetic_dataset(n, 8, seed)
+        spliced = rng.random(base.features.shape) < 0.5
+        return Dataset(np.where(spliced, rng.choice(odd, base.features.shape),
+                                base.features), base.labels)
+
+    datasets = {f"client-{i}": mixed(10, i) for i in (1, 2, 3)}
+    session = SessionConfig(min_clients=3, max_rounds=1, rng_seed=5)
+    dep = demo.Deployment(tmp_path, datasets, mixed(20, 9), session)
+    try:
+        rows = {f"dataset-{kind}:{cid}": (dep.datasets[cid], index)
+                for cid in dep.client_ids for kind, index in (("row", 0), ("tail", -1))}
+        rows["validation-row"] = (dep.coordinator.validation, 0)
+        expected = dict(zip(rows, reference_csv_lines(rows.values())))
+        assert list(dep.leak_rows.items()) == list(expected.items())
+        assert any(b"e-05" in line or b"e-324" in line for line in expected.values())
+    finally:
+        dep.close()
+
+
+class TestCheckpointBody:
+    def test_golden_digest(self):
+        # computed with the body encoded whole as canonical JSON, before the
+        # base64 was spliced in
+        params = np.array([0.5, -0.0, 5e-324, 1e16, -1.25e-7, 1e-05])
+        model = GlobalModel(3, params, serialize_params(params),
+                            [(1, 0.5, 0.6931471805599453), (2, 0.75, 0.25), (3, 1.0, 1e-300)])
+        body = checkpoint_plaintext(model, bytes(range(32)))
+        assert sha256(body).hex() == (
+            "448b25bff920bc55bcfb075b4de262094868312b2bfd99b0fb18f30b0b910513")
+
+
 class TestCrashRecovery:
     def test_resume_from_stable_checkpoint(self, tmp_path):
         dep = make_deployment(tmp_path)
@@ -375,8 +453,14 @@ class TestCrashRecovery:
             fresh_agents = [dep.make_agent(cid) for cid in dep.client_ids]
             dep.join_all(fresh_agents)
             dep.start_agents(fresh_agents)
+            broadcasts = []
+            broadcast = revived._broadcast
+            revived._broadcast = lambda *args: (broadcasts.append(args), broadcast(*args))
             record = revived.run_round(3)
             assert record.round_index == 3
+            # the first broadcast sends the resumed model's bytes
+            assert broadcasts[0] == (protocol.MODEL_BROADCAST, {"round": 3},
+                                     serialize_params(params_before))
             verdict = verify_audit(dep.state_dir / "audit.log")
             assert verdict.ok
             kinds = [e.kind for e in read_entries(dep.state_dir / "audit.log")]
