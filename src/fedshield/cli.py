@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 from .audit import verify_audit
 from .counters import CounterService
-from .demo import author_policy, run_demo, scan_capture, scan_tree
+from .demo import JOIN_DEADLINE, author_policy, run_demo, scan_capture, scan_tree
 from .enclave import (
     generate_platform,
     generate_signing_key,
@@ -34,16 +33,10 @@ from .enclave import (
 from .encoding import sha256, unhex
 from .errors import FedShieldError, InvalidInputError
 from .fl import dataset_from_csv_bytes
-from .orchestrator import ClientAgent, Coordinator
+from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator
 from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
-from .shield import (
-    read_shielded,
-    shield_decrypt,
-    shield_encrypt,
-    verified_stable_lookup,
-    write_shielded,
-)
+from .shield import open_shielded, shield_encrypt, verified_stable_lookup, write_shielded
 from .transport import CaptureLog, TcpNetwork
 
 
@@ -176,26 +169,22 @@ def cmd_encrypt_data(args) -> int:
     plaintext = Path(args.infile).read_bytes()
     key = unhex(args.key_hex, 32)
     key_id = unhex(args.key_id, 16) if args.key_id else sha256(b"cli-key")[:16]
-    # so is --out: the file is staged beside it and moved into place last
+    # so is --out, which write_shielded replaces all or nothing
     out = Path(args.out)
     if out.is_dir():
         raise InvalidInputError(f"--out {out} is a directory")
-    fd, staged = tempfile.mkstemp(prefix=f".{out.name}.", dir=out.parent)
-    os.close(fd)
-    try:
-        service = _local_counters(args)
-        if args.counter_id:
-            token = service.increment_async(unhex(args.counter_id))
-        else:
-            counter_id = service.create_counter()
-            token = service.read_stable(counter_id)
-            print(f"counter_id: {counter_id.hex()}")
-        shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
-        write_shielded(staged, shielded)
-        service.close()
-        os.replace(staged, out)
-    finally:
-        Path(staged).unlink(missing_ok=True)
+    if not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        raise InvalidInputError(f"--out {out}: {out.parent} is not a writable directory")
+    service = _local_counters(args)
+    if args.counter_id:
+        token = service.increment_async(unhex(args.counter_id))
+    else:
+        counter_id = service.create_counter()
+        token = service.read_stable(counter_id)
+        print(f"counter_id: {counter_id.hex()}")
+    shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
+    service.close()
+    write_shielded(out, shielded)
     print(f"shielded file written to {args.out}")
     return 0
 
@@ -203,8 +192,7 @@ def cmd_encrypt_data(args) -> int:
 def cmd_decrypt_data(args) -> int:
     service = _local_counters(args)
     freshness = verified_stable_lookup(service.read_stable, service.public_key)
-    plaintext = shield_decrypt(read_shielded(args.infile),
-                               unhex(args.key_hex), freshness)
+    _, plaintext = open_shielded(args.infile, unhex(args.key_hex), freshness)
     service.close()
     Path(args.out).write_bytes(plaintext)
     print(f"plaintext written to {args.out}")
@@ -395,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-dir")
     p.add_argument("--validation", help="validation dataset CSV")
     p.add_argument("--counter-public-key")
-    p.add_argument("--round-deadline", type=float, default=30.0)
-    p.add_argument("--join-deadline", type=float, default=60.0)
+    p.add_argument("--round-deadline", type=float, default=ROUND_DEADLINE)
+    p.add_argument("--join-deadline", type=float, default=JOIN_DEADLINE)
     p.add_argument("--session-file")
     p.set_defaults(func=cmd_run_coordinator)
 

@@ -8,8 +8,9 @@ crash-and-restart.
 The write-ahead log is append-only. Each record is
 ``counter_id 16B | value u64 BE | crc32 u32 BE`` (28 bytes); replay stops
 at the first corrupt or truncated record. Token wire format:
-``counter_id 16B | value u64 BE | stable u8 | signature 64B``; the service
-sets ``stable`` to 1 on every token it issues.
+``counter_id 16B | value u64 BE | 0x01 | signature 64B``; the byte 0x01
+says the value is durable, which every value the service signs is, and a
+token with any other byte there does not decode.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ class CounterToken:
 
     counter_id: bytes
     value: int
-    stable: bool
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        return self.counter_id + struct.pack(">Q", self.value) + bytes([int(self.stable)])
+        return self.counter_id + struct.pack(">Q", self.value) + b"\x01"
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature
@@ -52,8 +52,9 @@ class CounterToken:
             raise DecodeError(f"counter token must be {TOKEN_LEN} bytes")
         counter_id = data[:COUNTER_ID_LEN]
         (value,) = struct.unpack(">Q", data[COUNTER_ID_LEN:COUNTER_ID_LEN + 8])
-        stable = data[COUNTER_ID_LEN + 8] == 1
-        return cls(counter_id, value, stable, data[COUNTER_ID_LEN + 9:])
+        if data[COUNTER_ID_LEN + 8] != 1:
+            raise DecodeError("counter token's durability byte is not 1")
+        return cls(counter_id, value, data[COUNTER_ID_LEN + 9:])
 
 
 def verify_token(token: CounterToken, service_public_key: bytes) -> bool:
@@ -120,8 +121,8 @@ class CounterService:
         return self._values[counter_id]
 
     def _token(self, counter_id: bytes, value: int) -> CounterToken:
-        payload = CounterToken(counter_id, value, True, b"").signed_payload()
-        return CounterToken(counter_id, value, True, self._key.sign(payload))
+        payload = CounterToken(counter_id, value, b"").signed_payload()
+        return CounterToken(counter_id, value, self._key.sign(payload))
 
     def create_counter(self) -> bytes:
         """New counter at value 1, durable on return. Returns its id."""

@@ -40,7 +40,7 @@ from .fl import (
     make_update,
     synthetic_dataset,
 )
-from .orchestrator import ClientAgent, Coordinator
+from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator
 from .policy import (
     CHECKPOINT_KEY,
     CHECKPOINT_SECRET,
@@ -144,7 +144,7 @@ class Deployment:
     def __init__(self, workdir: str | Path, datasets: dict[str, Dataset],
                  validation: Dataset, session: SessionConfig, *,
                  network: Hub | TcpNetwork | None = None,
-                 round_deadline: float = 30.0):
+                 round_deadline: float = ROUND_DEADLINE):
         workdir = Path(workdir)
         self.manager_dir = workdir / "manager"
         self.state_dir = workdir / "coordinator"

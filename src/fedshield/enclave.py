@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -40,7 +40,7 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from .encoding import sha256
-from .errors import DecodeError, IntegrityError, InvalidInputError, QuoteDecodeError, SealAuthenticationError
+from .errors import DecodeError, InvalidInputError, QuoteDecodeError, SealAuthenticationError
 
 HASH_SHA256 = 1
 SIG_ED25519 = 1
@@ -141,19 +141,16 @@ class Quote:
 class SealedBlob:
     """Measurement-bound AEAD envelope for persisted enclave state.
 
-    The serialized form carries no identity fields: only an enclave with
-    the same measurement on the same platform derives the right key. The
-    ``sealing_measurement``/``sealing_platform_id`` hints exist in memory
-    only (populated by ``seal``) so that unsealing in the wrong enclave
-    reports a seal-authentication error instead of a bare tag failure.
+    The blob carries no identity fields: only an enclave with the same
+    measurement on the same platform derives the right key, and any other
+    enclave's ``unseal`` fails the tag with ``SealAuthenticationError``, in
+    memory and after a round trip through ``to_bytes`` alike.
     """
 
     nonce: bytes
     ciphertext: bytes
     hash_alg: int = HASH_SHA256
     aead_alg: int = AEAD_AES_256_GCM
-    sealing_measurement: bytes | None = field(default=None, repr=False)
-    sealing_platform_id: bytes | None = field(default=None, repr=False)
 
     def to_bytes(self) -> bytes:
         return (SEALED_MAGIC + struct.pack(">BB", self.hash_alg, self.aead_alg)
@@ -273,21 +270,17 @@ class Enclave:
         nonce = os.urandom(AEAD_NONCE_LEN)
         ad = self.measurement + self._platform.platform_id
         ct = AESGCM(key).encrypt(nonce, plaintext, ad)
-        return SealedBlob(nonce=nonce, ciphertext=ct,
-                          sealing_measurement=self.measurement,
-                          sealing_platform_id=self._platform.platform_id)
+        return SealedBlob(nonce=nonce, ciphertext=ct)
 
     def unseal(self, blob: SealedBlob) -> bytes:
-        if blob.sealing_measurement is not None and blob.sealing_measurement != self.measurement:
-            raise SealAuthenticationError("blob sealed under a different measurement")
-        if blob.sealing_platform_id is not None and blob.sealing_platform_id != self._platform.platform_id:
-            raise SealAuthenticationError("blob sealed on a different platform")
         key = _sealing_key(self._platform.platform_secret, self.measurement)
         ad = self.measurement + self._platform.platform_id
         try:
             return AESGCM(key).decrypt(blob.nonce, blob.ciphertext, ad)
         except InvalidTag as exc:
-            raise IntegrityError("sealed blob failed authentication") from exc
+            raise SealAuthenticationError(
+                "sealed blob failed authentication: sealed by another enclave "
+                "or platform, or altered") from exc
 
 
 def spawn_enclave(platform: Platform, code_bundle: bytes, config: bytes) -> Enclave:

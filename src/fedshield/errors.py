@@ -17,12 +17,13 @@ class QuoteDecodeError(DecodeError):
     """A serialized quote could not be parsed."""
 
 
-class SealAuthenticationError(FedShieldError):
-    """Sealed blob belongs to a different measurement or platform."""
-
-
 class IntegrityError(FedShieldError):
     """Authenticated-encryption tag verification failed."""
+
+
+class SealAuthenticationError(IntegrityError):
+    """A sealed blob failed authentication: another measurement or platform
+    sealed it, or it was altered."""
 
 
 class FreshnessTokenError(FedShieldError):

@@ -86,7 +86,7 @@ class ModelUpdate:
 
     @cached_property
     def params_hash(self) -> bytes:
-        return sha256(self.blob)
+        return params_hash(self.blob)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,9 @@ def deserialize_params(data: bytes) -> np.ndarray:
     return np.frombuffer(data, ">f8", offset=4).astype(np.float64)
 
 
-def params_hash(params: np.ndarray) -> bytes:
-    return sha256(serialize_params(params))
+def params_hash(blob: bytes) -> bytes:
+    """SHA-256 of a parameter vector's ``serialize_params`` blob."""
+    return sha256(blob)
 
 
 def make_update(client_id: str, round_index: int, params: np.ndarray,

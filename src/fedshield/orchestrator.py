@@ -66,11 +66,12 @@ from .fl import (
 from .outliers import clone_aggregate, flag_outliers, score_clients
 from .policy import CHECKPOINT_KEY, CHECKPOINT_SECRET, Policy, secret_key_id
 from .services import ManagerChannel
-from .shield import read_shielded, shield_decrypt, shield_encrypt, write_shielded
+from .shield import open_shielded, shield_encrypt, write_shielded
 
 logger = logging.getLogger(__name__)
 
 _SLOTS = ("checkpoint-a.sfl", "checkpoint-b.sfl")
+ROUND_DEADLINE = 30.0  # seconds the coordinator waits for a round's updates, or a JOIN
 AGENT_RECV_TIMEOUT = 120.0  # seconds a client waits for the next coordinator message
 SENT_TAIL_BYTES = 64  # a client keeps this tail of each sent update, for leak scans
 
@@ -209,7 +210,7 @@ class Coordinator:
 
     def __init__(self, policy: Policy, enclave: Enclave, state_dir: str | Path,
                  trusted_root: bytes, validation_csv: bytes, manager: ManagerChannel,
-                 *, round_deadline: float = 30.0):
+                 *, round_deadline: float = ROUND_DEADLINE):
         if policy.validation_dataset_hash not in (None, sha256(validation_csv)):
             raise InvalidInputError(
                 f"validation set hashes to {sha256(validation_csv).hex()}, not to "
@@ -267,9 +268,8 @@ class Coordinator:
             # a damaged slot is skipped like a stale one: only an authentic,
             # current slot is ever accepted
             try:
-                shielded = read_shielded(path)
-                plaintext = shield_decrypt(shielded, self.checkpoint_key,
-                                           self.manager.stable_value)
+                header, plaintext = open_shielded(path, self.checkpoint_key,
+                                                  self.manager.stable_value)
             except (DecodeError, IntegrityError, RollbackDetectedError) as exc:
                 failures[path.name] = exc
                 continue
@@ -283,7 +283,7 @@ class Coordinator:
                 blob=blob,
                 history=[(int(r), float(a), float(l)) for r, a, l in doc["history"]],
             )
-            self.counter_id = shielded.header.counter_id
+            self.counter_id = header.counter_id
             self.audit.append("resume", {"round": self.model.round_index})
             return
         detail = "; ".join(f"{name}: {exc}" for name, exc in failures.items())
@@ -342,7 +342,7 @@ class Coordinator:
         })
 
     def accept_clients(self, listener, *, connections: int | None = None,
-                       deadline: float = 30.0) -> None:
+                       deadline: float) -> None:
         """Handle ``connections`` joins, admitted or not, or with no count
         until the roster is admitted; stop at ``deadline`` or a closed listener."""
         end, handled = time.time() + deadline, 0

@@ -39,13 +39,7 @@ from .errors import (
     TransportClosedError,
 )
 from .policy import ROLE_DATASET_KEYS, InjectionBundle, PolicyManager, secret_key_id
-from .shield import (
-    read_shielded,
-    shield_decrypt,
-    shield_encrypt,
-    verified_stable_lookup,
-    write_shielded,
-)
+from .shield import open_shielded, shield_encrypt, verified_stable_lookup, write_shielded
 
 logger = logging.getLogger(__name__)
 
@@ -198,11 +192,6 @@ class ManagerChannel:
         lookup = verified_stable_lookup(self.counter_read, self.counter_public_key)
         return lookup(counter_id)
 
-    def open_shielded(self, path, key: bytes) -> bytes:
-        """Open a shielded file only if it was written at its counter's
-        stable value."""
-        return shield_decrypt(read_shielded(path), key, self.stable_value)
-
     def provision(self, policy_hash: bytes, role: str, path,
                   plaintext: bytes) -> tuple[bytes, InjectionBundle]:
         """Request ``role``'s secrets and open ``plaintext`` from ``path``,
@@ -214,7 +203,7 @@ class ManagerChannel:
         variable, secret_name = ROLE_DATASET_KEYS[role]
         key = bundle.key_bytes(variable)
         try:
-            if self.open_shielded(path, key) == plaintext:
+            if open_shielded(path, key, self.stable_value)[1] == plaintext:
                 return plaintext, bundle
         except (OSError, DecodeError, IntegrityError, RollbackDetectedError,
                 ServiceError):
@@ -223,7 +212,7 @@ class ManagerChannel:
                                   self.counter_create(), self.counter_public_key)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
-        return self.open_shielded(path, key), bundle
+        return open_shielded(path, key, self.stable_value)[1], bundle
 
     def close(self) -> None:
         self.channel.close()

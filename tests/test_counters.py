@@ -5,9 +5,19 @@ import threading
 
 import pytest
 
-from fedshield.counters import CounterService, CounterToken, verify_token
-from fedshield.enclave import generate_signing_key
-from fedshield.errors import NotFoundError
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+from fedshield.counters import COUNTER_ID_LEN, CounterService, CounterToken, verify_token
+from fedshield.enclave import generate_signing_key, public_key_bytes
+from fedshield.errors import DecodeError, NotFoundError
+
+# One token's bytes under a fixed Ed25519 key: counter_id | value 3 | 0x01 |
+# signature. Guards the token layout the shielded files are bound to.
+GOLDEN_TOKEN_HEX = (
+    "6465666768696a6b6c6d6e6f707172730000000000000003011d131d74c621415f"
+    "53e24cdd636ddbf11c6deb3c358fc37fb0ea5eaa7dc31a16932b59f020df81a628da"
+    "1ee8bbe8f009b4f860d62811a6652127020870b06e02"
+)
 
 
 @pytest.fixture
@@ -21,7 +31,7 @@ class TestBasics:
     def test_create_reads_one(self, service):
         cid = service.create_counter()
         token = service.read_stable(cid)
-        assert token.value == 1 and token.stable
+        assert token.value == 1
 
     def test_two_creates_distinct(self, service):
         assert service.create_counter() != service.create_counter()
@@ -45,10 +55,25 @@ class TestBasics:
     def test_tampered_token_fails_at_consumer(self, service):
         cid = service.create_counter()
         token = service.read_stable(cid)
-        forged = CounterToken(token.counter_id, token.value + 1, token.stable,
-                              token.signature)
+        forged = CounterToken(token.counter_id, token.value + 1, token.signature)
         assert not verify_token(forged, service.public_key)
         assert verify_token(token, service.public_key)
+
+    def test_golden_token_bytes(self):
+        key = Ed25519PrivateKey.from_private_bytes(b"\x07" * 32)
+        counter_id = bytes(range(100, 116))
+        payload = CounterToken(counter_id, 3, b"").signed_payload()
+        token = CounterToken(counter_id, 3, key.sign(payload))
+        assert token.to_bytes().hex() == GOLDEN_TOKEN_HEX
+        assert CounterToken.from_bytes(bytes.fromhex(GOLDEN_TOKEN_HEX)) == token
+        assert verify_token(token, public_key_bytes(key))
+
+    @pytest.mark.parametrize("byte", [0, 2])
+    def test_durability_byte_other_than_one_does_not_decode(self, byte):
+        data = bytearray.fromhex(GOLDEN_TOKEN_HEX)
+        data[COUNTER_ID_LEN + 8] = byte
+        with pytest.raises(DecodeError):
+            CounterToken.from_bytes(bytes(data))
 
 
 class TestAsyncSemantics:

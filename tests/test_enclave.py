@@ -187,18 +187,20 @@ class TestSealing:
         blob = enclave_a.seal(b"some sealed state bytes")
         tampered = bytearray(blob.ciphertext)
         tampered[3] ^= 0x10
-        blob_t = SealedBlob(nonce=blob.nonce, ciphertext=bytes(tampered),
-                            sealing_measurement=blob.sealing_measurement,
-                            sealing_platform_id=blob.sealing_platform_id)
+        blob_t = SealedBlob(nonce=blob.nonce, ciphertext=bytes(tampered))
         with pytest.raises(IntegrityError):
             enclave_a.unseal(blob_t)
 
     def test_serialization_round_trip(self, enclave_a):
         blob = enclave_a.seal(b"persisted secret material")
         parsed = SealedBlob.from_bytes(blob.to_bytes())
-        # identity hints are in-memory only; decryption still works in place
-        assert parsed.sealing_measurement is None
         assert enclave_a.unseal(parsed) == b"persisted secret material"
+
+    def test_other_measurement_rejected_after_a_round_trip(self, enclave_a, enclave_b):
+        # the blob on disk carries no identity: the tag alone refuses it
+        blob = SealedBlob.from_bytes(enclave_a.seal(b"state").to_bytes())
+        with pytest.raises(SealAuthenticationError):
+            enclave_b.unseal(blob)
 
     def test_ciphertext_is_not_plaintext(self, enclave_a):
         payload = b"super secret training key material, 48 bytes...."

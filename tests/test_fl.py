@@ -236,16 +236,16 @@ class TestSerialization:
 
     def test_params_hash_is_serialization_hash(self):
         import hashlib
-        vec = np.array([0.1, 0.2])
-        assert params_hash(vec) == hashlib.sha256(serialize_params(vec)).digest()
+        blob = serialize_params(np.array([0.1, 0.2]))
+        assert params_hash(blob) == hashlib.sha256(blob).digest()
 
     def test_update_blob_belongs_to_its_vector(self):
         update = make_update("a", 1, np.array([0.5, -1.0]), 3)
         assert update.blob == serialize_params(np.array([0.5, -1.0]))
-        assert update.params_hash == params_hash(update.params)
+        assert update.params_hash == params_hash(serialize_params(update.params))
         flipped = replace(update, params=update.params * -10)
         assert flipped.blob == serialize_params(np.array([-5.0, 10.0]))
-        assert flipped.params_hash == params_hash(flipped.params)
+        assert flipped.params_hash == params_hash(serialize_params(flipped.params))
         received = make_update("a", 1, update.params, 3, params_hash=update.params_hash)
         assert received.params_hash is update.params_hash
 

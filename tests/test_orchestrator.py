@@ -40,6 +40,7 @@ from fedshield.orchestrator import (
     derive_training_seed,
 )
 from fedshield.policy import SessionConfig
+from fedshield.shield import open_shielded
 from fedshield.transport import CaptureLog, Hub
 
 
@@ -236,9 +237,10 @@ class TestRounds:
         second = deployment.coordinator.run_round(2)
         assert second.counter_value == 3
         # committed hash equals the hash of the persisted checkpoint plaintext
-        plaintext = deployment.coordinator.manager.open_shielded(
+        _, plaintext = open_shielded(
             deployment.state_dir / "checkpoint-a.sfl",
-            deployment.coordinator.checkpoint_key)
+            deployment.coordinator.checkpoint_key,
+            deployment.coordinator.manager.stable_value)
         assert sha256(plaintext) == second.committed_hash
 
     def test_replaced_update_sends_its_own_vector(self, tmp_path):

@@ -19,9 +19,11 @@ from fedshield.shield import (
     HEADER_LEN,
     ShieldedFile,
     ShieldHeader,
+    open_shielded,
     shield_decrypt,
     shield_encrypt,
     verified_stable_lookup,
+    write_shielded,
 )
 
 # Frozen bytes of a fixture file built from all-fixed inputs; guards the
@@ -73,6 +75,36 @@ class TestRoundTrip:
         assert payload not in shielded.to_bytes()
 
 
+class TestFiles:
+    def test_write_replaces_and_open_returns_header_and_plaintext(self, service, tmp_path):
+        key = b"\x05" * 32
+        out = tmp_path / "out"
+        out.mkdir()
+        first, _, _ = fresh_file(service, b"version 1", key)
+        write_shielded(out / "data.sfl", first)
+        second, lookup, cid = fresh_file(service, b"version 2", key)
+        write_shielded(out / "data.sfl", second)
+        header, plaintext = open_shielded(out / "data.sfl", key, lookup)
+        assert (header, header.counter_id, plaintext) == (second.header, cid, b"version 2")
+        assert [p.name for p in out.iterdir()] == ["data.sfl"]  # nothing staged
+
+    def test_failed_write_keeps_the_old_file(self, service, tmp_path):
+        class Unserializable(ShieldedFile):
+            def to_bytes(self):
+                raise OSError("no space left")
+
+        out = tmp_path / "out"
+        out.mkdir()
+        shielded, _, _ = fresh_file(service, b"version 1", b"\x05" * 32)
+        write_shielded(out / "data.sfl", shielded)
+        old = (out / "data.sfl").read_bytes()
+        with pytest.raises(OSError, match="no space left"):
+            write_shielded(out / "data.sfl",
+                           Unserializable(shielded.header, shielded.body))
+        assert (out / "data.sfl").read_bytes() == old
+        assert [p.name for p in out.iterdir()] == ["data.sfl"]  # nothing staged
+
+
 class TestGoldenFile:
     def test_bytes_reparse_to_identical_fields(self):
         blob = bytes.fromhex(GOLDEN_HEX)
@@ -89,7 +121,7 @@ class TestGoldenFile:
         svc_key = Ed25519PrivateKey.from_private_bytes(b"\x07" * 32)
         counter_id = bytes(range(100, 116))
         payload = counter_id + struct.pack(">Q", 3) + b"\x01"
-        token = CounterToken(counter_id, 3, True, svc_key.sign(payload))
+        token = CounterToken(counter_id, 3, svc_key.sign(payload))
         shielded = shield_encrypt(b"golden fixture payload", bytes(range(32)),
                                   bytes(range(16)), token,
                                   public_key_bytes(svc_key),
@@ -141,7 +173,7 @@ class TestFreshness:
     def test_invalid_token_rejected_at_encrypt(self, service):
         cid = service.create_counter()
         token = service.read_stable(cid)
-        forged = CounterToken(cid, token.value + 1, True, token.signature)
+        forged = CounterToken(cid, token.value + 1, token.signature)
         with pytest.raises(FreshnessTokenError):
             shield_encrypt(b"x", b"\x00" * 32, b"\x00" * 16, forged,
                            service.public_key)
@@ -168,8 +200,8 @@ class TestFreshness:
                              svc.read_stable(cid), svc.public_key)
         svc.increment_async(cid)
         # a token above the stable value, signed with the service's own key
-        payload = CounterToken(cid, 3, True, b"").signed_payload()
-        ahead = CounterToken(cid, 3, True, signing_key.sign(payload))
+        payload = CounterToken(cid, 3, b"").signed_payload()
+        ahead = CounterToken(cid, 3, signing_key.sign(payload))
         newer = shield_encrypt(b"version 3", key, b"\x00" * 16, ahead,
                                svc.public_key)
         lookup = verified_stable_lookup(svc.read_stable, svc.public_key)

@@ -41,7 +41,7 @@ def test_manager_and_counters_over_tcp(tmp_path):
         denied.close()
 
         token = channel.counter_create()
-        assert token.value == 1 and token.stable
+        assert token.value == 1
         inc = channel.counter_increment(token.counter_id)
         assert inc.value == 2
         assert channel.counter_read(token.counter_id).value == 2
