@@ -8,6 +8,7 @@ import threading
 
 from fedshield import attested_handshake, generate_platform, spawn_enclave
 from fedshield.attestation import AttestationPolicy, binding_report_data
+from fedshield.demo import scan_capture
 from fedshield.errors import ChannelReplayError, HandshakeError
 from fedshield.transport import CaptureLog, transport_pair
 
@@ -53,7 +54,7 @@ chan_client, chan_coordinator = handshake_both()
 secret = b"model update weights: " + os.urandom(16)
 chan_client.send(secret)
 print("received intact:", chan_coordinator.recv(timeout=5) == secret)
-print("plaintext on the wire?", capture.contains(secret))
+print("plaintext on the wire?", scan_capture(capture, {"secret": secret}) != [])
 
 # Replaying a captured ciphertext frame trips the per-direction counter.
 replay = capture.frames()[-1][1][4:]

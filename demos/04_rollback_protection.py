@@ -9,26 +9,30 @@ from pathlib import Path
 from fedshield import CounterService, shield_decrypt, shield_encrypt
 from fedshield.enclave import generate_signing_key
 from fedshield.errors import IntegrityError, RollbackDetectedError
-from fedshield.shield import ShieldedFile, verified_stable_lookup
+from fedshield.shield import ShieldedFile
 
 with tempfile.TemporaryDirectory() as d:
     service = CounterService(Path(d) / "counters.wal", generate_signing_key())
     key = bytes(range(32))
     key_id = b"\x01" * 16
-    lookup = verified_stable_lookup(service.read_stable, service.public_key)
+
+    # The service runs in this process, so its stable values need no
+    # signature check; a role verifies tokens from a remote service.
+    def lookup(cid):
+        return service.read_stable(cid).value
 
     # Every protected file gets its own counter; each authorized overwrite
     # increments it, and the header embeds the value at write time.
     counter_id = service.create_counter()
-    v1 = shield_encrypt(b"dataset rows, version 1", key, key_id,
-                        service.read_stable(counter_id), service.public_key)
+    v1 = shield_encrypt(b"dataset rows, version 1", key, key_id, counter_id,
+                        lookup(counter_id))
     print("v1 header counter value:", v1.header.counter_value)
     print("v1 decrypts:", shield_decrypt(v1, key, lookup))
 
     # Overwrite: increment, then write version 2.
-    service.increment_async(counter_id)
-    v2 = shield_encrypt(b"dataset rows, version 2", key, key_id,
-                        service.read_stable(counter_id), service.public_key)
+    token = service.increment_async(counter_id)
+    v2 = shield_encrypt(b"dataset rows, version 2", key, key_id, counter_id,
+                        token.value)
     print("\nv2 decrypts:", shield_decrypt(v2, key, lookup))
 
     # An attacker who swaps the old file back gets caught: the header says

@@ -36,7 +36,7 @@ from .fl import dataset_from_csv_bytes
 from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator
 from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
-from .shield import open_shielded, shield_encrypt, verified_stable_lookup, write_shielded
+from .shield import open_shielded, shield_encrypt, write_shielded
 from .transport import CaptureLog, TcpNetwork
 
 
@@ -179,10 +179,9 @@ def cmd_encrypt_data(args) -> int:
     if args.counter_id:
         token = service.increment_async(unhex(args.counter_id))
     else:
-        counter_id = service.create_counter()
-        token = service.read_stable(counter_id)
-        print(f"counter_id: {counter_id.hex()}")
-    shielded = shield_encrypt(plaintext, key, key_id, token, service.public_key)
+        token = service.read_stable(service.create_counter())
+        print(f"counter_id: {token.counter_id.hex()}")
+    shielded = shield_encrypt(plaintext, key, key_id, token.counter_id, token.value)
     service.close()
     write_shielded(out, shielded)
     print(f"shielded file written to {args.out}")
@@ -191,8 +190,8 @@ def cmd_encrypt_data(args) -> int:
 
 def cmd_decrypt_data(args) -> int:
     service = _local_counters(args)
-    freshness = verified_stable_lookup(service.read_stable, service.public_key)
-    _, plaintext = open_shielded(args.infile, unhex(args.key_hex), freshness)
+    _, plaintext = open_shielded(args.infile, unhex(args.key_hex),
+                                 lambda cid: service.read_stable(cid).value)
     service.close()
     Path(args.out).write_bytes(plaintext)
     print(f"plaintext written to {args.out}")

@@ -438,13 +438,6 @@ def _parse_rows(text: str) -> Dataset:
                    np.array(labels, dtype=np.float64))
 
 
-def save_dataset_csv(dataset: Dataset, path) -> bytes:
-    data = dataset_to_csv_bytes(dataset)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return data
-
-
 def synthetic_dataset(n: int, dim: int, seed: int,
                       separation: float = 2.0) -> Dataset:
     """Two-class Gaussian mixture with class-mean distance ``separation``."""

@@ -247,8 +247,7 @@ class Coordinator:
         token = self.manager.counter_increment(self.counter_id)
         plaintext = checkpoint_plaintext(model, self.policy.policy_hash)
         shielded = shield_encrypt(plaintext, self.checkpoint_key,
-                                  self.checkpoint_key_id, token,
-                                  self.manager.counter_public_key)
+                                  self.checkpoint_key_id, self.counter_id, token.value)
         write_shielded(self._slot_path(model.round_index), shielded)
         # until a counter answers only to its creator, this read-back is the
         # only sign at commit time that a peer moved the counter

@@ -14,7 +14,8 @@ attested computation. Generated secrets exist on disk only as sealed
 blobs under the manager's enclave.
 
 Persistence layout: ``policies/<hash>.pol``, ``secrets/<hash>/<name>.sealed``,
-append-only ``audit.log``.
+append-only ``audit.log``. Each file is replaced all or nothing, and a
+policy's secrets are generated once all their sealed files exist.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
     RoleUnknownError,
     TemplateError,
 )
+from .shield import replace_file
 
 ROLES = ("coordinator", "client", "policy_manager_self")
 MECHANISMS = ("argument", "environment-variable", "file-template")
@@ -420,8 +422,8 @@ class PolicyManager:
             if any(p.name == policy.name for p in self._policies.values()):
                 raise PolicyConflictError(
                     f"policy name {policy.name!r} already bound to different content")
-            path = self.store_dir / "policies" / f"{policy.policy_hash.hex()}.pol"
-            path.write_text(policy.document)
+            replace_file(self.store_dir / "policies" / f"{policy.policy_hash.hex()}.pol",
+                         policy.document.encode())
             self._policies[policy.policy_hash] = policy
             self.audit.append("policy-upload", {
                 "name": policy.name,
@@ -440,32 +442,36 @@ class PolicyManager:
     def _secret_dir(self, policy_hash: bytes) -> Path:
         return self.store_dir / "secrets" / policy_hash.hex()
 
+    def _sealed_path(self, policy_hash: bytes, spec: SecretSpec) -> Path:
+        return self._secret_dir(policy_hash) / f"{spec.secret_name}.sealed"
+
     def generate_secrets(self, policy_hash: bytes) -> None:
-        """Materialize every declared secret into sealed storage."""
+        """Seal every declared secret; a partial set left by a killed run is
+        regenerated in full, and none of it was released."""
         policy = self.get_policy(policy_hash)
         with self._write_lock:
-            sdir = self._secret_dir(policy_hash)
-            if sdir.exists():
+            if self.secrets_generated(policy_hash):
                 raise AlreadyGeneratedError(
                     f"secrets for {policy_hash.hex()} already generated")
-            sdir.mkdir(parents=True)
+            self._secret_dir(policy_hash).mkdir(parents=True, exist_ok=True)
             for spec in policy.secrets:
-                raw = _materialize(spec)
-                blob = self.enclave.seal(raw)
-                (sdir / f"{spec.secret_name}.sealed").write_bytes(blob.to_bytes())
+                blob = self.enclave.seal(_materialize(spec))
+                replace_file(self._sealed_path(policy_hash, spec), blob.to_bytes())
             self.audit.append("secrets-generated", {
                 "policy_hash": policy_hash.hex(),
                 "names": sorted(s.secret_name for s in policy.secrets),
             })
 
     def secrets_generated(self, policy_hash: bytes) -> bool:
-        return self._secret_dir(policy_hash).exists()
+        """Whether the sealed file of every declared secret exists."""
+        return self._secret_dir(policy_hash).is_dir() and all(
+            self._sealed_path(policy_hash, spec).exists()
+            for spec in self.get_policy(policy_hash).secrets)
 
     def _secret_environment(self, policy: Policy) -> dict[str, str]:
-        sdir = self._secret_dir(policy.policy_hash)
         env = {}
         for spec in policy.secrets:
-            path = sdir / f"{spec.secret_name}.sealed"
+            path = self._sealed_path(policy.policy_hash, spec)
             blob = SealedBlob.from_bytes(path.read_bytes())
             raw = self.enclave.unseal(blob)
             env[spec.secret_name] = _render_value(spec, raw)

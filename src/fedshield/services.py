@@ -7,9 +7,11 @@ purely a deployment convenience. Inbound handshakes pin no measurement:
 callers attest the service, and the service gates secret release on the
 quote that opened the request's channel, which the handshake verified over
 this endpoint's nonce and bound to the channel's keys. On the caller
-side, ``ManagerChannel.provision`` is every role's one set-up step: one
-secret release, then the role's dataset shielded and reopened, or reused
-when a current file already holds the same bytes.
+side, ``ManagerChannel`` verifies every counter token it receives under the
+counter service's key, and that an increment or read names the counter
+asked for. Its ``provision`` is every role's one set-up step: one secret
+release, then the role's dataset shielded and reopened, or reused when a
+current file already holds the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import protocol
 from .attestation import AttestationPolicy, ROLE_POLICY_MANAGER, attested_handshake
-from .counters import CounterService, CounterToken
+from .counters import CounterService, CounterToken, verify_token
 from .enclave import Enclave
 from .encoding import b64, unb64, unhex
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     AlreadyGeneratedError,
     DecodeError,
     FedShieldError,
+    FreshnessTokenError,
     IntegrityError,
     NotFoundError,
     PolicyConflictError,
@@ -39,7 +42,7 @@ from .errors import (
     TransportClosedError,
 )
 from .policy import ROLE_DATASET_KEYS, InjectionBundle, PolicyManager, secret_key_id
-from .shield import open_shielded, shield_encrypt, verified_stable_lookup, write_shielded
+from .shield import open_shielded, shield_encrypt, write_shielded
 
 logger = logging.getLogger(__name__)
 
@@ -173,30 +176,36 @@ class ManagerChannel:
                                 {"policy_hash": policy_hash.hex(), "role": role})
         return InjectionBundle.from_dict(body.get("bundle"))
 
-    def _token(self, body: dict) -> CounterToken:
-        return CounterToken.from_bytes(unb64(body.get("token")))
+    def _token(self, body: dict, counter_id: bytes | None = None) -> CounterToken:
+        """The reply's verified token, which must name ``counter_id`` if given."""
+        token = CounterToken.from_bytes(unb64(body.get("token")))
+        if not verify_token(token, self.counter_public_key):
+            raise FreshnessTokenError("counter token signature does not verify")
+        if counter_id is not None and token.counter_id != counter_id:
+            raise FreshnessTokenError("counter token is for a different counter")
+        return token
 
     def counter_create(self) -> CounterToken:
         return self._token(protocol.request(self.channel, protocol.COUNTER_CREATE, {}))
 
     def counter_increment(self, counter_id: bytes) -> CounterToken:
         return self._token(protocol.request(self.channel, protocol.COUNTER_INC,
-                                            {"counter_id": counter_id.hex()}))
+                                            {"counter_id": counter_id.hex()}),
+                           counter_id)
 
     def counter_read(self, counter_id: bytes) -> CounterToken:
         return self._token(protocol.request(self.channel, protocol.COUNTER_READ,
-                                            {"counter_id": counter_id.hex()}))
+                                            {"counter_id": counter_id.hex()}),
+                           counter_id)
 
     def stable_value(self, counter_id: bytes) -> int:
-        """The counter's stable value, from a token verified at this end."""
-        lookup = verified_stable_lookup(self.counter_read, self.counter_public_key)
-        return lookup(counter_id)
+        return self.counter_read(counter_id).value
 
     def provision(self, policy_hash: bytes, role: str, path,
                   plaintext: bytes) -> tuple[bytes, InjectionBundle]:
         """Request ``role``'s secrets and open ``plaintext`` from ``path``,
         shielded under the role's dataset key, the way its consumer does:
-        freshness from a verified stable read. A current file there that holds
+        freshness from a stable read. A current file there that holds
         exactly ``plaintext`` is reused; anything else is replaced by a new
         file under a new counter. Returns the opened bytes and the bundle."""
         bundle = self.request_secrets(policy_hash, role)
@@ -208,8 +217,9 @@ class ManagerChannel:
         except (OSError, DecodeError, IntegrityError, RollbackDetectedError,
                 ServiceError):
             pass  # missing, foreign, tampered, stale or of an unknown counter
+        token = self.counter_create()
         shielded = shield_encrypt(plaintext, key, secret_key_id(policy_hash, secret_name),
-                                  self.counter_create(), self.counter_public_key)
+                                  token.counter_id, token.value)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
         return open_shielded(path, key, self.stable_value)[1], bundle

@@ -12,9 +12,12 @@ only when the embedded counter value equals the stable counter value:
 strict equality detects both rollback and forward-dating, since every
 authorized overwrite increments the counter by one.
 
+A file binds a plain (counter id, value); counter tokens are verified where
+they arrive (``services.ManagerChannel``), and this module never sees one.
+
 File extension: ``.sfl``. This module is the only one that writes or opens
-a ``.sfl``: ``write_shielded`` replaces the file all or nothing, through a
-temporary ``.{name}.*`` file beside it that is renamed over it, and
+a ``.sfl``: ``write_shielded`` replaces it all or nothing (``replace_file``:
+a temporary ``.{name}.*`` file beside it, renamed over it), and
 ``open_shielded`` reads and decrypts it. Neither fsyncs. This module never
 stores keys; key ids resolve through the policy manager's injected secrets.
 """
@@ -31,11 +34,10 @@ from typing import Callable
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .counters import COUNTER_ID_LEN, CounterToken, verify_token
+from .counters import COUNTER_ID_LEN
 from .enclave import AEAD_AES_256_GCM
 from .errors import (
     DecodeError,
-    FreshnessTokenError,
     IntegrityError,
     InvalidInputError,
     RollbackDetectedError,
@@ -94,28 +96,24 @@ class ShieldedFile:
 
 
 def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
-                   counter_token: CounterToken, service_public_key: bytes,
+                   counter_id: bytes, counter_value: int,
                    *, nonce: bytes | None = None) -> ShieldedFile:
-    """Seal a payload under a key and bind it to a counter state.
-
-    The token must verify under the counter service key and carry a
-    positive value. Readers require the embedded value to be the
-    counter's stable value.
-    """
+    """Seal a payload under a key and bind it to a counter's positive
+    value, which readers require to be the counter's stable value."""
     if len(key) != 32:
         raise InvalidInputError("shield key must be 32 bytes")
     if len(key_id) != KEY_ID_LEN:
         raise InvalidInputError("key_id must be 16 bytes")
-    if not verify_token(counter_token, service_public_key):
-        raise FreshnessTokenError("counter token signature does not verify")
-    if counter_token.value < 1:
-        raise FreshnessTokenError("counter token value must be positive")
+    if len(counter_id) != COUNTER_ID_LEN:
+        raise InvalidInputError("counter_id must be 16 bytes")
+    if counter_value < 1:
+        raise InvalidInputError("counter value must be positive")
     if nonce is None:
         nonce = os.urandom(NONCE_LEN)
     elif len(nonce) != NONCE_LEN:
         raise InvalidInputError("nonce must be 12 bytes")
     header = ShieldHeader(VERSION, AEAD_AES_256_GCM, key_id,
-                          counter_token.counter_id, counter_token.value, nonce)
+                          counter_id, counter_value, nonce)
     header_bytes = header.to_bytes()
     body = AESGCM(key).encrypt(nonce, plaintext, header_bytes)
     return ShieldedFile(header, body)
@@ -126,7 +124,7 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
     """Open a shielded file iff the tag verifies and the file is current.
 
     ``freshness_check(counter_id) -> stable value`` is the caller's counter
-    lookup, typically a verified read against the counter service. Stale or
+    lookup, typically a stable read verified where it arrived. Stale or
     forward-dated files raise ``RollbackDetectedError`` after the tag check;
     its message says which of the two the file is.
     """
@@ -150,19 +148,25 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
     return plaintext
 
 
-def write_shielded(path, shielded: ShieldedFile) -> None:
-    """Replace ``path`` with ``shielded``, all or nothing: the bytes go to a
+def replace_file(path, data: bytes) -> None:
+    """Replace ``path`` with ``data``, all or nothing: the bytes go to a
     temporary file beside it, which is renamed over it. On any failure the
-    temporary file is removed and ``path`` keeps its old bytes."""
+    temporary file is removed and ``path`` keeps its old bytes, or stays
+    absent."""
     path = Path(path)
     fd, staged = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(shielded.to_bytes())
+            fh.write(data)
         os.replace(staged, path)
     except BaseException:
         os.unlink(staged)
         raise
+
+
+def write_shielded(path, shielded: ShieldedFile) -> None:
+    """Replace ``path`` with ``shielded`` through ``replace_file``."""
+    replace_file(path, shielded.to_bytes())
 
 
 def read_shielded(path) -> ShieldedFile:
@@ -177,16 +181,3 @@ def open_shielded(path, key: bytes, freshness_check: Callable[[bytes], int]
     shielded = read_shielded(path)
     return shielded.header, shield_decrypt(shielded, key, freshness_check)
 
-
-def verified_stable_lookup(read_stable: Callable[[bytes], CounterToken],
-                           service_public_key: bytes) -> Callable[[bytes], int]:
-    """Wrap a stable-read function into a freshness check that verifies
-    token signatures at the consumer."""
-    def lookup(counter_id: bytes) -> int:
-        token = read_stable(counter_id)
-        if not verify_token(token, service_public_key):
-            raise FreshnessTokenError("stable counter token failed verification")
-        if token.counter_id != counter_id:
-            raise FreshnessTokenError("counter token is for a different counter")
-        return token.value
-    return lookup

@@ -45,11 +45,6 @@ class CaptureLog:
         with self._lock:
             return b"".join(b for _, b in self._frames)
 
-    def contains(self, pattern: bytes) -> bool:
-        if not pattern:
-            raise InvalidInputError("empty capture pattern")
-        return pattern in self.all_bytes()
-
 
 def _check_size(length: int, max_size: int) -> None:
     if length > max_size:

@@ -47,7 +47,7 @@ from fedshield.orchestrator import SENT_TAIL_BYTES
 from fedshield.outliers import clone_aggregate, flag_outliers, score_clients
 from fedshield.policy import SessionConfig
 from fedshield.services import ManagerChannel
-from fedshield.shield import shield_decrypt, shield_encrypt, verified_stable_lookup
+from fedshield.shield import shield_decrypt, shield_encrypt
 from fedshield.transport import CaptureLog, transport_pair
 
 from test_counters import run_random_schedule
@@ -158,8 +158,8 @@ def test_criterion_2_attestation_gating(tmp_path):
                         except FedShieldError:
                             pass
                         if cell != (True, True, True):
-                            assert not capture.contains(secret_hex)
-                            assert not capture.contains(secret_raw)
+                            assert scan_capture(capture, {"secret-hex": secret_hex,
+                                                          "secret-raw": secret_raw}) == []
 
                         # admission leg
                         capture2 = CaptureLog()
@@ -283,7 +283,10 @@ def test_criterion_5_rollback_freshness(tmp_path):
         service = CounterService(tmp_path / "wal", generate_signing_key(),
                                  use_fsync=False)
         key = b"\x5a" * 32
-        lookup = verified_stable_lookup(service.read_stable, service.public_key)
+
+        def lookup(counter_id):
+            return service.read_stable(counter_id).value
+
         for length in range(1, 11):
             counter_id = service.create_counter()
             versions = []
@@ -292,7 +295,7 @@ def test_criterion_5_rollback_freshness(tmp_path):
                     service.increment_async(counter_id)
                 versions.append(shield_encrypt(
                     f"write {i}".encode(), key, b"\x00" * 16,
-                    service.read_stable(counter_id), service.public_key))
+                    counter_id, lookup(counter_id)))
             assert shield_decrypt(versions[-1], key, lookup) \
                 == f"write {length - 1}".encode()
             for stale in versions[:-1]:

@@ -18,7 +18,7 @@ from fedshield.enclave import (
     save_platform,
     spawn_enclave,
 )
-from fedshield.fl import save_dataset_csv, synthetic_dataset
+from fedshield.fl import dataset_to_csv_bytes, synthetic_dataset
 from fedshield.policy import SessionConfig, parse_policy
 
 CLI = [sys.executable, "-m", "fedshield.cli"]
@@ -149,7 +149,7 @@ def test_encrypt_data_to_an_unwritable_out_leaves_the_counter_alone(tmp_path, ca
 
 def test_policy_new(tmp_path):
     data = tmp_path / "alice.csv"
-    save_dataset_csv(synthetic_dataset(20, 3, seed=1), data)
+    data.write_bytes(dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=1)))
     out = run_cli("policy", "new", "--out", tmp_path / "policy.json",
                   "--name", "cli-pact",
                   "--manager-measurement", "11" * 32,
@@ -225,7 +225,7 @@ def test_missing_input_file_fails_before_contacting_manager(tmp_path, verb):
 def test_session_file_pins_policy_hash(tmp_path):
     run_cli("keygen", "--out", tmp_path / "platform.json")
     data = tmp_path / "alice.csv"
-    save_dataset_csv(synthetic_dataset(20, 3, seed=3), data)
+    data.write_bytes(dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=3)))
     run_cli("policy", "new", "--out", tmp_path / "policy.json",
             "--name", "pinned",
             "--manager-measurement", "11" * 32,
@@ -275,7 +275,8 @@ def test_run_client_refuses_a_policy_that_pins_no_manager(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["session-file", "key-file", "hex-flag"])
 def test_malformed_operator_input_ends_in_an_error_line(tmp_path, case):
     if case == "hex-flag":
-        save_dataset_csv(synthetic_dataset(20, 3, seed=1), tmp_path / "alice.csv")
+        (tmp_path / "alice.csv").write_bytes(
+            dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=1)))
         argv = ["policy", "new", "--out", tmp_path / "policy.json", "--name", "bad",
                 "--manager-measurement", "zz",
                 "--coordinator-measurement", "22" * 32,
@@ -341,7 +342,7 @@ def test_run_manager_and_policy_upload(tmp_path):
     manager_measurement = measure(b"manager program", b"cfg\n").hex()
 
     data = tmp_path / "alice.csv"
-    save_dataset_csv(synthetic_dataset(20, 3, seed=2), data)
+    data.write_bytes(dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=2)))
     run_cli("policy", "new", "--out", tmp_path / "policy.json",
             "--name", "net-pact",
             "--manager-measurement", manager_measurement,
@@ -389,8 +390,10 @@ def cli_manager(tmp_path):
         bundles[role].write_bytes(f"{role} program".encode())
     measurement = {role: measure(path.read_bytes(), b"profile=cli\n").hex()
                    for role, path in bundles.items()}
-    save_dataset_csv(synthetic_dataset(40, 3, seed=5), tmp_path / "alice.csv")
-    save_dataset_csv(synthetic_dataset(60, 3, seed=6), tmp_path / "val.csv")
+    (tmp_path / "alice.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(40, 3, seed=5)))
+    (tmp_path / "val.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(60, 3, seed=6)))
     run_cli("policy", "new", "--out", tmp_path / "policy.json", "--name", "study-1",
             "--manager-measurement", measurement["manager"],
             "--coordinator-measurement", measurement["coord"],
@@ -442,7 +445,8 @@ def test_session_over_tcp_from_plaintext_csv(tmp_path, cli_manager):
 def test_coordinator_refuses_validation_set_the_policy_does_not_hash(
         tmp_path, cli_manager):
     bundles, flags = cli_manager
-    save_dataset_csv(synthetic_dataset(60, 3, seed=7), tmp_path / "other.csv")
+    (tmp_path / "other.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(60, 3, seed=7)))
     result = run_cli("run-coordinator", "--listen", "127.0.0.1:0", *flags,
                      "--bundle", bundles["coord"], "--state-dir", tmp_path / "state",
                      "--validation", tmp_path / "other.csv", "--join-deadline", 0.5,

@@ -1,13 +1,13 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
 shielded-file and counter-token decoders on arbitrary bytes, the policy
 parser on arbitrary text, the dataset encoder on arbitrary matrices, the
-checkpoint body on arbitrary models, and each handshake stage on edited
-frames from an attested peer.
+checkpoint body on arbitrary models, each handshake stage on edited
+frames from an attested peer, and every manager call on arbitrary replies.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict; a policy document parses or
 raises PolicyInvalidError; a handshake given an edited frame ends in a
-FedShieldError. The dataset codec and the checkpoint body give the bytes
+FedShieldError; a manager call returns or raises a FedShieldError. The dataset codec and the checkpoint body give the bytes
 and arrays of their reference implementations.
 """
 
@@ -57,6 +57,7 @@ from fedshield.fl import (  # noqa: E402
 )
 from fedshield.orchestrator import checkpoint_plaintext  # noqa: E402
 from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
+from fedshield.services import ManagerChannel  # noqa: E402
 
 from conftest import quote_binding, run_handshake_pair  # noqa: E402
 
@@ -527,3 +528,66 @@ def test_keyshare_bound_by_a_genuine_quote_ends_in_fedshield_error(key):
     outcome = manager_outcome((MSG_KEYSHARE, lambda frame: bytes([MSG_KEYSHARE]) + key),
                               quote_binding(key))
     assert isinstance(outcome, FedShieldError)
+
+
+COUNTER_KEY = enclave.generate_signing_key()
+ASKED = b"\x0a" * 16  # the counter every increment and read asks for
+
+
+def signed_token(counter_id: bytes, value: int) -> bytes:
+    payload = CounterToken(counter_id, value, b"").signed_payload()
+    return payload + COUNTER_KEY.sign(payload)
+
+
+# tokens the counter key signed, for the counter asked for or another, and
+# tokens of the right length with a forged or a garbled signed part
+counter_ids = st.sampled_from([ASKED, b"\x0b" * 16]) | st.binary(min_size=16, max_size=16)
+token_bytes = (st.builds(signed_token, counter_ids, st.integers(0, 2**64 - 1))
+               | st.builds(lambda cid, sig: cid + bytes(8) + b"\x01" + sig,
+                           counter_ids, st.binary(min_size=64, max_size=64))
+               | st.binary(min_size=TOKEN_LEN, max_size=TOKEN_LEN))
+reply_bodies = bodies | st.builds(lambda body, token: {**body, "token": b64(token)},
+                                  bodies, token_bytes)
+reply_types = mostly(st.sampled_from([protocol.RESPONSE_OK, protocol.RESPONSE_ERR]),
+                     st.integers(0, 255))
+
+
+class CannedChannel:
+    """A channel that answers every request with one fixed reply."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+
+    def send(self, frame):
+        pass
+
+    def recv(self, timeout=None):
+        return self.reply
+
+
+MANAGER_CALLS = {
+    "upload_policy": lambda m, path: m.upload_policy("{}"),
+    "generate_secrets": lambda m, path: m.generate_secrets(bytes(32)),
+    "request_secrets": lambda m, path: m.request_secrets(bytes(32), "client"),
+    "counter_create": lambda m, path: m.counter_create(),
+    "counter_increment": lambda m, path: m.counter_increment(ASKED),
+    "counter_read": lambda m, path: m.counter_read(ASKED),
+    "stable_value": lambda m, path: m.stable_value(ASKED),
+    "provision": lambda m, path: m.provision(bytes(32), "client", path, b"rows"),
+}
+
+
+@FUZZ
+@given(call=st.sampled_from(sorted(MANAGER_CALLS)), rtype=reply_types, body=reply_bodies)
+@example(call="counter_read", rtype=protocol.RESPONSE_OK,
+         body={"token": b64(signed_token(ASKED, 2))})
+@example(call="counter_increment", rtype=protocol.RESPONSE_OK,
+         body={"token": b64(signed_token(b"\x0b" * 16, 2))})
+def test_manager_call_returns_or_raises_fedshield_error(tmp_path_factory, call,
+                                                         rtype, body):
+    manager = ManagerChannel(CannedChannel(protocol.encode_message(rtype, body)),
+                             enclave.public_key_bytes(COUNTER_KEY))
+    try:
+        MANAGER_CALLS[call](manager, tmp_path_factory.getbasetemp() / "data.sfl")
+    except FedShieldError:
+        pass

@@ -1,10 +1,13 @@
 """Policy canonicalization, secret generation, and the release gate."""
 
+import errno
 import json
+import os
 import random
 
 import pytest
 
+from fedshield import shield
 from fedshield.enclave import generate_platform, spawn_enclave
 from fedshield.errors import (
     AccessDeniedError,
@@ -247,6 +250,36 @@ class TestPolicyStore:
         with pytest.raises(PolicyInvalidError):
             manager.upload_policy("{\"name\": \"x\"}")
 
+    def test_torn_policy_write_leaves_no_policy_file(self, manager_setup, monkeypatch):
+        platform, manager, _, _, doc = manager_setup
+        real_fdopen = os.fdopen
+
+        class TornFile:
+            """Writes 40 bytes of the document, then fails as a full disk."""
+
+            def __init__(self, fd, mode):
+                self.fh = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:40])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shield.os, "fdopen", TornFile)
+        with pytest.raises(OSError, match="No space left"):
+            manager.upload_policy(json.dumps(doc))
+        monkeypatch.undo()
+        assert list((manager.store_dir / "policies").iterdir()) == []
+        reopened = PolicyManager(manager.store_dir, manager.enclave,
+                                 platform.root_public_key)
+        policy_hash = reopened.upload_policy(json.dumps(doc))
+        assert reopened.get_policy(policy_hash).name == doc["name"]
+
 
 class TestSecretGeneration:
     def test_generated_secrets_are_sealed_and_unreadable(self, manager_setup):
@@ -279,6 +312,36 @@ class TestSecretGeneration:
         manager.generate_secrets(policy_hash)
         with pytest.raises(AlreadyGeneratedError):
             manager.generate_secrets(policy_hash)
+
+    def test_generation_killed_midway_is_completed_by_a_retry(self, manager_setup,
+                                                              monkeypatch):
+        platform, manager, _, client, doc = manager_setup
+        policy_hash = manager.upload_policy(json.dumps(doc))
+        real_seal = manager.enclave.seal
+        sealed = []
+
+        def seal_then_die(raw):
+            if sealed:  # the first sealed secret is on disk
+                raise KeyboardInterrupt("killed")
+            sealed.append(raw)
+            return real_seal(raw)
+
+        monkeypatch.setattr(manager.enclave, "seal", seal_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            manager.generate_secrets(policy_hash)
+        monkeypatch.undo()
+        assert len(list(manager._secret_dir(policy_hash).iterdir())) == 1
+
+        restarted = PolicyManager(manager.store_dir, manager.enclave,
+                                  platform.root_public_key)
+        quote = client.generate_quote(RD, NONCE)
+        with pytest.raises(NotFoundError):
+            restarted.release_secrets(policy_hash, "client", quote, NONCE)
+        restarted.generate_secrets(policy_hash)
+        bundle = restarted.release_secrets(policy_hash, "client", quote, NONCE)
+        assert len(bytes.fromhex(bundle.environment["DATA_KEY"])) == 32
+        with pytest.raises(AlreadyGeneratedError):
+            restarted.generate_secrets(policy_hash)
 
     def test_release_before_generation_rejected(self, manager_setup):
         _, manager, _, client, doc = manager_setup

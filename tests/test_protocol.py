@@ -1,4 +1,5 @@
-"""Message layout: golden bytes, trailers, and refusal of malformed frames."""
+"""Message layout: golden bytes, trailers, and refusal of malformed frames;
+the manager stub's checks on the replies it decodes."""
 
 import struct
 
@@ -6,11 +7,20 @@ import numpy as np
 import pytest
 
 from fedshield import protocol
-from fedshield.encoding import canonical_bytes
-from fedshield.errors import DecodeError
+from fedshield.attestation import AttestationPolicy
+from fedshield.counters import CounterService
+from fedshield.enclave import (
+    generate_platform,
+    generate_signing_key,
+    public_key_bytes,
+    spawn_enclave,
+)
+from fedshield.encoding import b64, canonical_bytes
+from fedshield.errors import DecodeError, FreshnessTokenError
 from fedshield.fl import serialize_params
 from fedshield.policy import InjectionBundle
-from fedshield.services import ManagerChannel
+from fedshield.services import ManagerChannel, ServiceEndpoint, connect_manager
+from fedshield.transport import Hub
 
 HEAD = {"client_id": "client-1", "round": 1, "num_examples": 60,
         "params_hash": "ab" * 32}
@@ -106,3 +116,54 @@ CALLS = {
 def test_malformed_manager_reply_is_decode_error(call, body):
     with pytest.raises(DecodeError):
         CALLS[call](body)
+
+
+@pytest.fixture
+def endpoint(tmp_path):
+    """A live manager endpoint, and a client's ``connect(counter_public_key)``
+    that attests it and returns a ``ManagerChannel``."""
+    platform = generate_platform()
+    manager_enclave = spawn_enclave(platform, b"manager program", b"cfg\n")
+    client_enclave = spawn_enclave(platform, b"client program", b"cfg\n")
+    hub = Hub()
+    service = ServiceEndpoint(hub.listen("manager"), tmp_path, manager_enclave,
+                              platform.root_public_key, generate_signing_key())
+    service.start()
+    pin = AttestationPolicy(platform.root_public_key,
+                            frozenset({manager_enclave.measurement}))
+
+    def connect(counter_public_key):
+        return connect_manager(client_enclave, hub.connect("manager"), pin,
+                               "client", counter_public_key)
+    yield service, connect
+    service.stop()
+
+
+def test_tokens_under_another_counter_key_are_refused(endpoint):
+    service, connect = endpoint
+    honest = connect(service.counters.public_key)
+    counter_id = honest.counter_create().counter_id
+    pinned_elsewhere = connect(public_key_bytes(generate_signing_key()))
+    for call in (pinned_elsewhere.counter_create,
+                 lambda: pinned_elsewhere.counter_increment(counter_id),
+                 lambda: pinned_elsewhere.counter_read(counter_id)):
+        with pytest.raises(FreshnessTokenError, match="does not verify"):
+            call()
+    # the refused increment still moved the counter; the honest stub sees it
+    assert honest.counter_read(counter_id).value == 2
+    honest.close()
+    pinned_elsewhere.close()
+
+
+def test_a_signed_token_for_another_counter_is_refused(tmp_path):
+    counters = CounterService(tmp_path / "wal", generate_signing_key(), use_fsync=False)
+    asked, other = counters.create_counter(), counters.create_counter()
+    token = counters.read_stable(other)
+    counters.close()
+    stub = ManagerChannel(ReplyChannel({"token": b64(token.to_bytes())}),
+                          counters.public_key)
+    for call in (stub.counter_increment, stub.counter_read, stub.stable_value):
+        with pytest.raises(FreshnessTokenError, match="different counter"):
+            call(asked)
+    assert stub.counter_read(other) == token
+    assert stub.counter_create() == token  # a create asks for no counter

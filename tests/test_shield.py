@@ -1,16 +1,12 @@
 """Shielded-file codec: round trips, header authentication, freshness."""
 
 import random
-import struct
 
 import pytest
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-from fedshield.counters import CounterService, CounterToken
-from fedshield.enclave import generate_signing_key, public_key_bytes
+from fedshield.counters import CounterService
+from fedshield.enclave import generate_signing_key
 from fedshield.errors import (
-    FreshnessTokenError,
     IntegrityError,
     InvalidInputError,
     RollbackDetectedError,
@@ -22,7 +18,6 @@ from fedshield.shield import (
     open_shielded,
     shield_decrypt,
     shield_encrypt,
-    verified_stable_lookup,
     write_shielded,
 )
 
@@ -44,13 +39,15 @@ def service(tmp_path):
     svc.close()
 
 
+def stable_lookup(service):
+    return lambda cid: service.read_stable(cid).value
+
+
 def fresh_file(service, payload, key):
     cid = service.create_counter()
-    token = service.read_stable(cid)
-    shielded = shield_encrypt(payload, key, b"\x01" * 16, token,
-                              service.public_key)
-    lookup = verified_stable_lookup(service.read_stable, service.public_key)
-    return shielded, lookup, cid
+    shielded = shield_encrypt(payload, key, b"\x01" * 16, cid,
+                              service.read_stable(cid).value)
+    return shielded, stable_lookup(service), cid
 
 
 class TestRoundTrip:
@@ -118,13 +115,8 @@ class TestGoldenFile:
         assert blob[:HEADER_LEN] == header.to_bytes()
 
     def test_fixture_reproduces_bit_exactly(self):
-        svc_key = Ed25519PrivateKey.from_private_bytes(b"\x07" * 32)
-        counter_id = bytes(range(100, 116))
-        payload = counter_id + struct.pack(">Q", 3) + b"\x01"
-        token = CounterToken(counter_id, 3, svc_key.sign(payload))
         shielded = shield_encrypt(b"golden fixture payload", bytes(range(32)),
-                                  bytes(range(16)), token,
-                                  public_key_bytes(svc_key),
+                                  bytes(range(16)), bytes(range(100, 116)), 3,
                                   nonce=bytes(range(200, 212)))
         assert shielded.to_bytes().hex() == GOLDEN_HEX
 
@@ -170,41 +162,26 @@ class TestIntegrity:
 
 
 class TestFreshness:
-    def test_invalid_token_rejected_at_encrypt(self, service):
-        cid = service.create_counter()
-        token = service.read_stable(cid)
-        forged = CounterToken(cid, token.value + 1, token.signature)
-        with pytest.raises(FreshnessTokenError):
-            shield_encrypt(b"x", b"\x00" * 32, b"\x00" * 16, forged,
-                           service.public_key)
-
     def test_stale_file_raises_rollback(self, service):
         key = b"\x09" * 32
         cid = service.create_counter()
-        old = shield_encrypt(b"version 1", key, b"\x00" * 16,
-                             service.read_stable(cid), service.public_key)
-        service.increment_async(cid)
-        new = shield_encrypt(b"version 2", key, b"\x00" * 16,
-                             service.read_stable(cid), service.public_key)
-        lookup = verified_stable_lookup(service.read_stable, service.public_key)
+        old = shield_encrypt(b"version 1", key, b"\x00" * 16, cid,
+                             service.read_stable(cid).value)
+        new = shield_encrypt(b"version 2", key, b"\x00" * 16, cid,
+                             service.increment_async(cid).value)
+        lookup = stable_lookup(service)
         assert shield_decrypt(new, key, lookup) == b"version 2"
         with pytest.raises(RollbackDetectedError):
             shield_decrypt(old, key, lookup)
 
-    def test_refusal_says_whether_the_file_is_older_or_newer(self, tmp_path):
-        signing_key = generate_signing_key()
-        svc = CounterService(tmp_path / "wal2", signing_key, use_fsync=False)
+    def test_refusal_says_whether_the_file_is_older_or_newer(self, service):
         key = b"\x0a" * 32
-        cid = svc.create_counter()
-        old = shield_encrypt(b"version 1", key, b"\x00" * 16,
-                             svc.read_stable(cid), svc.public_key)
-        svc.increment_async(cid)
-        # a token above the stable value, signed with the service's own key
-        payload = CounterToken(cid, 3, b"").signed_payload()
-        ahead = CounterToken(cid, 3, signing_key.sign(payload))
-        newer = shield_encrypt(b"version 3", key, b"\x00" * 16, ahead,
-                               svc.public_key)
-        lookup = verified_stable_lookup(svc.read_stable, svc.public_key)
+        cid = service.create_counter()
+        old = shield_encrypt(b"version 1", key, b"\x00" * 16, cid, 1)
+        service.increment_async(cid)
+        # bound to a value the counter never reached
+        newer = shield_encrypt(b"version 3", key, b"\x00" * 16, cid, 3)
+        lookup = stable_lookup(service)
         with pytest.raises(RollbackDetectedError,
                            match="counter 1 is older than the stable value 2: a replay"):
             shield_decrypt(old, key, lookup)
@@ -212,7 +189,6 @@ class TestFreshness:
                            match="counter 3 is newer than the stable value 2: "
                                  "the counter never made that value stable"):
             shield_decrypt(newer, key, lookup)
-        svc.close()
 
     @pytest.mark.parametrize("writes", range(1, 11))
     def test_only_last_write_decrypts(self, service, writes):
@@ -223,9 +199,8 @@ class TestFreshness:
             if i > 0:
                 service.increment_async(cid)
             versions.append(shield_encrypt(f"v{i}".encode(), key, b"\x00" * 16,
-                                           service.read_stable(cid),
-                                           service.public_key))
-        lookup = verified_stable_lookup(service.read_stable, service.public_key)
+                                           cid, service.read_stable(cid).value))
+        lookup = stable_lookup(service)
         assert shield_decrypt(versions[-1], key, lookup) == f"v{writes - 1}".encode()
         for stale in versions[:-1]:
             with pytest.raises(RollbackDetectedError):
@@ -233,18 +208,23 @@ class TestFreshness:
 
 
 class TestValidation:
-    def test_key_length_enforced(self, service):
-        cid = service.create_counter()
-        token = service.read_stable(cid)
+    def test_key_length_enforced(self):
         with pytest.raises(InvalidInputError):
-            shield_encrypt(b"x", b"short", b"\x00" * 16, token, service.public_key)
+            shield_encrypt(b"x", b"short", b"\x00" * 16, b"\x01" * 16, 1)
 
-    def test_nonces_never_repeat_per_key(self, service):
+    @pytest.mark.parametrize("counter_id,value,match", [
+        (b"\x01" * 15, 1, "counter_id must be 16 bytes"),
+        (b"\x01" * 17, 1, "counter_id must be 16 bytes"),
+        (b"\x01" * 16, 0, "counter value must be positive"),
+        (b"\x01" * 16, -1, "counter value must be positive"),
+    ])
+    def test_counter_binding_checked(self, counter_id, value, match):
+        with pytest.raises(InvalidInputError, match=match):
+            shield_encrypt(b"x", b"\x00" * 32, b"\x00" * 16, counter_id, value)
+
+    def test_nonces_never_repeat_per_key(self):
         # AEAD discipline: fresh random 96-bit nonce on every encryption
-        cid = service.create_counter()
-        token = service.read_stable(cid)
         key = b"\x0c" * 32
-        nonces = {shield_encrypt(b"p", key, b"\x00" * 16, token,
-                                 service.public_key).header.nonce
+        nonces = {shield_encrypt(b"p", key, b"\x00" * 16, b"\x01" * 16, 1).header.nonce
                   for _ in range(1000)}
         assert len(nonces) == 1000
