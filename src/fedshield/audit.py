@@ -56,17 +56,22 @@ class AuditVerdict:
 
 
 class AuditLog:
-    """Append-only writer. Reopening an existing log continues its chain."""
+    """Append-only writer. Reopening an existing log continues its chain; an
+    unterminated last line was never acknowledged (a line and its LF are one
+    write, then fsync), so opening cuts it off."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._seq = 0
         self._prev = GENESIS
-        if self.path.exists() and self.path.stat().st_size > 0:
-            entries = read_entries(self.path)
-            if entries:
-                self._seq = entries[-1].seq + 1
-                self._prev = entries[-1].entry_hash
+        data = self.path.read_bytes() if self.path.exists() else b""
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            os.truncate(self.path, whole)
+        entries = [_parse_line(line) for line in data[:whole].split(b"\n") if line]
+        if entries:
+            self._seq = entries[-1].seq + 1
+            self._prev = entries[-1].entry_hash
 
     def append(self, kind: str, payload: dict) -> AuditEntry:
         timestamp = time.time()
@@ -78,9 +83,8 @@ class AuditLog:
             prev_hash=self._prev,
             entry_hash=_entry_hash(self._prev, self._seq, timestamp, kind, payload),
         )
-        with open(self.path, "ab") as fh:
+        with open(self.path, "ab", buffering=0) as fh:  # one write per line
             fh.write(entry.to_line())
-            fh.flush()
             os.fsync(fh.fileno())
         self._seq += 1
         self._prev = entry.entry_hash
@@ -110,14 +114,12 @@ def _parse_line(line: bytes) -> AuditEntry:
 
 def read_entries(path: str | Path) -> list[AuditEntry]:
     """Parse all entries without verifying the chain."""
-    data = Path(path).read_bytes()
-    return [_parse_line(line) for line in data.split(b"\n") if line]
+    return [_parse_line(line) for line in Path(path).read_bytes().split(b"\n") if line]
 
 
 def verify_audit(path: str | Path) -> AuditVerdict:
     """Walk the chain from genesis; report the first broken entry index."""
-    data = Path(path).read_bytes()
-    lines = [line for line in data.split(b"\n") if line]
+    lines = [line for line in Path(path).read_bytes().split(b"\n") if line]
     prev = GENESIS
     for index, line in enumerate(lines):
         try:

@@ -52,6 +52,8 @@ def _apply_session_file(args, keys: tuple[str, ...]) -> None:
         raise InvalidInputError(f"session file {args.session_file}: {exc}") from exc
     for key in keys:
         if not getattr(args, key, None) and key in doc:
+            if not isinstance(doc[key], str):
+                raise InvalidInputError(f"session file {args.session_file}: {key} is not a string")
             setattr(args, key, doc[key])
 
 

@@ -180,8 +180,7 @@ class Platform:
 
     @property
     def root_public_key(self) -> bytes:
-        return self.signing_key.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw)
+        return public_key_bytes(self.signing_key)
 
     def sign(self, payload: bytes) -> bytes:
         return self.signing_key.sign(payload)
@@ -306,7 +305,7 @@ def save_signing_key(key: Ed25519PrivateKey, path: str | Path) -> None:
     doc = {
         "kind": "signing",
         "signing_key": seed.hex(),
-        "public_key": key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw).hex(),
+        "public_key": public_key_bytes(key).hex(),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

@@ -19,14 +19,15 @@ and sent on every channel under its own key.
 
 Each parameter vector is serialized once, where it is made, and carries
 those bytes (``ModelUpdate.blob``, ``GlobalModel.blob``): a client hashes
-and sends the same blob, and the coordinator seals a committed model's blob
-into the checkpoint and sends it with the next broadcast or SESSION_END. A
-resumed model's blob is the bytes its checkpoint held.
+and sends the same blob, and the coordinator sends a committed model's blob
+with the next broadcast or SESSION_END and seals it into the checkpoint body,
+``u32 BE head length | canonical JSON head | blob``. A resumed model's blob
+is the bytes its checkpoint held; a current slot that does not decode, as
+one in an older layout, is refused.
 """
 
 from __future__ import annotations
 
-import base64
 import logging
 import struct
 import time
@@ -39,7 +40,7 @@ from . import protocol
 from .attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from .audit import AuditLog
 from .enclave import Enclave
-from .encoding import canonical_bytes, canonical_loads, sha256, unb64, unhex
+from .encoding import canonical_bytes, canonical_loads, sha256, unhex
 from .errors import (
     DecodeError,
     FedShieldError,
@@ -84,28 +85,38 @@ def _int_field(body: dict, key: str) -> int:
     return value
 
 
-def _params_of(trailer: bytes) -> np.ndarray:
-    """The parameter vector a round message carries; DecodeError otherwise."""
+def _params_of(blob: bytes) -> np.ndarray:
+    """The parameter vector of a message trailer or checkpoint; DecodeError otherwise."""
     try:
-        return deserialize_params(trailer)
+        return deserialize_params(blob)
     except InvalidInputError as exc:
-        raise DecodeError(f"malformed parameter trailer: {exc}") from exc
+        raise DecodeError(f"malformed parameter blob: {exc}") from exc
 
 
 def checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes:
-    """The checkpoint body: canonical JSON of the history, the base64 of the
-    model's blob, the policy hash and the round. Base64 needs no JSON escape,
-    so it is spliced into the JSON of the other fields: the same bytes as
-    encoding it with them, without scanning it as a JSON string."""
-    body = canonical_bytes({
-        "history": [[r, acc, loss] for r, acc, loss in model.history],
-        "params": "",
-        "policy_hash": policy_hash.hex(),
-        "round": model.round_index,
-    })
-    # "history" sorts first and holds only numbers, so this is the key
-    cut = body.index(b'"params":""') + len(b'"params":"')
-    return b"".join((body[:cut], base64.b64encode(model.blob), body[cut:]))
+    """``u32 BE head length | canonical JSON head | model blob``."""
+    head = canonical_bytes({"history": [[r, acc, loss] for r, acc, loss in model.history],
+                            "policy_hash": policy_hash.hex(), "round": model.round_index})
+    return b"".join((struct.pack(">I", len(head)), head, model.blob))
+
+
+def checkpoint_model(plaintext: bytes, policy_hash: bytes) -> GlobalModel:
+    """The model a checkpoint body holds: DecodeError for bytes that are not
+    a body, InvalidInputError for the body of another policy."""
+    end = 4 + int.from_bytes(plaintext[:4], "big")
+    if len(plaintext) < 4 or end > len(plaintext):
+        raise DecodeError("checkpoint body is shorter than its head")
+    head = canonical_loads(plaintext[4:end])
+    if not (isinstance(head, dict) and isinstance(head.get("history"), list)
+            and isinstance(head.get("policy_hash"), str) and type(head.get("round")) is int
+            and all(isinstance(row, list) and list(map(type, row)) == [int, float, float]
+                    for row in head["history"])):
+        raise DecodeError("checkpoint head is not a history, policy hash and round")
+    if head["policy_hash"] != policy_hash.hex():
+        raise InvalidInputError("checkpoint belongs to a different policy")
+    blob = plaintext[end:]
+    return GlobalModel(head["round"], _params_of(blob), blob,
+                       [tuple(row) for row in head["history"]])
 
 
 def derive_training_seed(rng_seed: int, client_id: str, round_index: int) -> int:
@@ -272,16 +283,10 @@ class Coordinator:
             except (DecodeError, IntegrityError, RollbackDetectedError) as exc:
                 failures[path.name] = exc
                 continue
-            doc = canonical_loads(plaintext)
-            if doc["policy_hash"] != self.policy.policy_hash.hex():
-                raise InvalidInputError("checkpoint belongs to a different policy")
-            blob = unb64(doc["params"])  # authenticated with the slot
-            self.model = GlobalModel(
-                round_index=int(doc["round"]),
-                params=deserialize_params(blob),
-                blob=blob,
-                history=[(int(r), float(a), float(l)) for r, a, l in doc["history"]],
-            )
+            try:  # the other slot is stale by construction: no fallback
+                self.model = checkpoint_model(plaintext, self.policy.policy_hash)
+            except DecodeError as exc:
+                raise DecodeError(f"{path.name}: {exc}") from exc
             self.counter_id = header.counter_id
             self.audit.append("resume", {"round": self.model.round_index})
             return
@@ -435,18 +440,13 @@ class Coordinator:
                                round_seed=round_index)
         scores = score_clients(runs, sorted(updates))
         flags = flag_outliers(scores, self.cfg.outlier_threshold)
-        payload = {
-            "clones": [
-                {"subset": sorted(run.subset), "utility": run.utility}
-                for run in runs
-            ],
-            "scores": {
-                s.client_id: s.score for s in scores
-            },
+        return flags, {
+            "clones": [{"subset": sorted(run.subset), "utility": run.utility}
+                       for run in runs],
+            "scores": {s.client_id: s.score for s in scores},
             "flags": sorted(flags),
             "seed": [self.cfg.rng_seed, round_index],
         }
-        return flags, payload
 
     def run_round(self, round_index: int) -> RoundRecord:
         """One broadcast-train-collect-aggregate-commit cycle."""

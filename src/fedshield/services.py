@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import protocol
 from .attestation import AttestationPolicy, ROLE_POLICY_MANAGER, attested_handshake
-from .counters import CounterService, CounterToken, verify_token
+from .counters import COUNTER_ID_LEN, CounterService, CounterToken, verify_token
 from .enclave import Enclave
 from .encoding import b64, unb64, unhex
 from .errors import (
@@ -76,7 +76,6 @@ class ServiceEndpoint:
         # Any attested peer may connect; release decisions happen per request.
         self.handshake_policy = AttestationPolicy(
             trusted_root=trusted_root, expected_measurements=None)
-        self._stop = threading.Event()
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self._accept_loop, daemon=True,
@@ -85,12 +84,11 @@ class ServiceEndpoint:
         return thread
 
     def stop(self) -> None:
-        self._stop.set()
         self.listener.close()
         self.counters.close()
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:  # a closed listener's accept raises TransportClosedError
             try:
                 transport = self.listener.accept(timeout=0.2)
             except TimeoutError:
@@ -126,14 +124,13 @@ class ServiceEndpoint:
             elif mtype == protocol.REQUEST_SECRETS:
                 self._handle_request_secrets(channel, body)
             elif mtype == protocol.COUNTER_CREATE:
-                counter_id = self.counters.create_counter()
-                token = self.counters.read_stable(counter_id)
+                token = self.counters.read_stable(self.counters.create_counter())
                 protocol.send_ok(channel, {"token": b64(token.to_bytes())})
-            elif mtype == protocol.COUNTER_INC:
-                token = self.counters.increment_async(unhex(body.get("counter_id", ""), 16))
-                protocol.send_ok(channel, {"token": b64(token.to_bytes())})
-            elif mtype == protocol.COUNTER_READ:
-                token = self.counters.read_stable(unhex(body.get("counter_id", ""), 16))
+            elif mtype in (protocol.COUNTER_INC, protocol.COUNTER_READ):
+                counter_id = unhex(body.get("counter_id", ""), COUNTER_ID_LEN)
+                token = (self.counters.increment_async(counter_id)
+                         if mtype == protocol.COUNTER_INC
+                         else self.counters.read_stable(counter_id))
                 protocol.send_ok(channel, {"token": b64(token.to_bytes())})
             else:
                 protocol.send_err(channel, "unknown-request", f"type {mtype}")

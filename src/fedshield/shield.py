@@ -35,7 +35,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .counters import COUNTER_ID_LEN
-from .enclave import AEAD_AES_256_GCM
+from .enclave import AEAD_AES_256_GCM, AEAD_KEY_LEN
 from .errors import (
     DecodeError,
     IntegrityError,
@@ -100,8 +100,8 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
                    *, nonce: bytes | None = None) -> ShieldedFile:
     """Seal a payload under a key and bind it to a counter's positive
     value, which readers require to be the counter's stable value."""
-    if len(key) != 32:
-        raise InvalidInputError("shield key must be 32 bytes")
+    if len(key) != AEAD_KEY_LEN:
+        raise InvalidInputError(f"shield key must be {AEAD_KEY_LEN} bytes")
     if len(key_id) != KEY_ID_LEN:
         raise InvalidInputError("key_id must be 16 bytes")
     if len(counter_id) != COUNTER_ID_LEN:
@@ -128,8 +128,8 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
     forward-dated files raise ``RollbackDetectedError`` after the tag check;
     its message says which of the two the file is.
     """
-    if len(key) != 32:
-        raise InvalidInputError("shield key must be 32 bytes")
+    if len(key) != AEAD_KEY_LEN:
+        raise InvalidInputError(f"shield key must be {AEAD_KEY_LEN} bytes")
     header_bytes = shielded.header.to_bytes()
     try:
         plaintext = AESGCM(key).decrypt(shielded.header.nonce, shielded.body, header_bytes)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fedshield.audit import AuditLog, read_entries, verify_audit
+from fedshield.errors import DecodeError
 
 
 @pytest.fixture
@@ -111,3 +112,29 @@ def test_truncated_tail_breaks_at_missing_entry(log_path):
     verdict = verify_audit(log_path)
     assert verdict.ok  # a clean prefix is still a valid chain
     assert verdict.entries == 7
+
+
+def test_torn_tail_is_cut_and_the_chain_continues(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog(path)
+    log.append("first", {"x": 1})
+    log.append("second", {"x": 2})
+    first_line = path.read_bytes().split(b"\n")[0] + b"\n"
+    path.write_bytes(path.read_bytes()[:-40])  # killed while appending "second"
+    reopened = AuditLog(path)
+    assert path.read_bytes() == first_line
+    reopened.append("third", {"x": 3})
+    verdict = verify_audit(path)
+    assert verdict.ok and verdict.entries == 2
+    entries = read_entries(path)
+    assert [e.kind for e in entries] == ["first", "third"]
+    assert entries[1].seq == 1 and entries[1].prev_hash == entries[0].entry_hash
+
+
+def test_whole_line_that_does_not_parse_still_refuses_the_open(tmp_path):
+    path = tmp_path / "audit.log"
+    AuditLog(path).append("first", {"x": 1})
+    with open(path, "ab") as fh:
+        fh.write(b"not an entry\n")
+    with pytest.raises(DecodeError):
+        AuditLog(path)

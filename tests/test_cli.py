@@ -298,6 +298,20 @@ def test_malformed_operator_input_ends_in_an_error_line(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("key, value", [("policy", ["x"]), ("manager", 7700)])
+def test_session_file_value_that_is_not_a_string_ends_in_an_error_line(
+        tmp_path, capsys, key, value):
+    argv = run_client_argv(tmp_path, role_measurements())
+    flag = argv.index("--" + key)
+    del argv[flag:flag + 2]  # the session file supplies it
+    (tmp_path / "alice.sfl").write_bytes(b"x")  # so the run reaches the manager
+    (tmp_path / "session.json").write_text(json.dumps({key: value}))
+    assert cli.main(argv + ["--session-file", str(tmp_path / "session.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: session file ")
+    assert f"{key} is not a string" in err
+
+
 def run_client_argv(tmp_path, measurements) -> list[str]:
     """``run-client`` arguments for a policy pinning ``measurements``; the
     manager and coordinator addresses are unreachable."""

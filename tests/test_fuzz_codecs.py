@@ -1,14 +1,16 @@
 """Property tests: the message, parameter, dataset, audit, quote, sealed-blob,
-shielded-file and counter-token decoders on arbitrary bytes, the policy
-parser on arbitrary text, the dataset encoder on arbitrary matrices, the
-checkpoint body on arbitrary models, each handshake stage on edited
-frames from an attested peer, and every manager call on arbitrary replies.
+shielded-file, counter-token and checkpoint-body decoders on arbitrary bytes,
+the policy parser on arbitrary text, the dataset encoder on arbitrary
+matrices, the checkpoint body on arbitrary models, each handshake stage on
+edited frames from an attested peer, and every manager call on arbitrary
+replies.
 
 Whatever bytes arrive, decoding either succeeds or raises a FedShieldError;
 audit verification always returns a verdict; a policy document parses or
 raises PolicyInvalidError; a handshake given an edited frame ends in a
-FedShieldError; a manager call returns or raises a FedShieldError. The dataset codec and the checkpoint body give the bytes
-and arrays of their reference implementations.
+FedShieldError; a manager call returns or raises a FedShieldError. The
+dataset codec gives the bytes and arrays of its reference implementation,
+and a checkpoint body decodes to the model it was encoded from, bit for bit.
 """
 
 import copy
@@ -43,6 +45,7 @@ from fedshield.counters import TOKEN_LEN, CounterToken  # noqa: E402
 from fedshield.demo import author_policy, role_measurements  # noqa: E402
 from fedshield.encoding import b64, canonical_bytes  # noqa: E402
 from fedshield.errors import (  # noqa: E402
+    DecodeError,
     FedShieldError,
     InvalidInputError,
     PolicyInvalidError,
@@ -55,7 +58,7 @@ from fedshield.fl import (  # noqa: E402
     deserialize_params,
     serialize_params,
 )
-from fedshield.orchestrator import checkpoint_plaintext  # noqa: E402
+from fedshield.orchestrator import checkpoint_model, checkpoint_plaintext  # noqa: E402
 from fedshield.policy import SessionConfig, parse_policy  # noqa: E402
 from fedshield.services import ManagerChannel  # noqa: E402
 
@@ -315,19 +318,12 @@ def test_dataset_to_csv_bytes_matches_reference(dataset):
     assert dataset_to_csv_bytes(dataset) == reference_dataset_to_csv_bytes(dataset)
 
 
-def reference_checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes:
-    """The checkpoint body as the coordinator built it before the splice,
-    verbatim but for taking the policy hash as an argument."""
-    return canonical_bytes({
-        "history": [[r, acc, loss] for r, acc, loss in model.history],
-        "params": b64(serialize_params(model.params)),
-        "policy_hash": policy_hash.hex(),
-        "round": model.round_index,
-    })
-
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 histories = st.lists(st.tuples(st.integers(0, 2**31), finite, finite), max_size=6)
+
+
+def history_bits(history) -> list:
+    return [(r, struct.pack(">dd", acc, loss)) for r, acc, loss in history]
 
 
 @FUZZ
@@ -336,10 +332,16 @@ histories = st.lists(st.tuples(st.integers(0, 2**31), finite, finite), max_size=
 @example(np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-05]),
          [(1, -0.0, 5e-324), (2, 1e16, 1e-05)], 2, bytes(32))
 @example(np.zeros(0), [], 0, bytes(32))
-def test_checkpoint_plaintext_matches_reference(params, history, round_index, policy_hash):
+def test_checkpoint_body_round_trips(params, history, round_index, policy_hash):
     model = GlobalModel(round_index, params, serialize_params(params), history)
-    assert (checkpoint_plaintext(model, policy_hash)
-            == reference_checkpoint_plaintext(model, policy_hash))
+    body = checkpoint_plaintext(model, policy_hash)
+    decoded = checkpoint_model(body, policy_hash)
+    assert decoded.round_index == round_index
+    assert decoded.blob == model.blob
+    assert decoded.params.tobytes() == np.asarray(params, np.float64).tobytes()
+    assert history_bits(decoded.history) == history_bits(history)
+    with pytest.raises(InvalidInputError, match="different policy"):
+        checkpoint_model(body, bytes(b ^ 1 for b in policy_hash))
 
 
 @pytest.mark.parametrize("column", [1, 2])  # accuracy, loss
@@ -349,11 +351,51 @@ def test_non_finite_metric_refused_as_by_reference(column, value):
     entry[column] = value
     params = np.array([0.5, -1.0])
     model = GlobalModel(1, params, serialize_params(params), [(2, 0.5, 0.25), tuple(entry)])
-    with pytest.raises(InvalidInputError) as spliced:
+    with pytest.raises(InvalidInputError):
         checkpoint_plaintext(model, bytes(32))
-    with pytest.raises(InvalidInputError) as reference:
-        reference_checkpoint_plaintext(model, bytes(32))
-    assert str(spliced.value) == str(reference.value)
+
+
+CHECKPOINT_PARAMS = np.array([0.5, -1.0, 2.0])
+CHECKPOINT_BODY = checkpoint_plaintext(
+    GlobalModel(2, CHECKPOINT_PARAMS, serialize_params(CHECKPOINT_PARAMS),
+                [(1, 0.5, 0.75), (2, 0.625, 0.5)]), bytes(32))
+CHECKPOINT_HEAD_END = 4 + struct.unpack(">I", CHECKPOINT_BODY[:4])[0]
+
+
+def with_head(head: bytes, tail: bytes = CHECKPOINT_BODY[CHECKPOINT_HEAD_END:]) -> bytes:
+    return struct.pack(">I", len(head)) + head + tail
+
+
+# near-valid heads: each field absent, of another JSON type, or well-typed
+head_docs = st.dictionaries(
+    st.sampled_from(["history", "policy_hash", "round", "params"]),
+    json_values
+    | st.lists(st.lists(json_values, max_size=4) | json_values, max_size=3)
+    | st.lists(st.tuples(st.integers(-2, 2**64), finite, finite).map(list), max_size=3)
+    | st.just(bytes(32).hex()),
+    max_size=4)
+checkpoint_bytes = (
+    st.binary(max_size=200)
+    | st.builds(lambda cut: CHECKPOINT_BODY[:cut], st.integers(0, 80))
+    | st.builds(lambda prefix: prefix + CHECKPOINT_BODY[4:], st.binary(max_size=5))
+    | st.builds(with_head, st.binary(max_size=80))
+    | st.builds(lambda doc: with_head(canonical_bytes(doc)), head_docs)
+    | st.builds(lambda tail: CHECKPOINT_BODY[:CHECKPOINT_HEAD_END] + tail, param_bytes))
+
+
+@FUZZ
+@given(checkpoint_bytes)
+@example(CHECKPOINT_BODY)
+@example(with_head(b'{"history":[1],"policy_hash":"00","round":1}'))  # a row not a list
+@example(with_head(b'{"history":[],"policy_hash":1,"round":1}'))  # a hash not a string
+@example(with_head(b"[]"))  # a head not an object
+def test_checkpoint_model_returns_a_model_or_refuses_typed(data):
+    try:
+        model = checkpoint_model(data, bytes(32))
+    except (DecodeError, InvalidInputError):
+        return
+    assert isinstance(model, GlobalModel)
+    assert model.blob == data[4 + struct.unpack(">I", data[:4])[0]:]
 
 
 @FUZZ

@@ -14,7 +14,7 @@ from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
 from fedshield.counters import COUNTER_ID_LEN
 from fedshield.enclave import spawn_enclave
-from fedshield.encoding import canonical_bytes, sha256
+from fedshield.encoding import b64, canonical_bytes, sha256
 from fedshield.errors import (
     ChannelIntegrityError,
     DecodeError,
@@ -40,7 +40,7 @@ from fedshield.orchestrator import (
     derive_training_seed,
 )
 from fedshield.policy import SessionConfig
-from fedshield.shield import open_shielded
+from fedshield.shield import open_shielded, shield_encrypt, write_shielded
 from fedshield.transport import CaptureLog, Hub
 
 
@@ -417,16 +417,44 @@ def test_leak_rows_are_the_rows_as_encoded(tmp_path):
         dep.close()
 
 
+def parent_checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes:
+    """The checkpoint body of the earlier layout: canonical JSON with the
+    parameter blob as base64."""
+    return canonical_bytes({
+        "history": [[r, acc, loss] for r, acc, loss in model.history],
+        "params": b64(serialize_params(model.params)),
+        "policy_hash": policy_hash.hex(),
+        "round": model.round_index,
+    })
+
+
+def revive(dep) -> Coordinator:
+    """A new coordinator over the deployment's state directory."""
+    mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
+    return Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
+                       dep.platform.root_public_key, validation_csv(dep), mgr,
+                       round_deadline=5.0)
+
+
+def run_two_rounds(dep) -> None:
+    agents = [dep.make_agent(cid) for cid in dep.client_ids]
+    dep.join_all(agents)
+    dep.start_agents(agents)
+    dep.coordinator.run_round(1)
+    dep.coordinator.run_round(2)
+    dep.coordinator._close_clients()  # simulated kill
+
+
 class TestCheckpointBody:
     def test_golden_digest(self):
-        # computed with the body encoded whole as canonical JSON, before the
-        # base64 was spliced in
+        # the body is u32 BE head length | canonical JSON head of "history",
+        # "policy_hash" and "round" | the serialize_params blob
         params = np.array([0.5, -0.0, 5e-324, 1e16, -1.25e-7, 1e-05])
         model = GlobalModel(3, params, serialize_params(params),
                             [(1, 0.5, 0.6931471805599453), (2, 0.75, 0.25), (3, 1.0, 1e-300)])
         body = checkpoint_plaintext(model, bytes(range(32)))
         assert sha256(body).hex() == (
-            "448b25bff920bc55bcfb075b4de262094868312b2bfd99b0fb18f30b0b910513")
+            "fc227d32dba24dbe906af19ab8725e015d81891b3f1ec9978c7b891fb043d727")
 
 
 class TestCrashRecovery:
@@ -591,6 +619,36 @@ class TestCrashRecovery:
                 revive()
         finally:
             dep.close()
+
+    def test_current_slot_in_the_earlier_layout_is_refused(self, tmp_path):
+        dep = make_deployment(tmp_path)
+        try:
+            run_two_rounds(dep)
+            coordinator = dep.coordinator
+            stable = coordinator.manager.stable_value(coordinator.counter_id)
+            body = parent_checkpoint_plaintext(coordinator.model, dep.policy_hash)
+            write_shielded(dep.state_dir / "checkpoint-a.sfl",  # round 2, current
+                           shield_encrypt(body, coordinator.checkpoint_key,
+                                          coordinator.checkpoint_key_id,
+                                          coordinator.counter_id, stable))
+            with pytest.raises(DecodeError, match="checkpoint-a.sfl: "):
+                revive(dep)
+        finally:
+            dep.close()
+
+    def test_revival_over_a_torn_audit_tail(self, tmp_path):
+        dep = make_deployment(tmp_path)
+        try:
+            run_two_rounds(dep)
+            log = dep.state_dir / "audit.log"
+            kinds = [e.kind for e in read_entries(log)]
+            log.write_bytes(log.read_bytes()[:-40])  # killed while appending round 2
+            assert revive(dep).model.round_index == 2
+            assert [e.kind for e in read_entries(log)] == kinds[:-1] + ["resume"]
+            assert verify_audit(log).ok
+        finally:
+            dep.close()
+
 
 class TestSessionRegression:
     def test_separable_fixture_converges_at_frozen_round(self, tmp_path):
