@@ -252,14 +252,16 @@ def cmd_run_client(args) -> int:
     # a missing input file fails before the manager is contacted
     plaintext = Path(args.data).read_bytes()
     manager = _manager_channel(args, enclave, manager_pin, role="client")
-    plaintext, _ = manager.provision(policy.policy_hash, "client",
-                                     Path(args.data).with_suffix(".sfl"), plaintext)
+    try:  # the channel is not held through the session
+        plaintext, _ = manager.provision(policy.policy_hash, "client",
+                                         Path(args.data).with_suffix(".sfl"), plaintext)
+    finally:
+        manager.close()
     agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
                         sha256(plaintext), policy, platform.root_public_key)
     agent.join(TcpNetwork().connect(args.coordinator))
     print(f"{args.client_id}: admitted")
     result = agent.run()
-    manager.close()
     print(f"{args.client_id}: session ended ({result.get('reason', result.get('status'))})")
     return 0
 

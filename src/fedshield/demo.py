@@ -117,8 +117,6 @@ class DemoResult:
     model: GlobalModel | None
     policy_hash: bytes
     coordinator: Coordinator
-    agents: list[ClientAgent]
-    capture: CaptureLog | None
     audit_paths: dict[str, Path]
     sensitive: dict[str, bytes] = field(default_factory=dict)
     rejected: dict[str, str] = field(default_factory=dict)
@@ -336,8 +334,6 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
         model=model,
         policy_hash=dep.policy_hash,
         coordinator=dep.coordinator,
-        agents=agents,
-        capture=capture,
         audit_paths={
             "coordinator": dep.state_dir / "audit.log",
             "manager": dep.manager_dir / "audit.log",

@@ -12,8 +12,8 @@ Serialized quote layout (big-endian, 214 bytes total):
     platform_id 16B | svn u16 | report_data 64B | nonce 32B |
     signature 64B (Ed25519, over all preceding bytes)
 
-Sealed blob layout: magic "SSB1" | hash_alg u8 | aead_alg u8 | nonce 12B |
-u64 ciphertext length | ciphertext+tag.
+Sealed blob layout: magic "SSB1" | hash_alg u8 = 1 | aead_alg u8 = 1 |
+nonce 12B | u64 ciphertext length | ciphertext+tag.
 """
 
 from __future__ import annotations
@@ -149,24 +149,23 @@ class SealedBlob:
 
     nonce: bytes
     ciphertext: bytes
-    hash_alg: int = HASH_SHA256
-    aead_alg: int = AEAD_AES_256_GCM
 
     def to_bytes(self) -> bytes:
-        return (SEALED_MAGIC + struct.pack(">BB", self.hash_alg, self.aead_alg)
+        return (SEALED_MAGIC + struct.pack(">BB", HASH_SHA256, AEAD_AES_256_GCM)
                 + self.nonce + struct.pack(">Q", len(self.ciphertext)) + self.ciphertext)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedBlob":
         if len(data) < 4 + 2 + AEAD_NONCE_LEN + 8 or data[:4] != SEALED_MAGIC:
             raise DecodeError("not a sealed blob")
-        hash_alg, aead_alg = struct.unpack(">BB", data[4:6])
+        if struct.unpack(">BB", data[4:6]) != (HASH_SHA256, AEAD_AES_256_GCM):
+            raise DecodeError("unsupported algorithm identifier")
         nonce = data[6:6 + AEAD_NONCE_LEN]
         (ct_len,) = struct.unpack(">Q", data[18:26])
         ct = data[26:]
         if len(ct) != ct_len:
             raise DecodeError("sealed blob length mismatch")
-        return cls(nonce=nonce, ciphertext=ct, hash_alg=hash_alg, aead_alg=aead_alg)
+        return cls(nonce=nonce, ciphertext=ct)
 
 
 @dataclass

@@ -8,10 +8,12 @@ SHA-256 hash of the canonical encoding (sorted keys, UTF-8, no
 insignificant whitespace), so the hash is invariant under key reordering
 of the source document. Policies are immutable once uploaded.
 
-Secret references inside injection templates are written ``$$NAME$$`` and
-are replaced by the secret value when the bundle is rendered for an
-attested computation. Generated secrets exist on disk only as sealed
-blobs under the manager's enclave.
+Every secret is a ``symmetric-key-256`` the manager generates (a ``value``
+in the document is refused, so no key is stored in clear), and every
+injection rule sets a named ``environment-variable``: the ``$$NAME$$``
+references in its template become those keys' hex when the role's
+environment is rendered for an attested computation. Generated secrets
+exist on disk only as sealed blobs under the manager's enclave.
 
 Persistence layout: ``policies/<hash>.pol``, ``secrets/<hash>/<name>.sealed``,
 append-only ``audit.log``. Each file is replaced all or nothing, and a
@@ -21,15 +23,15 @@ policy's secrets are generated once all their sealed files exist.
 from __future__ import annotations
 
 import re
-import secrets as secrets_mod
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from secrets import token_bytes
 from typing import Mapping
 
 from .attestation import AttestationPolicy, verify_quote
 from .audit import AuditLog
-from .enclave import Enclave, Quote, SealedBlob
+from .enclave import AEAD_KEY_LEN, Enclave, Quote, SealedBlob
 from .encoding import canonical_bytes, canonical_loads, sha256
 from .errors import (
     AccessDeniedError,
@@ -46,14 +48,12 @@ from .errors import (
 from .shield import replace_file
 
 ROLES = ("coordinator", "client", "policy_manager_self")
-MECHANISMS = ("argument", "environment-variable", "file-template")
+# The one secret kind and the one injection mechanism.
+SYMMETRIC_KEY_256 = "symmetric-key-256"
+ENVIRONMENT_VARIABLE = "environment-variable"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _TOKEN_RE = re.compile(r"\$\$([A-Za-z_][A-Za-z0-9_-]*)\$\$")
-_RANDOM_HEX_RE = re.compile(r"^random-hex-([0-9]{1,4})$")  # ASCII, under 10,000
-
-SYMMETRIC_KEY_256 = "symmetric-key-256"
-PROVIDED_VALUE = "provided-value"
 
 # Secrets of the standard deployment; their names also derive shield key ids.
 DATASET_SECRET = "dataset-key"
@@ -75,14 +75,13 @@ ROLE_DATASET_KEYS = {
 class SecretSpec:
     secret_name: str
     kind: str
-    value: str | None = None
 
 
 @dataclass(frozen=True)
 class InjectionRule:
     role: str
     mechanism: str
-    name: str  # argument position label, variable name, or file path
+    name: str  # the environment variable
     template: str
 
 
@@ -188,7 +187,7 @@ def _hex32(doc: dict, key: str, context: str) -> bytes:
     return raw
 
 
-def parse_policy(document_text: str) -> Policy:
+def parse_policy(document_text: str | bytes) -> Policy:
     """Parse and validate a policy document; raises PolicyInvalidError."""
     try:
         doc = canonical_loads(document_text)
@@ -242,22 +241,12 @@ def parse_policy(document_text: str) -> Policy:
         if sname in seen_names:
             raise PolicyInvalidError(f"duplicate secret name {sname!r}")
         seen_names.add(sname)
-        value = entry.get("value")
-        if kind == PROVIDED_VALUE:
-            if not isinstance(value, str):
-                raise PolicyInvalidError(f"secret {sname!r}: provided-value needs a value")
-        elif kind == SYMMETRIC_KEY_256:
-            if value is not None:
-                raise PolicyInvalidError(f"secret {sname!r}: value only allowed for provided-value")
-        elif isinstance(kind, str) and _RANDOM_HEX_RE.match(kind):
-            hex_len = int(_RANDOM_HEX_RE.match(kind).group(1))
-            if hex_len < 2 or hex_len % 2 != 0:
-                raise PolicyInvalidError(f"secret {sname!r}: random-hex length must be even and >= 2")
-            if value is not None:
-                raise PolicyInvalidError(f"secret {sname!r}: value only allowed for provided-value")
-        else:
-            raise PolicyInvalidError(f"secret {sname!r}: unknown kind {kind!r}")
-        specs.append(SecretSpec(sname, kind, value))
+        if kind != SYMMETRIC_KEY_256:
+            raise PolicyInvalidError(
+                f"secret {sname!r}: kind {kind!r} is not {SYMMETRIC_KEY_256}")
+        if "value" in entry:
+            raise PolicyInvalidError(f"secret {sname!r}: a {kind} takes no value")
+        specs.append(SecretSpec(sname, kind))
 
     injection_doc = doc.get("injection", [])
     if not isinstance(injection_doc, list):
@@ -268,16 +257,15 @@ def parse_policy(document_text: str) -> Policy:
             raise PolicyInvalidError(f"injection rule {i} is malformed")
         role = entry.get("role")
         mechanism = entry.get("mechanism")
-        rule_name = entry.get("name", "")
+        rule_name = entry.get("name")
         template = entry.get("template")
         if role not in ROLES:
             raise PolicyInvalidError(f"injection rule {i}: unknown role {role!r}")
-        if mechanism not in MECHANISMS:
-            raise PolicyInvalidError(f"injection rule {i}: unknown mechanism {mechanism!r}")
-        if not isinstance(rule_name, str):
-            raise PolicyInvalidError(f"injection rule {i}: name must be a string")
-        if mechanism in ("environment-variable", "file-template") and not rule_name:
-            raise PolicyInvalidError(f"injection rule {i}: {mechanism} needs a name")
+        if mechanism != ENVIRONMENT_VARIABLE:
+            raise PolicyInvalidError(
+                f"injection rule {i}: mechanism {mechanism!r} is not {ENVIRONMENT_VARIABLE}")
+        if not isinstance(rule_name, str) or not rule_name:
+            raise PolicyInvalidError(f"injection rule {i}: needs a variable name")
         if not isinstance(template, str):
             raise PolicyInvalidError(f"injection rule {i}: missing template")
         for token in _TOKEN_RE.findall(template):
@@ -329,12 +317,10 @@ def secret_key_id(policy_hash: bytes, secret_name: str) -> bytes:
 
 @dataclass(frozen=True)
 class InjectionBundle:
-    """Rendered secrets and configuration for one attested role."""
+    """The environment rendered for one attested role."""
 
     role: str
-    arguments: tuple[str, ...]
     environment: dict[str, str]
-    files: dict[str, str]
 
     def key_bytes(self, variable: str) -> bytes:
         """Resolve an injected hex key by environment-variable name."""
@@ -349,43 +335,21 @@ class InjectionBundle:
                 f"injected value for {variable!r} is not a hex key") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "arguments": list(self.arguments),
-            "environment": dict(self.environment),
-            "files": dict(self.files),
-        }
+        return {"role": self.role, "environment": dict(self.environment)}
 
     @classmethod
     def from_dict(cls, doc) -> "InjectionBundle":
-        """Parse a bundle from its wire form; DecodeError if malformed."""
-        if not isinstance(doc, dict) or not isinstance(doc.get("role"), str):
+        """Parse a bundle from its wire form, the keys ``role`` and
+        ``environment`` and no other; DecodeError if malformed."""
+        if not isinstance(doc, dict) or set(doc) != {"role", "environment"}:
+            raise DecodeError("injection bundle must hold a role and an environment only")
+        role, environment = doc["role"], doc["environment"]
+        if not isinstance(role, str):
             raise DecodeError("injection bundle needs a string role")
-        arguments = doc.get("arguments", [])
-        if not isinstance(arguments, list) or not all(isinstance(a, str) for a in arguments):
-            raise DecodeError("bundle arguments must be a list of strings")
-        environment, files = doc.get("environment", {}), doc.get("files", {})
-        for name, table in (("environment", environment), ("files", files)):
-            if not isinstance(table, dict) or not all(
-                    isinstance(k, str) and isinstance(v, str) for k, v in table.items()):
-                raise DecodeError(f"bundle {name} must map strings to strings")
-        return cls(doc["role"], tuple(arguments), dict(environment), dict(files))
-
-
-def _materialize(spec: SecretSpec) -> bytes:
-    if spec.kind == SYMMETRIC_KEY_256:
-        return secrets_mod.token_bytes(32)
-    if spec.kind == PROVIDED_VALUE:
-        return spec.value.encode("utf-8")
-    match = _RANDOM_HEX_RE.match(spec.kind)
-    hex_len = int(match.group(1))
-    return secrets_mod.token_hex(hex_len // 2).encode("ascii")
-
-
-def _render_value(spec: SecretSpec, raw: bytes) -> str:
-    if spec.kind == SYMMETRIC_KEY_256:
-        return raw.hex()
-    return raw.decode("utf-8")
+        if not isinstance(environment, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in environment.items()):
+            raise DecodeError("bundle environment must map strings to strings")
+        return cls(role, dict(environment))
 
 
 class PolicyManager:
@@ -406,9 +370,13 @@ class PolicyManager:
         (self.store_dir / "policies").mkdir(parents=True, exist_ok=True)
         (self.store_dir / "secrets").mkdir(parents=True, exist_ok=True)
         self.audit = AuditLog(self.store_dir / "audit.log")
-        self._policies = {policy.policy_hash: policy for policy in (
-            parse_policy(path.read_text())
-            for path in (self.store_dir / "policies").glob("*.pol"))}
+        self._policies = {}
+        for path in (self.store_dir / "policies").glob("*.pol"):
+            try:  # a refused policy stops the manager, named so it can be removed
+                policy = parse_policy(path.read_bytes())
+            except PolicyInvalidError as exc:
+                raise PolicyInvalidError(f"stored policy {path}: {exc}") from exc
+            self._policies[policy.policy_hash] = policy
         self._write_lock = threading.Lock()  # single-writer store
 
     # -- policy store ------------------------------------------------------
@@ -455,7 +423,7 @@ class PolicyManager:
                     f"secrets for {policy_hash.hex()} already generated")
             self._secret_dir(policy_hash).mkdir(parents=True, exist_ok=True)
             for spec in policy.secrets:
-                blob = self.enclave.seal(_materialize(spec))
+                blob = self.enclave.seal(token_bytes(AEAD_KEY_LEN))
                 replace_file(self._sealed_path(policy_hash, spec), blob.to_bytes())
             self.audit.append("secrets-generated", {
                 "policy_hash": policy_hash.hex(),
@@ -473,13 +441,12 @@ class PolicyManager:
         for spec in policy.secrets:
             path = self._sealed_path(policy.policy_hash, spec)
             blob = SealedBlob.from_bytes(path.read_bytes())
-            raw = self.enclave.unseal(blob)
-            env[spec.secret_name] = _render_value(spec, raw)
+            env[spec.secret_name] = self.enclave.unseal(blob).hex()
         return env
 
     def release_secrets(self, policy_hash: bytes, role: str, quote: Quote | bytes,
                         expected_nonce: bytes) -> InjectionBundle:
-        """Render the injection bundle for a role iff its quote verifies.
+        """Render the role's environment rules iff its quote verifies.
 
         The quote must verify under the manager's trusted root, embed the
         expected freshness nonce, and carry the measurement the policy pins
@@ -499,19 +466,10 @@ class PolicyManager:
             })
             raise AccessDeniedError(verdict)
         env = self._secret_environment(policy)
-        arguments, environment, files = [], {}, {}
-        for rule in policy.injection:
-            if rule.role != role:
-                continue
-            rendered = render_template(rule.template, env)
-            if rule.mechanism == "argument":
-                arguments.append(rendered)
-            elif rule.mechanism == "environment-variable":
-                environment[rule.name] = rendered
-            else:
-                files[rule.name] = rendered
+        environment = {rule.name: render_template(rule.template, env)
+                       for rule in policy.injection if rule.role == role}
         self.audit.append("secrets-released", {
             "policy_hash": policy_hash.hex(),
             "role": role,
         })
-        return InjectionBundle(role, tuple(arguments), environment, files)
+        return InjectionBundle(role, environment)

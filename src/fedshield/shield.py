@@ -73,6 +73,8 @@ class ShieldHeader:
         version, aead_alg = struct.unpack(">HB", data[4:7])
         if version != VERSION:
             raise DecodeError(f"unsupported shielded-file version {version}")
+        if aead_alg != AEAD_AES_256_GCM:
+            raise DecodeError(f"unsupported shielded-file algorithm {aead_alg}")
         off = 7
         key_id = data[off:off + KEY_ID_LEN]; off += KEY_ID_LEN
         counter_id = data[off:off + COUNTER_ID_LEN]; off += COUNTER_ID_LEN

@@ -18,6 +18,7 @@ from fedshield.enclave import (
     save_platform,
     spawn_enclave,
 )
+from fedshield.errors import NotFoundError
 from fedshield.fl import dataset_to_csv_bytes, synthetic_dataset
 from fedshield.policy import SessionConfig, parse_policy
 
@@ -270,6 +271,50 @@ def test_run_client_refuses_a_policy_that_pins_no_manager(tmp_path, capsys):
     del measurements["policy_manager_self"]
     assert cli.main(run_client_argv(tmp_path, measurements)) == 1
     assert "'policy_manager_self' not declared in policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("provisioned", [True, False])
+def test_run_client_closes_its_manager_channel_before_joining(tmp_path, monkeypatch,
+                                                              provisioned):
+    """The manager channel is released once the dataset is provisioned, or
+    once provisioning fails, so no client holds it through its session."""
+    events = []
+
+    class FakeNetwork:
+        def connect(self, address):
+            return address
+
+    class FakeManager:
+        def provision(self, policy_hash, role, path, plaintext):
+            events.append("provision")
+            if not provisioned:
+                raise NotFoundError("secrets have not been generated")
+            return plaintext, None
+
+        def close(self):
+            events.append("close")
+
+    class FakeAgent:
+        def __init__(self, *args):
+            pass
+
+        def join(self, transport):
+            events.append("join")
+
+        def run(self):
+            events.append("run")
+            return {"status": "ended"}
+
+    monkeypatch.setattr(cli, "TcpNetwork", FakeNetwork)
+    monkeypatch.setattr(cli, "connect_manager", lambda *args: FakeManager())
+    monkeypatch.setattr(cli, "ClientAgent", FakeAgent)
+    argv = run_client_argv(tmp_path, role_measurements())
+    (tmp_path / "alice.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=4)))
+    argv[argv.index("--data") + 1] = str(tmp_path / "alice.csv")
+    assert cli.main(argv) == (0 if provisioned else 1)
+    assert events == (["provision", "close", "join", "run"] if provisioned
+                      else ["provision", "close"])
 
 
 @pytest.mark.parametrize("case", ["session-file", "key-file", "hex-flag"])

@@ -19,6 +19,7 @@ from fedshield.enclave import (
     verify_signature,
 )
 from fedshield.errors import (
+    DecodeError,
     IntegrityError,
     InvalidInputError,
     QuoteDecodeError,
@@ -195,6 +196,16 @@ class TestSealing:
         blob = enclave_a.seal(b"persisted secret material")
         parsed = SealedBlob.from_bytes(blob.to_bytes())
         assert enclave_a.unseal(parsed) == b"persisted secret material"
+
+    @pytest.mark.parametrize("offset, value", [(4, 9), (5, 7)])
+    def test_unimplemented_algorithm_id_is_refused(self, enclave_a, offset, value):
+        # the algorithm bytes are outside the seal's associated data, so only
+        # the decoder can refuse a host's edit of them
+        raw = bytearray(enclave_a.seal(b"state").to_bytes())
+        assert raw[4:6] == b"\x01\x01"  # hash_alg SHA-256, aead_alg AES-256-GCM
+        raw[offset] = value
+        with pytest.raises(DecodeError, match="algorithm"):
+            SealedBlob.from_bytes(bytes(raw))
 
     def test_other_measurement_rejected_after_a_round_trip(self, enclave_a, enclave_b):
         # the blob on disk carries no identity: the tag alone refuses it

@@ -432,10 +432,14 @@ SHIELD_HEAD = shield.MAGIC + struct.pack(">H", shield.VERSION)
 
 @st.composite
 def sealed_blobs(draw):
-    """The sealed-blob layout with a length field that mostly matches."""
+    """The sealed-blob layout with algorithm ids and a length field that
+    mostly match, so most blobs reach the length check."""
     ciphertext = draw(st.binary(max_size=40))
+    algorithms = draw(mostly(st.just(struct.pack(">BB", enclave.HASH_SHA256,
+                                                 enclave.AEAD_AES_256_GCM)),
+                             st.binary(min_size=2, max_size=2)))
     length = draw(mostly(st.just(len(ciphertext)), st.integers(0, 2**64 - 1)))
-    return (enclave.SEALED_MAGIC + draw(st.binary(min_size=14, max_size=14))
+    return (enclave.SEALED_MAGIC + algorithms + draw(st.binary(min_size=12, max_size=12))
             + struct.pack(">Q", length) + ciphertext)
 
 

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from fedshield import shield
+from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import generate_platform, spawn_enclave
 from fedshield.errors import (
     AccessDeniedError,
@@ -20,6 +21,7 @@ from fedshield.errors import (
     TemplateError,
 )
 from fedshield.policy import (
+    DATASET_SECRET,
     PolicyManager,
     SessionConfig,
     parse_policy,
@@ -51,20 +53,26 @@ def policy_doc(name="pact", extra_secret=None, extra_injection=None,
         "session": SessionConfig(clone_count=2, clone_subset_size=1).to_dict(),
         "secrets": [
             {"secret_name": "data-key", "kind": "symmetric-key-256"},
-            {"secret_name": "api-token", "kind": "random-hex-32"},
-            {"secret_name": "motd", "kind": "provided-value",
-             "value": "agreed banner text"},
+            {"secret_name": "model-key", "kind": "symmetric-key-256"},
         ] + ([extra_secret] if extra_secret else []),
         "injection": [
             {"role": "client", "mechanism": "environment-variable",
              "name": "DATA_KEY", "template": "$$data-key$$"},
-            {"role": "client", "mechanism": "argument", "name": "",
-             "template": "--token=$$api-token$$"},
-            {"role": "coordinator", "mechanism": "file-template",
-             "name": "banner.txt", "template": "motd: $$motd$$\n"},
+            {"role": "coordinator", "mechanism": "environment-variable",
+             "name": "MODEL_KEY", "template": "$$model-key$$"},
         ] + ([extra_injection] if extra_injection else []),
     }
     return doc
+
+
+def provided_key_policy(key_hex):
+    """The standard policy with its dataset key provided in the document."""
+    doc = json.loads(author_policy("provided", role_measurements(),
+                                   [("alice", bytes(32))], SessionConfig()))
+    for spec in doc["secrets"]:
+        if spec["secret_name"] == DATASET_SECRET:
+            spec.update(kind="provided-value", value=key_hex)
+    return json.dumps(doc)
 
 
 def shuffled_json(doc, rng):
@@ -138,10 +146,23 @@ class TestValidation:
         with pytest.raises(PolicyInvalidError):
             parse_policy(json.dumps(doc))
 
-    def test_provided_value_requires_value(self):
-        doc = policy_doc(extra_secret={"secret_name": "oops",
-                                       "kind": "provided-value"})
-        with pytest.raises(PolicyInvalidError):
+    @pytest.mark.parametrize("extra_secret, extra_injection, named", [
+        ({"secret_name": "salt", "kind": "provided-value", "value": "ab" * 32},
+         None, "'salt'"),
+        ({"secret_name": "salt", "kind": "random-hex-64"}, None, "'salt'"),
+        ({"secret_name": "salt", "kind": "symmetric-key-256", "value": "ab" * 32},
+         None, "'salt'"),
+        (None, {"role": "client", "mechanism": "argument", "name": "",
+                "template": "--key=$$data-key$$"}, "injection rule 2"),
+        (None, {"role": "coordinator", "mechanism": "file-template",
+                "name": "key.txt", "template": "$$model-key$$"}, "injection rule 2"),
+        (None, {"role": "client", "mechanism": "environment-variable",
+                "name": "", "template": "$$data-key$$"}, "injection rule 2"),
+    ], ids=["provided-value", "random-hex", "key-with-value", "argument",
+            "file-template", "unnamed-variable"])
+    def test_removed_feature_is_refused(self, extra_secret, extra_injection, named):
+        doc = policy_doc(extra_secret=extra_secret, extra_injection=extra_injection)
+        with pytest.raises(PolicyInvalidError, match=named):
             parse_policy(json.dumps(doc))
 
     def test_clone_subset_bounded_by_roster(self):
@@ -155,14 +176,6 @@ class TestValidation:
         doc["session"]["target_accuracy"] = 1.5
         with pytest.raises(PolicyInvalidError):
             parse_policy(json.dumps(doc))
-
-    def test_random_hex_length_is_ascii_and_bounded(self):
-        for kind in ("random-hex-\u0662\u0662", "random-hex-10000", "random-hex-" + "2" * 5000):
-            doc = policy_doc(extra_secret={"secret_name": "salt", "kind": kind})
-            with pytest.raises(PolicyInvalidError, match="unknown kind"):
-                parse_policy(json.dumps(doc))
-        doc = policy_doc(extra_secret={"secret_name": "salt", "kind": "random-hex-9998"})
-        assert parse_policy(json.dumps(doc)).secrets[-1].kind == "random-hex-9998"
 
     def test_session_field_missing_or_non_numeric(self):
         missing, non_numeric = policy_doc(), policy_doc()
@@ -245,6 +258,26 @@ class TestPolicyStore:
         with pytest.raises(NotFoundError):
             reopened.get_policy(b"\x00" * 32)
 
+    def test_provided_key_is_refused_and_never_stored(self, manager_setup):
+        _, manager, _, _, _ = manager_setup
+        key_hex = "5e" * 32
+        with pytest.raises(PolicyInvalidError, match=DATASET_SECRET):
+            manager.upload_policy(provided_key_policy(key_hex))
+        assert list((manager.store_dir / "policies").iterdir()) == []
+        for path in manager.store_dir.rglob("*"):
+            if path.is_file():
+                assert key_hex.encode() not in path.read_bytes()
+                assert bytes.fromhex(key_hex) not in path.read_bytes()
+
+    @pytest.mark.parametrize("stored", [provided_key_policy("5e" * 32).encode(),
+                                        b"\xff\xfe not UTF-8"],
+                             ids=["provided-key", "not-utf-8"])
+    def test_stored_policy_the_manager_refuses_is_named(self, manager_setup, stored):
+        platform, manager, _, _, _ = manager_setup
+        (manager.store_dir / "policies" / "old.pol").write_bytes(stored)
+        with pytest.raises(PolicyInvalidError, match="old.pol"):
+            PolicyManager(manager.store_dir, manager.enclave, platform.root_public_key)
+
     def test_invalid_document_rejected(self, manager_setup):
         _, manager, _, _, _ = manager_setup
         with pytest.raises(PolicyInvalidError):
@@ -298,14 +331,6 @@ class TestSecretGeneration:
                 assert key_bytes not in blob
                 assert key_hex.encode() not in blob
 
-    def test_provided_value_round_trips(self, manager_setup):
-        _, manager, coordinator, _, doc = manager_setup
-        policy_hash = manager.upload_policy(json.dumps(doc))
-        manager.generate_secrets(policy_hash)
-        quote = coordinator.generate_quote(RD, NONCE)
-        bundle = manager.release_secrets(policy_hash, "coordinator", quote, NONCE)
-        assert bundle.files["banner.txt"] == "motd: agreed banner text\n"
-
     def test_double_generation_rejected(self, manager_setup):
         _, manager, _, _, doc = manager_setup
         policy_hash = manager.upload_policy(json.dumps(doc))
@@ -350,17 +375,6 @@ class TestSecretGeneration:
             manager.release_secrets(policy_hash, "client",
                                     client.generate_quote(RD, NONCE), NONCE)
 
-    def test_random_hex_secret_has_requested_length(self, manager_setup):
-        _, manager, _, client, doc = manager_setup
-        policy_hash = manager.upload_policy(json.dumps(doc))
-        manager.generate_secrets(policy_hash)
-        quote = client.generate_quote(RD, NONCE)
-        bundle = manager.release_secrets(policy_hash, "client", quote, NONCE)
-        token_arg = [a for a in bundle.arguments if a.startswith("--token=")][0]
-        token = token_arg.split("=", 1)[1]
-        assert len(token) == 32
-        int(token, 16)  # parses as hex
-
 
 class TestReleaseGate:
     def test_exhaustive_release_matrix(self, manager_setup):
@@ -402,7 +416,6 @@ class TestReleaseGate:
         quote = coordinator.generate_quote(RD, NONCE)
         bundle = manager.release_secrets(policy_hash, "coordinator", quote, NONCE)
         assert "DATA_KEY" not in bundle.environment
-        assert not bundle.arguments
         with pytest.raises(AccessDeniedError) as err:
             manager.release_secrets(policy_hash, "client", quote, NONCE)
         assert err.value.verdict.check == "measurement"

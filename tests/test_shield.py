@@ -7,6 +7,7 @@ import pytest
 from fedshield.counters import CounterService
 from fedshield.enclave import generate_signing_key
 from fedshield.errors import (
+    DecodeError,
     IntegrityError,
     InvalidInputError,
     RollbackDetectedError,
@@ -124,6 +125,13 @@ class TestGoldenFile:
         blob = ShieldedFile.from_bytes(bytes.fromhex(GOLDEN_HEX))
         assert shield_decrypt(blob, bytes(range(32)), lambda cid: 3) \
             == b"golden fixture payload"
+
+    @pytest.mark.parametrize("aead_alg", [0, 2, 255])
+    def test_unimplemented_algorithm_id_is_refused(self, aead_alg):
+        raw = bytearray(bytes.fromhex(GOLDEN_HEX))
+        raw[6] = aead_alg
+        with pytest.raises(DecodeError, match="algorithm"):
+            ShieldedFile.from_bytes(bytes(raw))
 
 
 class TestIntegrity:
