@@ -3,7 +3,10 @@
 Parameter vectors are dense float64 arrays of length d+1 with the bias
 last. All reductions run in a fixed order (aggregation sums in client-id
 order, batch order comes from the seed), so identical inputs produce
-bit-identical parameter hashes across runs.
+bit-identical parameter hashes across runs. ``local_train`` gathers each
+epoch's shuffled rows once and steps on views of that copy, with the bits
+of gathering every batch apart; ``sigmoid`` differs from the branch form
+only in the sign bit of a NaN, which training never returns.
 
 Dataset files are CSV with a header row, d feature columns and one trailing
 0/1 label column. They are written as ``repr`` floats, an integer label and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -147,21 +151,28 @@ def make_update(client_id: str, round_index: int, params: np.ndarray,
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (branch form, never overflows)."""
+    """Numerically stable logistic function; never overflows.
+
+    One ``e = exp(-|z|)`` gives ``1 / (1 + e)`` where z >= 0 and
+    ``e / (1 + e)`` below: the bits of the branch form, which exponentiates
+    z's two halves apart, for every non-NaN z. A NaN stays NaN, but its sign
+    bit may differ; ``local_train`` raises before a NaN could leave it.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _scores(params: np.ndarray, features: np.ndarray) -> np.ndarray:
+def _check_dimension(params: np.ndarray, features: np.ndarray) -> None:
     if features.shape[1] + 1 != params.shape[0]:
         raise InvalidInputError(
             f"parameter dimension {params.shape[0]} does not match "
             f"feature dimension {features.shape[1]}+1")
+
+
+def _scores(params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    _check_dimension(params, features)
     return features @ params[:-1] + params[-1]
 
 
@@ -184,12 +195,23 @@ def logistic_loss(params: np.ndarray, features: np.ndarray,
 def gradient(params: np.ndarray, features: np.ndarray,
              labels: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean logistic loss, bias component last."""
-    z = _scores(params, features)
-    resid = sigmoid(z) - labels
-    n = features.shape[0]
-    grad_w = features.T @ resid / n
-    grad_b = float(np.mean(resid))
+    _check_dimension(params, features)
+    grad_w, grad_b = _gradient(params[:-1], params[-1], features, labels)
     return np.append(grad_w, grad_b)
+
+
+def _gradient(w: np.ndarray, b: float, features: np.ndarray,
+              labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """(grad_w, grad_b) of the mean logistic loss at weights w and bias b;
+    ``grad_b`` is ``add.reduce`` over n, the bits of ``np.mean``."""
+    z = features @ w
+    z += b
+    resid = sigmoid(z)
+    resid -= labels
+    n = features.shape[0]
+    grad_w = features.T @ resid
+    grad_w /= n
+    return grad_w, float(resid.sum()) / n
 
 
 def accuracy(params: np.ndarray, dataset: Dataset) -> float:
@@ -210,25 +232,39 @@ def local_train(start: np.ndarray, data: Dataset, cfg, seed: int,
     Runs ``cfg.local_epochs`` epochs with batch order drawn from ``seed``;
     deterministic given (start, data, cfg, seed). ``cfg`` needs
     ``learning_rate``, ``local_epochs`` and ``batch_size`` attributes.
+
+    Each epoch gathers its shuffled rows once and each batch is a view of
+    that copy; the results are bit-identical to gathering every batch on
+    its own. The weights are updated in place and the bias is a Python
+    float. Every step ends in a finiteness check, so a NaN or an infinity
+    raises ``NumericalDivergenceError`` and no update is returned.
     """
     params = np.array(start, dtype=np.float64)
     if params.shape != (data.dim + 1,):
         raise InvalidInputError("start vector dimension does not match data")
-    if cfg.learning_rate < 0:
+    lr = cfg.learning_rate
+    if lr < 0:
         raise InvalidInputError("learning_rate must be >= 0")
     batch_size = min(max(int(cfg.batch_size), 1), data.n)
     rng = np.random.default_rng(seed)
+    w, b = params[:-1], float(params[-1])
     # overflow to inf is detected by the finiteness check, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(data.n)
+            features, labels = data.features[order], data.labels[order]
             for lo in range(0, data.n, batch_size):
-                batch = order[lo:lo + batch_size]
-                g = gradient(params, data.features[batch], data.labels[batch])
-                params -= cfg.learning_rate * g
-                if not np.all(np.isfinite(params)):
+                hi = lo + batch_size
+                grad_w, grad_b = _gradient(w, b, features[lo:hi], labels[lo:hi])
+                grad_w *= lr
+                w -= grad_w
+                b -= lr * grad_b
+                if not (math.isfinite(b) and np.isfinite(w).all()):
                     raise NumericalDivergenceError(
                         "weights became non-finite during training")
+            # freed before the next epoch's gather, which reuses the block
+            del features, labels
+    params[-1] = b
     return make_update(client_id, round_index, params, data.n)
 
 

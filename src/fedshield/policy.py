@@ -436,9 +436,15 @@ class PolicyManager:
             self._sealed_path(policy_hash, spec).exists()
             for spec in self.get_policy(policy_hash).secrets)
 
-    def _secret_environment(self, policy: Policy) -> dict[str, str]:
+    def _secret_environment(self, policy: Policy,
+                            rules: list[InjectionRule]) -> dict[str, str]:
+        """The hex of each secret the rules' templates name, and no other
+        secret: only those are unsealed."""
+        named = {token for rule in rules for token in _TOKEN_RE.findall(rule.template)}
         env = {}
         for spec in policy.secrets:
+            if spec.secret_name not in named:
+                continue
             path = self._sealed_path(policy.policy_hash, spec)
             blob = SealedBlob.from_bytes(path.read_bytes())
             env[spec.secret_name] = self.enclave.unseal(blob).hex()
@@ -465,9 +471,9 @@ class PolicyManager:
                 "check": verdict.check,
             })
             raise AccessDeniedError(verdict)
-        env = self._secret_environment(policy)
-        environment = {rule.name: render_template(rule.template, env)
-                       for rule in policy.injection if rule.role == role}
+        rules = [rule for rule in policy.injection if rule.role == role]
+        env = self._secret_environment(policy, rules)
+        environment = {rule.name: render_template(rule.template, env) for rule in rules}
         self.audit.append("secrets-released", {
             "policy_hash": policy_hash.hex(),
             "role": role,

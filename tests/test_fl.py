@@ -1,5 +1,6 @@
 """Training substrate oracles: gradients, aggregation, evaluation, stopping."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -91,11 +92,91 @@ class TestGradient:
             local_train(np.zeros(3), data, cfg(learning_rate=1e250, batch_size=4,
                                                local_epochs=3), seed=0)
 
+    def test_divergence_in_a_later_batch_raises(self):
+        # the step on the 1e200 row makes the weights infinite whichever row
+        # comes first: first, its residual is 0.5; second, the zero row's
+        # step has pushed the bias to 5e249 against its label 0
+        data = Dataset(np.array([[0.0, 0.0], [1e200, 1e200]]), np.array([1.0, 0.0]))
+        seeds = range(8)
+        # both batch orders occur, so the large row is the later batch at least once
+        assert {tuple(np.random.default_rng(s).permutation(2)) for s in seeds} == {
+            (0, 1), (1, 0)}
+        for seed in seeds:
+            with pytest.raises(NumericalDivergenceError):
+                local_train(np.zeros(3), data,
+                            cfg(learning_rate=1e250, batch_size=1), seed=seed)
+
     def test_sigmoid_stable_at_extremes(self):
         z = np.array([-1e6, -50.0, 0.0, 50.0, 1e6])
         out = sigmoid(z)
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0 and out[2] == 0.5
+
+
+class TestGoldenBits:
+    """The training arithmetic's exact bits. Any rewrite of the SGD loop
+    must keep these digests: they are what clients send and the audit log
+    hashes."""
+
+    @pytest.mark.parametrize("n, dim, batch_size, local_epochs, seed, golden", [
+        # 1000 = 31 * 32 + 8: the last batch is ragged
+        (1000, 100, 32, 1, 11,
+         "bf3753b33ee51e2812e49f2505f7bf82c308c70f1a522e0069baa1a8463c7e6a"),
+        # n below the batch size: one full-data batch per epoch
+        (8, 2000, 32, 1, 12,
+         "3e21ccec5766cf081a178c38cb518d89bcc7a9cb3d19e97eae6462639c707cbe"),
+        (7, 3, 1, 3, 13,
+         "730f6e7ea2dff28f52a39dabe592f7306ebfd14e4f8b7ed64ce47c1fe0ce26d4"),
+    ], ids=["1000x100-ragged", "8x2000-one-batch", "7x3-batch-1"])
+    def test_local_train_golden(self, n, dim, batch_size, local_epochs, seed, golden):
+        data = synthetic_dataset(n, dim, seed=seed)
+        start = np.random.default_rng(seed + 1).standard_normal(dim + 1) / 10
+        update = local_train(start, data, cfg(learning_rate=0.3, batch_size=batch_size,
+                                              local_epochs=local_epochs), seed=seed + 2)
+        assert update.params_hash.hex() == golden
+
+    @pytest.mark.parametrize("n, dim, batch_size, local_epochs", [
+        (97, 13, 10, 2), (5, 40, 32, 3), (64, 2, 64, 1), (33, 7, 1, 1)])
+    def test_local_train_matches_the_per_batch_gather(self, n, dim, batch_size,
+                                                      local_epochs):
+        # the reference loop: each batch gathers its rows from the dataset
+        data = synthetic_dataset(n, dim, seed=n)
+        start = np.random.default_rng(dim).standard_normal(dim + 1)
+        config = cfg(learning_rate=0.7, batch_size=batch_size, local_epochs=local_epochs)
+        params, rng = start.copy(), np.random.default_rng(5)
+        for _ in range(local_epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                batch = order[lo:lo + batch_size]
+                params -= config.learning_rate * gradient(
+                    params, data.features[batch], data.labels[batch])
+        trained = local_train(start, data, config, seed=5)
+        assert trained.blob == serialize_params(params)
+
+    def test_gradient_golden(self):
+        rng = np.random.default_rng(14)
+        features = rng.standard_normal((45, 9))
+        labels = rng.integers(0, 2, 45).astype(np.float64)
+        params = rng.standard_normal(10)
+        digest = hashlib.sha256(gradient(params, features, labels).tobytes()).hexdigest()
+        assert digest == "87972d8c4ad1be31889f1c7dda10e568531234bd19db56aea7f34180dca523e9"
+
+    def test_sigmoid_golden_at_extremes(self):
+        z = np.array([-np.inf, -1e308, -745.2, -36.7, -1.0, -5e-324, -0.0,
+                      0.0, 5e-324, 1.0, 36.7, 745.2, 1e308, np.inf])
+        bits = [f"{v:016x}" for v in sigmoid(z).view(np.uint64).tolist()]
+        assert bits == [
+            "0000000000000000", "0000000000000000", "0000000000000000",
+            "3ca0998b04bdd18f", "3fd136561454ba86", "3fe0000000000000",
+            "3fe0000000000000", "3fe0000000000000", "3fe0000000000000",
+            "3fe764d4f5d5a2bd", "3feffffffffffffe", "3ff0000000000000",
+            "3ff0000000000000", "3ff0000000000000"]
+
+    def test_sigmoid_golden_across_magnitudes(self):
+        signs = np.random.default_rng(15).standard_normal(4096)
+        z = signs * np.exp(np.random.default_rng(16).uniform(-20, 7, 4096))
+        digest = hashlib.sha256(sigmoid(z).tobytes()).hexdigest()
+        assert digest == "901236be9b18a548aafb7ff6308acd1588f717101f113dcf8f46c8b0b8efb5b8"
 
 
 class TestAggregate:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fedshield import shield
+from fedshield import demo, shield
 from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import generate_platform, spawn_enclave
 from fedshield.errors import (
@@ -419,6 +419,35 @@ class TestReleaseGate:
         with pytest.raises(AccessDeniedError) as err:
             manager.release_secrets(policy_hash, "client", quote, NONCE)
         assert err.value.verdict.check == "measurement"
+
+    def test_release_unseals_only_the_secrets_the_role_reads(self, tmp_path, monkeypatch):
+        # the standard policy: the client reads the dataset key, the
+        # coordinator the checkpoint and validation keys
+        platform = generate_platform()
+        manager = PolicyManager(
+            tmp_path / "store",
+            spawn_enclave(platform, demo.MANAGER_BUNDLE, demo.ROLE_CONFIG),
+            platform.root_public_key)
+        policy_hash = manager.upload_policy(author_policy(
+            "std", role_measurements(), [("alice", bytes(32))], SessionConfig()))
+        manager.generate_secrets(policy_hash)
+        unsealed = []
+        unseal = manager.enclave.unseal
+        monkeypatch.setattr(manager.enclave, "unseal",
+                            lambda blob: unsealed.append(blob) or unseal(blob))
+
+        def release(role, bundle):
+            unsealed.clear()
+            enclave = spawn_enclave(platform, bundle, demo.ROLE_CONFIG)
+            manager.release_secrets(policy_hash, role,
+                                    enclave.generate_quote(RD, NONCE), NONCE)
+            return len(unsealed)
+
+        assert release("client", demo.CLIENT_BUNDLE) == 1
+        assert release("coordinator", demo.COORDINATOR_BUNDLE) == 2
+        with pytest.raises(AccessDeniedError):
+            release("client", demo.COORDINATOR_BUNDLE)
+        assert unsealed == []
 
     def test_unknown_role(self, manager_setup):
         _, manager, _, client, doc = manager_setup
