@@ -4,6 +4,7 @@ Run with: python demos/04_rollback_protection.py
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from fedshield import CounterService, shield_decrypt, shield_encrypt
@@ -45,9 +46,7 @@ with tempfile.TemporaryDirectory() as d:
     # The header is authenticated as associated data, so forging the
     # counter value in the header breaks the tag before freshness is
     # even consulted.
-    forged_header = v1.header.__class__(
-        v1.header.version, v1.header.aead_alg, v1.header.key_id,
-        v1.header.counter_id, 2, v1.header.nonce)
+    forged_header = replace(v1.header, counter_value=2)
     try:
         shield_decrypt(ShieldedFile(forged_header, v1.body), key, lookup)
     except IntegrityError as exc:

@@ -2,9 +2,11 @@
 
 Verbs: keygen, measure, policy new|upload, encrypt-data, decrypt-data,
 counter init, run-manager, run-coordinator, run-client, audit verify, demo.
-Service verbs run one role each over TCP and build it with the constructors
-`Deployment` uses, so each role provisions itself; `demo` spins the whole
-desk-scale session inside one process.
+Service verbs run one role each over TCP, and each role provisions itself:
+`run-client` sets up through `orchestrator.start_client`, as `Deployment`
+does, and `run-coordinator` builds the `Coordinator` that
+`Deployment.start_coordinator` builds. `demo` spins the whole desk-scale
+session inside one process.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .enclave import (
 )
 from .encoding import sha256, unhex
 from .errors import FedShieldError, InvalidInputError
-from .fl import dataset_from_csv_bytes
-from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator
+from .orchestrator import ROUND_DEADLINE, Coordinator, start_client
 from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
 from .shield import open_shielded, shield_encrypt, write_shielded
@@ -251,14 +252,9 @@ def cmd_run_client(args) -> int:
     policy, manager_pin = _manager_pin(args, platform)
     # a missing input file fails before the manager is contacted
     plaintext = Path(args.data).read_bytes()
-    manager = _manager_channel(args, enclave, manager_pin, role="client")
-    try:  # the channel is not held through the session
-        plaintext, _ = manager.provision(policy.policy_hash, "client",
-                                         Path(args.data).with_suffix(".sfl"), plaintext)
-    finally:
-        manager.close()
-    agent = ClientAgent(args.client_id, enclave, dataset_from_csv_bytes(plaintext),
-                        sha256(plaintext), policy, platform.root_public_key)
+    agent, _ = start_client(_manager_channel(args, enclave, manager_pin, role="client"),
+                            args.client_id, enclave, policy, platform.root_public_key,
+                            Path(args.data).with_suffix(".sfl"), plaintext)
     agent.join(TcpNetwork().connect(args.coordinator))
     print(f"{args.client_id}: admitted")
     result = agent.run()

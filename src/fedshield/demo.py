@@ -2,9 +2,11 @@
 
 ``Deployment`` builds a simulated platform, spawns manager/coordinator/client
 enclaves on a ``Hub`` or a ``TcpNetwork``, uploads a policy and generates its
-secrets; each role then provisions itself through the constructors the CLI
-role verbs call. ``Deployment.join_all`` is the one join path: it joins the
-agents expected to be refused first, then the roster agents. ``run_demo``
+secrets. Each role then provisions itself as its CLI verb does: each client
+through ``orchestrator.start_client``, the coordinator through
+``Deployment.start_coordinator``, which each test revival calls too.
+``Deployment.join_all`` is the one join path: it joins the agents expected to
+be refused first, then the roster agents. ``run_demo``
 runs a full federated session on a ``Hub`` through it, optionally records
 every wire frame in a capture log and collects the sensitive byte patterns
 (dataset rows, the tail of each update vector, released secrets) that
@@ -35,12 +37,11 @@ from .errors import FedShieldError
 from .fl import (
     Dataset,
     GlobalModel,
-    dataset_from_csv_bytes,
     dataset_to_csv_bytes,
     make_update,
     synthetic_dataset,
 )
-from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator
+from .orchestrator import ROUND_DEADLINE, ClientAgent, Coordinator, start_client
 from .policy import (
     CHECKPOINT_KEY,
     CHECKPOINT_SECRET,
@@ -48,6 +49,7 @@ from .policy import (
     DATASET_SECRET,
     VALIDATION_KEY,
     VALIDATION_SECRET,
+    InjectionBundle,
     SessionConfig,
     parse_policy,
 )
@@ -146,6 +148,7 @@ class Deployment:
         workdir = Path(workdir)
         self.manager_dir = workdir / "manager"
         self.state_dir = workdir / "coordinator"
+        self.round_deadline = round_deadline
         self.threads: list[threading.Thread] = []
 
         self.platform = generate_platform()
@@ -171,31 +174,22 @@ class Deployment:
         self.manager_policy = self.policy.pin("policy_manager_self", root)
 
         # Client platforms share the deployment root in this desk simulation.
-        self.client_enclaves = {
-            cid: spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG)
-            for cid in self.client_ids}
-        uploader = self.connect_manager(self.client_enclaves[self.client_ids[0]],
-                                        role="client")
+        enclaves = {cid: spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG)
+                    for cid in self.client_ids}
+        uploader = self.connect_manager(enclaves[self.client_ids[0]], role="client")
         uploader.upload_policy(document)
         uploader.generate_secrets(self.policy_hash)
         uploader.close()
 
-        self.datasets: dict[str, Dataset] = {}
-        self.dataset_hashes: dict[str, bytes] = {}
+        # Each roster client as run-client sets it up; make_agent builds more.
+        self.agents: dict[str, ClientAgent] = {}
+        self.client_bundles: dict[str, InjectionBundle] = {}
         for cid in self.client_ids:
-            mgr = self.connect_manager(self.client_enclaves[cid], role="client")
-            plaintext, self.client_secrets = mgr.provision(
-                self.policy_hash, "client", workdir / "clients" / cid / "data.sfl",
-                csv_blobs[cid])
-            mgr.close()
-            self.datasets[cid] = dataset_from_csv_bytes(plaintext)
-            self.dataset_hashes[cid] = sha256(plaintext)
+            self.agents[cid], self.client_bundles[cid] = start_client(
+                self.connect_manager(enclaves[cid], role="client"), cid, enclaves[cid],
+                self.policy, root, workdir / "clients" / cid / "data.sfl", csv_blobs[cid])
 
-        self.coordinator = Coordinator(
-            self.policy, self.coordinator_enclave, self.state_dir, root,
-            validation_csv,
-            self.connect_manager(self.coordinator_enclave, role="coordinator"),
-            round_deadline=round_deadline)
+        self.coordinator = self.start_coordinator(validation_csv)
         self.listener = self.network.listen("coordinator")
         # The rows a leak scan looks for, cut from the files, not re-encoded.
         # Cut last, they reuse the heap set-up has freed; cut while the
@@ -212,21 +206,24 @@ class Deployment:
                                self.manager_policy, role,
                                self.endpoint.counters.public_key)
 
+    def start_coordinator(self, validation_csv: bytes) -> Coordinator:
+        """A coordinator over the state directory on a new manager channel:
+        the one at set-up, and each revival over the same directory."""
+        return Coordinator(self.policy, self.coordinator_enclave, self.state_dir,
+                           self.platform.root_public_key, validation_csv,
+                           self.connect_manager(self.coordinator_enclave, role="coordinator"),
+                           round_deadline=self.round_deadline)
+
     def make_agent(self, client_id: str, *, enclave: Enclave | None = None,
-                   dataset: Dataset | None = None, **kwargs) -> ClientAgent:
-        """A client agent; by default the roster client's own enclave and
-        its opened dataset under the roster hash. Extra keyword arguments
-        go to ``ClientAgent``."""
-        if dataset is None:
-            dataset = self.datasets[client_id]
-            dataset_hash = self.dataset_hashes[client_id]
-        else:
-            dataset_hash = sha256(dataset_to_csv_bytes(dataset))
-        if enclave is None:
-            enclave = (self.client_enclaves.get(client_id)
-                       or spawn_enclave(self.platform, CLIENT_BUNDLE, ROLE_CONFIG))
-        return ClientAgent(client_id, enclave, dataset, dataset_hash,
-                           self.policy, self.platform.root_public_key, **kwargs)
+                   dataset_of: str | None = None, **kwargs) -> ClientAgent:
+        """A fresh agent on the dataset and hash roster client ``dataset_of``
+        (by default ``client_id``) was provisioned with, in that client's
+        enclave unless another is given. Extra keyword arguments go to
+        ``ClientAgent``."""
+        source = self.agents[dataset_of or client_id]
+        return ClientAgent(client_id, enclave or source.enclave, source.dataset,
+                           source.dataset_hash, self.policy,
+                           self.platform.root_public_key, **kwargs)
 
     def join_all(self, agents: Sequence[ClientAgent],
                  refused: Sequence[ClientAgent] = ()) -> dict[str, FedShieldError]:
@@ -304,7 +301,8 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
     dep = Deployment(workdir, datasets, validation, session, network=Hub(capture))
 
     sensitive: dict[str, bytes] = dict(dep.leak_rows)
-    for name, key in (("dataset-key", dep.client_secrets.key_bytes(DATASET_KEY)),
+    dataset_key = dep.client_bundles[client_ids[0]].key_bytes(DATASET_KEY)
+    for name, key in (("dataset-key", dataset_key),
                       ("checkpoint-key", dep.coordinator.checkpoint_key)):
         sensitive[f"secret:{name}"] = key
         sensitive[f"secret:{name}-hex"] = key.hex().encode("ascii")
@@ -318,7 +316,7 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
         bad_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE + b" (modified)",
                                     ROLE_CONFIG)
         refused.append(dep.make_agent(unpinned_client_id, enclave=bad_enclave,
-                                      dataset=dep.datasets[client_ids[0]]))
+                                      dataset_of=client_ids[0]))
     rejected = dep.join_all(agents, refused=refused)
 
     dep.start_agents(agents)

@@ -53,6 +53,7 @@ QUOTE_NONCE_LEN = 32
 SIGNATURE_LEN = 64
 QUOTE_VERSION = 1
 QUOTE_LEN = 2 + 1 + 1 + MEASUREMENT_LEN + PLATFORM_ID_LEN + 2 + REPORT_DATA_LEN + QUOTE_NONCE_LEN + SIGNATURE_LEN
+_QUOTE_HEAD = struct.pack(">HBB", QUOTE_VERSION, HASH_SHA256, SIG_ED25519)  # one value each
 
 SEALED_MAGIC = b"SSB1"
 AEAD_NONCE_LEN = 12
@@ -99,9 +100,6 @@ class Quote:
     handshakes use it to bind ephemeral keys to the attested identity.
     """
 
-    version: int
-    hash_alg: int
-    sig_alg: int
     identity: EnclaveIdentity
     report_data: bytes
     nonce: bytes
@@ -109,11 +107,8 @@ class Quote:
 
     def signed_payload(self) -> bytes:
         """All fields preceding the signature, in wire order."""
-        return struct.pack(
-            ">HBB", self.version, self.hash_alg, self.sig_alg
-        ) + self.identity.measurement + self.identity.platform_id + struct.pack(
-            ">H", self.identity.svn
-        ) + self.report_data + self.nonce
+        return (_QUOTE_HEAD + self.identity.measurement + self.identity.platform_id
+                + struct.pack(">H", self.identity.svn) + self.report_data + self.nonce)
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature
@@ -122,11 +117,8 @@ class Quote:
     def from_bytes(cls, data: bytes) -> "Quote":
         if len(data) != QUOTE_LEN:
             raise QuoteDecodeError(f"quote must be {QUOTE_LEN} bytes, got {len(data)}")
-        version, hash_alg, sig_alg = struct.unpack(">HBB", data[:4])
-        if version != QUOTE_VERSION:
-            raise QuoteDecodeError(f"unsupported quote version {version}")
-        if hash_alg != HASH_SHA256 or sig_alg != SIG_ED25519:
-            raise QuoteDecodeError("unsupported algorithm identifier")
+        if data[:4] != _QUOTE_HEAD:
+            raise QuoteDecodeError(f"unsupported quote version or algorithms {data[:4].hex()}")
         off = 4
         meas = data[off:off + MEASUREMENT_LEN]; off += MEASUREMENT_LEN
         pid = data[off:off + PLATFORM_ID_LEN]; off += PLATFORM_ID_LEN
@@ -134,7 +126,7 @@ class Quote:
         rd = data[off:off + REPORT_DATA_LEN]; off += REPORT_DATA_LEN
         nonce = data[off:off + QUOTE_NONCE_LEN]; off += QUOTE_NONCE_LEN
         sig = data[off:]
-        return cls(version, hash_alg, sig_alg, EnclaveIdentity(meas, pid, svn), rd, nonce, sig)
+        return cls(EnclaveIdentity(meas, pid, svn), rd, nonce, sig)
 
 
 @dataclass
@@ -255,11 +247,9 @@ class Enclave:
             raise InvalidInputError(f"report_data must be {REPORT_DATA_LEN} bytes")
         if len(nonce) != QUOTE_NONCE_LEN:
             raise InvalidInputError(f"nonce must be {QUOTE_NONCE_LEN} bytes")
-        unsigned = Quote(QUOTE_VERSION, HASH_SHA256, SIG_ED25519, self.identity,
-                         report_data, nonce, b"")
+        unsigned = Quote(self.identity, report_data, nonce, b"")
         signature = self._platform.sign(unsigned.signed_payload())
-        return Quote(QUOTE_VERSION, HASH_SHA256, SIG_ED25519, self.identity,
-                     report_data, nonce, signature)
+        return Quote(self.identity, report_data, nonce, signature)
 
     def seal(self, plaintext: bytes) -> SealedBlob:
         """Encrypt state so only a same-measurement enclave on this platform

@@ -10,7 +10,9 @@ that fail admission receive no model material at all.
 
 Each role provisions itself: the coordinator refuses a validation CSV whose
 hash differs from the policy's and takes that set and its checkpoint key from
-one secret release; a client agent pins the coordinator the policy declares.
+one secret release; a client sets up through ``start_client``, for the CLI
+and ``demo.Deployment`` alike, and its agent pins the coordinator the policy
+declares.
 
 Round protocol message types: JOIN(30), MODEL_BROADCAST(31),
 UPDATE_SUBMIT(32), SESSION_END(34). Parameter vectors travel raw as the
@@ -65,7 +67,7 @@ from .fl import (
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
-from .policy import CHECKPOINT_KEY, CHECKPOINT_SECRET, Policy, secret_key_id
+from .policy import CHECKPOINT_KEY, CHECKPOINT_SECRET, InjectionBundle, Policy, secret_key_id
 from .services import ManagerChannel
 from .shield import open_shielded, shield_encrypt, write_shielded
 
@@ -214,6 +216,20 @@ class ClientAgent:
             "num_examples": update.num_examples,
             "params_hash": update.params_hash.hex(),
         }, update.blob)
+
+
+def start_client(manager: ManagerChannel, client_id: str, enclave: Enclave,
+                 policy: Policy, trusted_root: bytes, path, csv: bytes
+                 ) -> tuple[ClientAgent, InjectionBundle]:
+    """A client's one set-up path: secrets and dataset ``csv`` through
+    ``manager.provision`` at ``path``, then the agent on the opened bytes and
+    their hash. The channel is closed either way, not held through the session."""
+    try:
+        plaintext, bundle = manager.provision(policy.policy_hash, "client", path, csv)
+    finally:
+        manager.close()
+    return ClientAgent(client_id, enclave, dataset_from_csv_bytes(plaintext),
+                       sha256(plaintext), policy, trusted_root), bundle
 
 
 class Coordinator:

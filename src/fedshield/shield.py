@@ -52,15 +52,13 @@ HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + NONCE_LEN
 
 @dataclass(frozen=True)
 class ShieldHeader:
-    version: int
-    aead_alg: int
     key_id: bytes
     counter_id: bytes
     counter_value: int
     nonce: bytes
 
     def to_bytes(self) -> bytes:
-        return (MAGIC + struct.pack(">HB", self.version, self.aead_alg)
+        return (MAGIC + struct.pack(">HB", VERSION, AEAD_AES_256_GCM)
                 + self.key_id + self.counter_id
                 + struct.pack(">Q", self.counter_value) + self.nonce)
 
@@ -80,7 +78,7 @@ class ShieldHeader:
         counter_id = data[off:off + COUNTER_ID_LEN]; off += COUNTER_ID_LEN
         (counter_value,) = struct.unpack(">Q", data[off:off + 8]); off += 8
         nonce = data[off:off + NONCE_LEN]
-        return cls(version, aead_alg, key_id, counter_id, counter_value, nonce)
+        return cls(key_id, counter_id, counter_value, nonce)
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,7 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
         nonce = os.urandom(NONCE_LEN)
     elif len(nonce) != NONCE_LEN:
         raise InvalidInputError("nonce must be 12 bytes")
-    header = ShieldHeader(VERSION, AEAD_AES_256_GCM, key_id,
-                          counter_id, counter_value, nonce)
+    header = ShieldHeader(key_id, counter_id, counter_value, nonce)
     header_bytes = header.to_bytes()
     body = AESGCM(key).encrypt(nonce, plaintext, header_bytes)
     return ShieldedFile(header, body)

@@ -20,6 +20,7 @@ from .errors import DecodeError, InvalidInputError, TransportClosedError
 
 MAX_FRAME = 1 << 26  # 64 MiB
 CONNECT_TIMEOUT = 10.0  # seconds
+SEND_TIMEOUT = 60.0  # seconds one frame's send may take, whatever a receive set
 
 _CLOSE = object()
 
@@ -167,8 +168,10 @@ class TcpTransport:
         wire = _frame(payload)
         with self._lock:
             try:
+                self._sock.settimeout(SEND_TIMEOUT)
                 self._sock.sendall(wire)
             except OSError as exc:
+                self.close()  # part of the frame may be out: the stream is unframed
                 raise TransportClosedError(str(exc)) from exc
 
     def _recv_exact(self, n: int) -> bytes:

@@ -208,7 +208,7 @@ def test_relayed_quote_releases_nothing(tmp_path):
         relay_end.send_frame(bytes([MSG_KEYSHARE]) + bytes(32))
         relay_end.close()  # the victim fails once it has sent its quote
         with pytest.raises(FedShieldError):
-            attested_handshake(dep.client_enclaves[dep.client_ids[0]], victim_end,
+            attested_handshake(dep.agents[dep.client_ids[0]].enclave, victim_end,
                                dep.manager_policy, role="client")
         frames = [relay_end.recv_frame(timeout=1.0) for _ in range(3)]
         assert frames[2][0] == MSG_QUOTE

@@ -1,13 +1,15 @@
 """Operator CLI smoke tests (subprocess level)."""
 
+import contextlib
 import json
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fedshield import cli
+from fedshield import cli, demo, orchestrator
 from fedshield.audit import AuditVerdict, read_entries
 from fedshield.counters import CounterService
 from fedshield.demo import author_policy, role_measurements
@@ -307,7 +309,7 @@ def test_run_client_closes_its_manager_channel_before_joining(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "TcpNetwork", FakeNetwork)
     monkeypatch.setattr(cli, "connect_manager", lambda *args: FakeManager())
-    monkeypatch.setattr(cli, "ClientAgent", FakeAgent)
+    monkeypatch.setattr(orchestrator, "ClientAgent", FakeAgent)
     argv = run_client_argv(tmp_path, role_measurements())
     (tmp_path / "alice.csv").write_bytes(
         dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=4)))
@@ -434,45 +436,59 @@ def test_run_manager_and_policy_upload(tmp_path):
         server.wait(timeout=10)
 
 
-@pytest.fixture
-def cli_manager(tmp_path):
-    """A ``run-manager`` process holding the uploaded policy "study-1" and
-    its secrets: client alice, a declared validation set, two rounds.
-    Yields the role bundles and the flags every role verb shares."""
-    run_cli("keygen", "--out", tmp_path / "platform.json")
-    run_cli("keygen", "--kind", "signing", "--out", tmp_path / "counter.json")
-    config = tmp_path / "session.cfg"
-    config.write_bytes(b"profile=cli\n")
+@contextlib.contextmanager
+def serving_manager(root, programs: dict[str, bytes], config: bytes, name: str,
+                    clients: dict[str, Path], validation: Path, *session_flags):
+    """A ``run-manager`` process holding the uploaded policy ``name`` and its
+    secrets, its key files and store under ``root``. The role bundle files
+    hold ``programs`` (keys "manager", "coord" and "agent"), and the config
+    file ``config``. Yields the bundle paths and the flags every role verb
+    shares."""
+    run_cli("keygen", "--out", root / "platform.json")
+    run_cli("keygen", "--kind", "signing", "--out", root / "counter.json")
+    (root / "role.cfg").write_bytes(config)
     bundles = {}
-    for role in ("manager", "coord", "agent"):
-        bundles[role] = tmp_path / f"{role}.tar"
-        bundles[role].write_bytes(f"{role} program".encode())
-    measurement = {role: measure(path.read_bytes(), b"profile=cli\n").hex()
-                   for role, path in bundles.items()}
-    (tmp_path / "alice.csv").write_bytes(
-        dataset_to_csv_bytes(synthetic_dataset(40, 3, seed=5)))
-    (tmp_path / "val.csv").write_bytes(
-        dataset_to_csv_bytes(synthetic_dataset(60, 3, seed=6)))
-    run_cli("policy", "new", "--out", tmp_path / "policy.json", "--name", "study-1",
+    for role, program in programs.items():
+        bundles[role] = root / f"{role}.tar"
+        bundles[role].write_bytes(program)
+    measurement = {role: measure(program, config).hex() for role, program in programs.items()}
+    run_cli("policy", "new", "--out", root / "policy.json", "--name", name,
             "--manager-measurement", measurement["manager"],
             "--coordinator-measurement", measurement["coord"],
             "--client-measurement", measurement["agent"],
-            "--client", f"alice={tmp_path / 'alice.csv'}",
-            "--validation", tmp_path / "val.csv", "--max-rounds", 2)
-    role = ("--key-file", tmp_path / "platform.json", "--config", config)
+            *[arg for cid, csv in clients.items() for arg in ("--client", f"{cid}={csv}")],
+            "--validation", validation, *session_flags)
+    role = ("--key-file", root / "platform.json", "--config", root / "role.cfg")
 
     manager, printed, manager_address = start_service(
-        "run-manager", "--listen", "127.0.0.1:0", "--store-dir", tmp_path / "store",
+        "run-manager", "--listen", "127.0.0.1:0", "--store-dir", root / "store",
         "--bundle", bundles["manager"], *role,
-        "--counter-key", tmp_path / "counter.json")
+        "--counter-key", root / "counter.json")
     try:
-        flags = ("--manager", manager_address, "--policy", tmp_path / "policy.json",
+        flags = ("--manager", manager_address, "--policy", root / "policy.json",
                  "--counter-public-key", printed["counter service public key"], *role)
         run_cli("policy", "upload", *flags, "--bundle", bundles["agent"], "--generate")
         yield bundles, flags
     finally:
         manager.kill()
         manager.wait(timeout=10)
+        manager.stdout.close()
+
+
+@pytest.fixture
+def cli_manager(tmp_path):
+    """A ``run-manager`` process holding the uploaded policy "study-1" and
+    its secrets: client alice, a declared validation set, two rounds.
+    Yields the role bundles and the flags every role verb shares."""
+    (tmp_path / "alice.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(40, 3, seed=5)))
+    (tmp_path / "val.csv").write_bytes(
+        dataset_to_csv_bytes(synthetic_dataset(60, 3, seed=6)))
+    programs = {role: f"{role} program".encode() for role in ("manager", "coord", "agent")}
+    with serving_manager(tmp_path, programs, b"profile=cli\n", "study-1",
+                         {"alice": tmp_path / "alice.csv"}, tmp_path / "val.csv",
+                         "--max-rounds", 2) as served:
+        yield served
 
 
 def test_session_over_tcp_from_plaintext_csv(tmp_path, cli_manager):
@@ -499,6 +515,65 @@ def test_session_over_tcp_from_plaintext_csv(tmp_path, cli_manager):
     assert (tmp_path / "alice.sfl").exists()
     assert (tmp_path / "state" / "validation.sfl").exists()
     assert "accepted" in run_cli("audit", "verify", tmp_path / "state" / "audit.log").stdout
+
+
+def test_cli_session_audits_what_the_deployment_session_audits(tmp_path):
+    """The role verbs and ``demo.Deployment`` set each role up the same way:
+    on the policy inputs ``Deployment`` uses, the two coordinators audit the
+    same session, admissions, guard runs and commits included."""
+    datasets = {"alice": synthetic_dataset(40, 3, seed=5),
+                "bob": synthetic_dataset(40, 3, seed=8)}
+    validation = synthetic_dataset(60, 3, seed=6)
+    for name, dataset in [*datasets.items(), ("val", validation)]:
+        (tmp_path / f"{name}.csv").write_bytes(dataset_to_csv_bytes(dataset))
+    programs = {"manager": demo.MANAGER_BUNDLE, "coord": demo.COORDINATOR_BUNDLE,
+                "agent": demo.CLIENT_BUNDLE}
+    session = SessionConfig(max_rounds=2, clone_count=2, clone_subset_size=1)
+    session_flags = ("--max-rounds", 2, "--clone-count", 2, "--clone-subset-size", 1)
+    (tmp_path / "cli").mkdir()
+    clients, coordinator = [], None
+    with serving_manager(tmp_path / "cli", programs, demo.ROLE_CONFIG,
+                         "desk-scale-session",
+                         {cid: tmp_path / f"{cid}.csv" for cid in datasets},
+                         tmp_path / "val.csv", *session_flags) as (bundles, flags):
+        try:
+            coordinator, _, address = start_service(
+                "run-coordinator", "--listen", "127.0.0.1:0", *flags,
+                "--bundle", bundles["coord"], "--state-dir", tmp_path / "cli" / "state",
+                "--validation", tmp_path / "val.csv")
+            for cid in datasets:  # one at a time, so the admission order is fixed
+                clients.append(subprocess.Popen(
+                    [*CLI, "run-client", "--coordinator", address, *map(str, flags),
+                     "--bundle", str(bundles["agent"]), "--client-id", cid,
+                     "--data", str(tmp_path / f"{cid}.csv")],
+                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True))
+                assert clients[-1].stdout.readline() == f"{cid}: admitted\n"
+            assert coordinator.wait(timeout=60) == 0
+            assert [client.wait(timeout=60) for client in clients] == [0, 0]
+        finally:
+            for proc in [coordinator, *clients]:
+                if proc is not None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                    proc.stdout.close()
+
+    dep = demo.Deployment(tmp_path / "library", datasets, validation, session)
+    try:
+        agents = [dep.make_agent(cid) for cid in datasets]
+        dep.join_all(agents)
+        dep.start_agents(agents)
+        dep.coordinator.run_session()
+    finally:
+        dep.close()
+
+    def audited(path):
+        return [(entry.kind, entry.payload) for entry in read_entries(path)]
+
+    library = audited(dep.state_dir / "audit.log")
+    assert audited(tmp_path / "cli" / "state" / "audit.log") == library
+    assert [kind for kind, _ in library] == [
+        "admission", "admission", "session-start", "round", "round", "session-end"]
+    assert all(payload["clone"] for kind, payload in library if kind == "round")
 
 
 def test_coordinator_refuses_validation_set_the_policy_does_not_hash(

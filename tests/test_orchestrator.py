@@ -35,7 +35,6 @@ from fedshield.fl import (
 )
 from fedshield.orchestrator import (
     SENT_TAIL_BYTES,
-    Coordinator,
     checkpoint_plaintext,
     derive_training_seed,
 )
@@ -154,8 +153,7 @@ class TestAdmission:
 
     def test_swapped_dataset_rejected(self, deployment):
         # roster client whose (decrypted) dataset is another client's data
-        agent = deployment.make_agent(
-            "client-1", dataset=deployment.datasets["client-2"])
+        agent = deployment.make_agent("client-1", dataset_of="client-2")
         rejected = deployment.join_all([], refused=[agent])
         with pytest.raises(ServiceError, match="dataset-hash"):
             raise rejected["client-1"]
@@ -166,15 +164,13 @@ class TestAdmission:
             "client_id": "client-1", "admitted": False, "reason": "dataset-hash"}
 
     def test_non_roster_id_rejected(self, deployment):
-        agent = deployment.make_agent("intruder",
-                                      dataset=deployment.datasets["client-1"])
+        agent = deployment.make_agent("intruder", dataset_of="client-1")
         rejected = deployment.join_all([], refused=[agent])
         with pytest.raises(ServiceError, match="roster"):
             raise rejected["intruder"]
 
     def test_refused_only_join_leaves_the_listener_open(self, deployment):
-        intruder = deployment.make_agent("intruder",
-                                         dataset=deployment.datasets["client-1"])
+        intruder = deployment.make_agent("intruder", dataset_of="client-1")
         start = time.monotonic()
         rejected = deployment.join_all([], refused=[intruder])
         assert time.monotonic() - start < demo.JOIN_DEADLINE / 10
@@ -257,7 +253,7 @@ class TestRounds:
         finally:
             dep.close()
         cfg = dep.policy.session
-        trained = local_train(np.zeros(5), dep.datasets["client-1"], cfg,
+        trained = local_train(np.zeros(5), dep.agents["client-1"].dataset, cfg,
                               derive_training_seed(cfg.rng_seed, "client-1", 1))
         sent = serialize_params(trained.params * -10)
         assert agents[0].sent_update_tails == [sent[-SENT_TAIL_BYTES:]]
@@ -407,7 +403,7 @@ def test_leak_rows_are_the_rows_as_encoded(tmp_path):
     session = SessionConfig(min_clients=3, max_rounds=1, rng_seed=5)
     dep = demo.Deployment(tmp_path, datasets, mixed(20, 9), session)
     try:
-        rows = {f"dataset-{kind}:{cid}": (dep.datasets[cid], index)
+        rows = {f"dataset-{kind}:{cid}": (dep.agents[cid].dataset, index)
                 for cid in dep.client_ids for kind, index in (("row", 0), ("tail", -1))}
         rows["validation-row"] = (dep.coordinator.validation, 0)
         expected = dict(zip(rows, reference_csv_lines(rows.values())))
@@ -426,14 +422,6 @@ def parent_checkpoint_plaintext(model: GlobalModel, policy_hash: bytes) -> bytes
         "policy_hash": policy_hash.hex(),
         "round": model.round_index,
     })
-
-
-def revive(dep) -> Coordinator:
-    """A new coordinator over the deployment's state directory."""
-    mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
-    return Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
-                       dep.platform.root_public_key, validation_csv(dep), mgr,
-                       round_deadline=5.0)
 
 
 def run_two_rounds(dep) -> None:
@@ -470,10 +458,7 @@ class TestCrashRecovery:
             params_before = dep.coordinator.model.params.copy()
             dep.coordinator._close_clients()  # simulated kill
 
-            mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
-            revived = Coordinator(dep.policy, dep.coordinator_enclave,
-                                  dep.state_dir, dep.platform.root_public_key,
-                                  validation_csv(dep), mgr, round_deadline=5.0)
+            revived = dep.start_coordinator(validation_csv(dep))
             assert revived.model.round_index == 2
             assert revived.model.history == history_before
             assert np.array_equal(revived.model.params, params_before)
@@ -510,11 +495,7 @@ class TestCrashRecovery:
             counters = wal_counter_ids(dep)
             validation_sfl = (dep.state_dir / "validation.sfl").read_bytes()
 
-            mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
-            dep.coordinator = Coordinator(
-                dep.policy, dep.coordinator_enclave, dep.state_dir,
-                dep.platform.root_public_key, validation_csv(dep), mgr,
-                round_deadline=5.0)
+            dep.coordinator = dep.start_coordinator(validation_csv(dep))
             assert dep.coordinator.model.round_index == 2
             assert wal_counter_ids(dep) == counters
             assert (dep.state_dir / "validation.sfl").read_bytes() == validation_sfl
@@ -522,12 +503,12 @@ class TestCrashRecovery:
             # a client's rerun takes the same path; other bytes are shielded anew
             data_sfl = tmp_path / "clients" / "client-1" / "data.sfl"
             shielded = data_sfl.read_bytes()
-            client = dep.connect_manager(dep.client_enclaves["client-1"], role="client")
-            own = dataset_to_csv_bytes(dep.datasets["client-1"])
+            client = dep.connect_manager(dep.agents["client-1"].enclave, role="client")
+            own = dataset_to_csv_bytes(dep.agents["client-1"].dataset)
             assert client.provision(dep.policy_hash, "client", data_sfl, own)[0] == own
             assert data_sfl.read_bytes() == shielded
             assert wal_counter_ids(dep) == counters
-            other = dataset_to_csv_bytes(dep.datasets["client-2"])
+            other = dataset_to_csv_bytes(dep.agents["client-2"].dataset)
             assert client.provision(dep.policy_hash, "client", data_sfl, other)[0] == other
             assert len(wal_counter_ids(dep) - counters) == 1
             client.close()
@@ -539,11 +520,7 @@ class TestCrashRecovery:
         try:
             counters = wal_counter_ids(dep)
             for _ in range(2):  # killed before round 1 committed, twice
-                mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
-                dep.coordinator = Coordinator(
-                    dep.policy, dep.coordinator_enclave, dep.state_dir,
-                    dep.platform.root_public_key, validation_csv(dep), mgr,
-                    round_deadline=5.0)
+                dep.coordinator = dep.start_coordinator(validation_csv(dep))
                 assert dep.coordinator.model.round_index == 0
                 assert wal_counter_ids(dep) == counters
 
@@ -570,11 +547,8 @@ class TestCrashRecovery:
             # attacker rolls the storage back to the round-1 state
             (dep.state_dir / "checkpoint-a.sfl").write_bytes(stale)
             (dep.state_dir / "checkpoint-b.sfl").write_bytes(stale)
-            mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
             with pytest.raises(RollbackDetectedError):
-                Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
-                            dep.platform.root_public_key, validation_csv(dep),
-                            mgr, round_deadline=5.0)
+                dep.start_coordinator(validation_csv(dep))
         finally:
             dep.close()
 
@@ -598,25 +572,19 @@ class TestCrashRecovery:
                     return blob[:10]
                 return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
-            def revive() -> Coordinator:
-                mgr = dep.connect_manager(dep.coordinator_enclave, role="coordinator")
-                return Coordinator(dep.policy, dep.coordinator_enclave, dep.state_dir,
-                                   dep.platform.root_public_key, validation_csv(dep),
-                                   mgr, round_deadline=5.0)
-
             slot_a.write_bytes(damaged(stale))
-            assert revive().model.round_index == 3
+            assert dep.start_coordinator(validation_csv(dep)).model.round_index == 3
 
             # no slot opens: the error names each slot's failure
             slot_b.write_bytes(damaged(current))
             with pytest.raises(IntegrityError,
                                match="checkpoint-a.sfl: .+; checkpoint-b.sfl: .+"):
-                revive()
+                dep.start_coordinator(validation_csv(dep))
 
             # an authentic stale slot beside a damaged current one is a rollback
             slot_a.write_bytes(stale)
             with pytest.raises(RollbackDetectedError, match="older than the stable"):
-                revive()
+                dep.start_coordinator(validation_csv(dep))
         finally:
             dep.close()
 
@@ -632,7 +600,7 @@ class TestCrashRecovery:
                                           coordinator.checkpoint_key_id,
                                           coordinator.counter_id, stable))
             with pytest.raises(DecodeError, match="checkpoint-a.sfl: "):
-                revive(dep)
+                dep.start_coordinator(validation_csv(dep))
         finally:
             dep.close()
 
@@ -643,7 +611,7 @@ class TestCrashRecovery:
             log = dep.state_dir / "audit.log"
             kinds = [e.kind for e in read_entries(log)]
             log.write_bytes(log.read_bytes()[:-40])  # killed while appending round 2
-            assert revive(dep).model.round_index == 2
+            assert dep.start_coordinator(validation_csv(dep)).model.round_index == 2
             assert [e.kind for e in read_entries(log)] == kinds[:-1] + ["resume"]
             assert verify_audit(log).ok
         finally:

@@ -1,9 +1,11 @@
 """Service and session flows over real TCP sockets, and the listener
 contract both networks share."""
 
+import hashlib
 import logging
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ from fedshield.enclave import spawn_enclave
 from fedshield.errors import DecodeError, ServiceError, TransportClosedError
 from fedshield.fl import synthetic_dataset
 from fedshield.policy import SessionConfig
+from fedshield import transport as transport_module
 from fedshield.transport import Hub, TcpNetwork
 
 
@@ -112,6 +115,75 @@ def test_oversized_handshake_frame_is_refused_after_its_header(platform, enclave
     finally:
         peer.close()
         listener.close()
+
+
+@pytest.fixture
+def tcp_pair():
+    """A ``TcpTransport`` and the plain socket at its other end."""
+    listener = TcpNetwork().listen("probe")
+    peer = socket.create_connection(listener.address, timeout=10.0)
+    try:
+        yield listener.accept(timeout=5.0), peer
+    finally:
+        peer.close()
+        listener.close()
+
+
+FRAME_32_MIB = bytes(range(256)) * (1 << 17)
+
+
+def test_send_is_not_bounded_by_the_last_receive_timeout(tcp_pair):
+    transport, peer = tcp_pair
+    with pytest.raises(TimeoutError):
+        transport.recv_frame(timeout=0.01)
+    received = {}
+
+    def read_later():
+        time.sleep(0.5)
+        digest, total, buf = hashlib.sha256(), 0, bytearray(1 << 20)
+        while total < 4 + len(FRAME_32_MIB):
+            n = peer.recv_into(buf)
+            if not n:
+                break
+            digest.update(memoryview(buf)[:n])
+            total += n
+        received.update(total=total, digest=digest.digest())
+
+    reader = threading.Thread(target=read_later)
+    reader.start()
+    try:
+        transport.send_frame(FRAME_32_MIB)
+    finally:
+        reader.join(timeout=30.0)
+    wire = hashlib.sha256(struct.pack(">I", len(FRAME_32_MIB)) + FRAME_32_MIB)
+    assert received == {"total": 4 + len(FRAME_32_MIB), "digest": wire.digest()}
+    transport.close()
+
+
+def test_send_to_a_peer_that_never_reads_ends_within_its_bound(tcp_pair, monkeypatch):
+    # raising=False: without the bound the send below blocks, and the test
+    # fails on its duration rather than on the missing constant
+    monkeypatch.setattr(transport_module, "SEND_TIMEOUT", 0.2, raising=False)
+    transport, peer = tcp_pair
+    outcome = []
+
+    def send():
+        start = time.monotonic()
+        try:
+            transport.send_frame(FRAME_32_MIB)
+        except TransportClosedError:
+            outcome.append(time.monotonic() - start)
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    sender.join(timeout=5.0)
+    if sender.is_alive():  # unbounded: end the send by closing its peer
+        peer.close()
+        sender.join(timeout=5.0)
+    assert len(outcome) == 1 and outcome[0] < 2.0
+    # part of the frame may have gone out, so the stream is closed
+    with pytest.raises(TransportClosedError):
+        transport.send_frame(b"next")
 
 
 def test_small_session_over_tcp(tmp_path):
