@@ -18,7 +18,8 @@ client = spawn_enclave(platform, b"client agent program", b"cfg\n")
 # which secrets exist, and where they are injected. Its identity is the
 # hash of the canonical encoding, so key order in the source is irrelevant.
 # Every secret is a 256-bit key the manager generates, and every injection
-# rule hands one role an environment variable holding a key's hex.
+# rule hands one role an environment variable holding a key's hex: its
+# template is one $$secret-name$$ token, and any other template is refused.
 policy = {
     "name": "hospital-study-7",
     "allowed_measurements": {

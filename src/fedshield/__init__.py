@@ -57,10 +57,8 @@ from .policy import (
     InjectionRule,
     Policy,
     PolicyManager,
-    SecretSpec,
     SessionConfig,
     parse_policy,
-    render_template,
 )
 from .shield import ShieldedFile, shield_decrypt, shield_encrypt
 
@@ -89,7 +87,6 @@ __all__ = [
     "Quote",
     "RoundRecord",
     "SealedBlob",
-    "SecretSpec",
     "SecureChannel",
     "SessionConfig",
     "ShieldedFile",
@@ -104,7 +101,6 @@ __all__ = [
     "local_train",
     "measure",
     "parse_policy",
-    "render_template",
     "score_clients",
     "shield_decrypt",
     "shield_encrypt",

@@ -37,7 +37,7 @@ from .errors import FedShieldError, InvalidInputError
 from .orchestrator import ROUND_DEADLINE, Coordinator, start_client
 from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
-from .shield import open_shielded, shield_encrypt, write_shielded
+from .shield import KEY_ID_LEN, open_shielded, shield_encrypt, write_shielded
 from .transport import CaptureLog, TcpNetwork
 
 
@@ -171,7 +171,7 @@ def cmd_encrypt_data(args) -> int:
     # not make the last written file stale
     plaintext = Path(args.infile).read_bytes()
     key = unhex(args.key_hex, 32)
-    key_id = unhex(args.key_id, 16) if args.key_id else sha256(b"cli-key")[:16]
+    key_id = unhex(args.key_id, KEY_ID_LEN) if args.key_id else sha256(b"cli-key")[:KEY_ID_LEN]
     # so is --out, which write_shielded replaces all or nothing
     out = Path(args.out)
     if out.is_dir():

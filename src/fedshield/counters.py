@@ -1,8 +1,8 @@
 """Signed monotonic counter service with write-ahead durability.
 
-A mutation is acknowledged only after its write-ahead record is flushed,
-so every value the service acknowledges is durable: a read returns the
-last acknowledged value, across any interleaving and across
+A mutation is acknowledged only after its write-ahead record is flushed and
+fsynced, so every value the service acknowledges is durable: a read returns
+the last acknowledged value, across any interleaving and across
 crash-and-restart.
 
 The write-ahead log is append-only. Each record is
@@ -24,12 +24,12 @@ from pathlib import Path
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from .enclave import public_key_bytes, verify_signature
+from .enclave import SIGNATURE_LEN, public_key_bytes, verify_signature
 from .errors import DecodeError, NotFoundError
 
 COUNTER_ID_LEN = 16
 _RECORD_LEN = COUNTER_ID_LEN + 8 + 4
-TOKEN_LEN = COUNTER_ID_LEN + 8 + 1 + 64
+TOKEN_LEN = COUNTER_ID_LEN + 8 + 1 + SIGNATURE_LEN
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,13 @@ class CounterService:
 
     Mutations are serialized per service; reads may come from any thread.
     Each mutation appends, flushes and fsyncs its record before it
-    returns. ``use_fsync=False`` models a process kill rather than power
-    loss: data flushed to the OS survives.
+    returns.
     """
 
-    def __init__(self, wal_path: str | Path, signing_key: Ed25519PrivateKey,
-                 *, use_fsync: bool = True):
+    def __init__(self, wal_path: str | Path, signing_key: Ed25519PrivateKey):
         self._path = Path(wal_path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._key = signing_key
-        self._fsync = use_fsync
         self._lock = threading.Lock()
         self._values: dict[bytes, int] = {}
         self._replay()
@@ -111,8 +108,7 @@ class CounterService:
         """Make ``value`` durable, then current. The caller holds the lock."""
         self._fh.write(_record(counter_id, value))
         self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         self._values[counter_id] = value
 
     def _value(self, counter_id: bytes) -> int:

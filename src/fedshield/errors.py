@@ -84,10 +84,6 @@ class RoleUnknownError(FedShieldError):
     """The requested role is not declared in the policy."""
 
 
-class TemplateError(FedShieldError):
-    """A secret template references an unresolvable token."""
-
-
 class NotFoundError(FedShieldError):
     """Unknown counter, policy, or resource identifier."""
 

@@ -10,10 +10,10 @@ of the source document. Policies are immutable once uploaded.
 
 Every secret is a ``symmetric-key-256`` the manager generates (a ``value``
 in the document is refused, so no key is stored in clear), and every
-injection rule sets a named ``environment-variable``: the ``$$NAME$$``
-references in its template become those keys' hex when the role's
-environment is rendered for an attested computation. Generated secrets
-exist on disk only as sealed blobs under the manager's enclave.
+injection rule sets a named ``environment-variable`` whose template is one
+``$$NAME$$`` token: on release to an attested computation the variable
+holds that secret's hex, the 32-byte key every role reads. Generated
+secrets exist on disk only as sealed blobs under the manager's enclave.
 
 Persistence layout: ``policies/<hash>.pol``, ``secrets/<hash>/<name>.sealed``,
 append-only ``audit.log``. Each file is replaced all or nothing, and a
@@ -27,7 +27,6 @@ import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from secrets import token_bytes
-from typing import Mapping
 
 from .attestation import AttestationPolicy, verify_quote
 from .audit import AuditLog
@@ -43,9 +42,8 @@ from .errors import (
     PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
-    TemplateError,
 )
-from .shield import replace_file
+from .shield import KEY_ID_LEN, replace_file
 
 ROLES = ("coordinator", "client", "policy_manager_self")
 # The one secret kind and the one injection mechanism.
@@ -53,7 +51,6 @@ SYMMETRIC_KEY_256 = "symmetric-key-256"
 ENVIRONMENT_VARIABLE = "environment-variable"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_TOKEN_RE = re.compile(r"\$\$([A-Za-z_][A-Za-z0-9_-]*)\$\$")
 
 # Secrets of the standard deployment; their names also derive shield key ids.
 DATASET_SECRET = "dataset-key"
@@ -72,17 +69,10 @@ ROLE_DATASET_KEYS = {
 
 
 @dataclass(frozen=True)
-class SecretSpec:
-    secret_name: str
-    kind: str
-
-
-@dataclass(frozen=True)
 class InjectionRule:
     role: str
-    mechanism: str
     name: str  # the environment variable
-    template: str
+    secret: str  # the secret whose hex it holds
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,7 @@ class Policy:
     allowed_measurements: dict[str, bytes]
     roster: tuple[RosterEntry, ...]
     session: SessionConfig
-    secrets: tuple[SecretSpec, ...]
+    secrets: tuple[str, ...]  # the declared secret names
     injection: tuple[InjectionRule, ...]
     policy_hash: bytes
     document: str  # canonical text
@@ -229,8 +219,7 @@ def parse_policy(document_text: str | bytes) -> Policy:
     secrets_doc = doc.get("secrets", [])
     if not isinstance(secrets_doc, list):
         raise PolicyInvalidError("secrets must be a list")
-    specs = []
-    seen_names = set()
+    names: list[str] = []
     for i, entry in enumerate(secrets_doc):
         if not isinstance(entry, dict):
             raise PolicyInvalidError(f"secret {i} is malformed")
@@ -238,15 +227,14 @@ def parse_policy(document_text: str | bytes) -> Policy:
         kind = entry.get("kind")
         if not isinstance(sname, str) or not _NAME_RE.match(sname):
             raise PolicyInvalidError(f"secret {i}: bad secret_name")
-        if sname in seen_names:
+        if sname in names:
             raise PolicyInvalidError(f"duplicate secret name {sname!r}")
-        seen_names.add(sname)
         if kind != SYMMETRIC_KEY_256:
             raise PolicyInvalidError(
                 f"secret {sname!r}: kind {kind!r} is not {SYMMETRIC_KEY_256}")
         if "value" in entry:
             raise PolicyInvalidError(f"secret {sname!r}: a {kind} takes no value")
-        specs.append(SecretSpec(sname, kind))
+        names.append(sname)
 
     injection_doc = doc.get("injection", [])
     if not isinstance(injection_doc, list):
@@ -266,13 +254,11 @@ def parse_policy(document_text: str | bytes) -> Policy:
                 f"injection rule {i}: mechanism {mechanism!r} is not {ENVIRONMENT_VARIABLE}")
         if not isinstance(rule_name, str) or not rule_name:
             raise PolicyInvalidError(f"injection rule {i}: needs a variable name")
-        if not isinstance(template, str):
-            raise PolicyInvalidError(f"injection rule {i}: missing template")
-        for token in _TOKEN_RE.findall(template):
-            if token not in seen_names:
-                raise PolicyInvalidError(
-                    f"injection rule {i} references undeclared secret {token!r}")
-        rules.append(InjectionRule(role, mechanism, rule_name, template))
+        secret = template[2:-2] if isinstance(template, str) else None
+        if template != f"$${secret}$$" or secret not in names:
+            raise PolicyInvalidError(f"injection rule {i}: template {template!r} "
+                                     "is not one $$secret$$ token of a declared secret")
+        rules.append(InjectionRule(role, rule_name, secret))
 
     validation_hash = None
     if doc.get("validation_dataset_hash") is not None:
@@ -287,7 +273,7 @@ def parse_policy(document_text: str | bytes) -> Policy:
         allowed_measurements=allowed,
         roster=tuple(roster),
         session=session,
-        secrets=tuple(specs),
+        secrets=tuple(names),
         injection=tuple(rules),
         policy_hash=sha256(canonical),
         document=canonical.decode("utf-8"),
@@ -295,24 +281,10 @@ def parse_policy(document_text: str | bytes) -> Policy:
     )
 
 
-def render_template(template_text: str, secret_environment: Mapping[str, str]) -> str:
-    """Replace every ``$$NAME$$`` token; all other text is untouched.
-
-    Pure function. An unresolvable token raises ``TemplateError`` naming it.
-    """
-    def substitute(match: re.Match) -> str:
-        token = match.group(1)
-        if token not in secret_environment:
-            raise TemplateError(f"unresolvable secret token {token!r}")
-        return secret_environment[token]
-
-    return _TOKEN_RE.sub(substitute, template_text)
-
-
 def secret_key_id(policy_hash: bytes, secret_name: str) -> bytes:
-    """Deterministic 16-byte key id for a policy secret, used by the file
-    shield so writer and reader derive the same id without a registry."""
-    return sha256(policy_hash + secret_name.encode("utf-8"))[:16]
+    """Deterministic key id for a policy secret, used by the file shield so
+    writer and reader derive the same id without a registry."""
+    return sha256(policy_hash + secret_name.encode("utf-8"))[:KEY_ID_LEN]
 
 
 @dataclass(frozen=True)
@@ -410,8 +382,8 @@ class PolicyManager:
     def _secret_dir(self, policy_hash: bytes) -> Path:
         return self.store_dir / "secrets" / policy_hash.hex()
 
-    def _sealed_path(self, policy_hash: bytes, spec: SecretSpec) -> Path:
-        return self._secret_dir(policy_hash) / f"{spec.secret_name}.sealed"
+    def _sealed_path(self, policy_hash: bytes, secret: str) -> Path:
+        return self._secret_dir(policy_hash) / f"{secret}.sealed"
 
     def generate_secrets(self, policy_hash: bytes) -> None:
         """Seal every declared secret; a partial set left by a killed run is
@@ -422,37 +394,23 @@ class PolicyManager:
                 raise AlreadyGeneratedError(
                     f"secrets for {policy_hash.hex()} already generated")
             self._secret_dir(policy_hash).mkdir(parents=True, exist_ok=True)
-            for spec in policy.secrets:
+            for secret in policy.secrets:
                 blob = self.enclave.seal(token_bytes(AEAD_KEY_LEN))
-                replace_file(self._sealed_path(policy_hash, spec), blob.to_bytes())
+                replace_file(self._sealed_path(policy_hash, secret), blob.to_bytes())
             self.audit.append("secrets-generated", {
                 "policy_hash": policy_hash.hex(),
-                "names": sorted(s.secret_name for s in policy.secrets),
+                "names": sorted(policy.secrets),
             })
 
     def secrets_generated(self, policy_hash: bytes) -> bool:
         """Whether the sealed file of every declared secret exists."""
         return self._secret_dir(policy_hash).is_dir() and all(
-            self._sealed_path(policy_hash, spec).exists()
-            for spec in self.get_policy(policy_hash).secrets)
-
-    def _secret_environment(self, policy: Policy,
-                            rules: list[InjectionRule]) -> dict[str, str]:
-        """The hex of each secret the rules' templates name, and no other
-        secret: only those are unsealed."""
-        named = {token for rule in rules for token in _TOKEN_RE.findall(rule.template)}
-        env = {}
-        for spec in policy.secrets:
-            if spec.secret_name not in named:
-                continue
-            path = self._sealed_path(policy.policy_hash, spec)
-            blob = SealedBlob.from_bytes(path.read_bytes())
-            env[spec.secret_name] = self.enclave.unseal(blob).hex()
-        return env
+            self._sealed_path(policy_hash, secret).exists()
+            for secret in self.get_policy(policy_hash).secrets)
 
     def release_secrets(self, policy_hash: bytes, role: str, quote: Quote | bytes,
                         expected_nonce: bytes) -> InjectionBundle:
-        """Render the role's environment rules iff its quote verifies.
+        """Release the role's environment rules iff its quote verifies.
 
         The quote must verify under the manager's trusted root, embed the
         expected freshness nonce, and carry the measurement the policy pins
@@ -471,9 +429,16 @@ class PolicyManager:
                 "check": verdict.check,
             })
             raise AccessDeniedError(verdict)
-        rules = [rule for rule in policy.injection if rule.role == role]
-        env = self._secret_environment(policy, rules)
-        environment = {rule.name: render_template(rule.template, env) for rule in rules}
+        keys = {}  # each named secret is unsealed once, and no other
+        environment = {}
+        for rule in policy.injection:
+            if rule.role != role:
+                continue
+            if rule.secret not in keys:
+                path = self._sealed_path(policy_hash, rule.secret)
+                keys[rule.secret] = self.enclave.unseal(
+                    SealedBlob.from_bytes(path.read_bytes())).hex()
+            environment[rule.name] = keys[rule.secret]
         self.audit.append("secrets-released", {
             "policy_hash": policy_hash.hex(),
             "role": role,

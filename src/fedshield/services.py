@@ -38,7 +38,6 @@ from .errors import (
     RoleUnknownError,
     RollbackDetectedError,
     ServiceError,
-    TemplateError,
     TransportClosedError,
 )
 from .policy import ROLE_DATASET_KEYS, InjectionBundle, PolicyManager, secret_key_id
@@ -51,7 +50,6 @@ _ERROR_KINDS = [
     (PolicyConflictError, "policy-conflict"),
     (AlreadyGeneratedError, "already-generated"),
     (RoleUnknownError, "role-unknown"),
-    (TemplateError, "template-error"),
     (NotFoundError, "not-found"),
     (DecodeError, "decode"),
 ]

@@ -35,7 +35,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .counters import COUNTER_ID_LEN
-from .enclave import AEAD_AES_256_GCM, AEAD_KEY_LEN
+from .enclave import AEAD_AES_256_GCM, AEAD_KEY_LEN, AEAD_NONCE_LEN
 from .errors import (
     DecodeError,
     IntegrityError,
@@ -46,8 +46,7 @@ from .errors import (
 MAGIC = b"SFL1"
 VERSION = 1
 KEY_ID_LEN = 16
-NONCE_LEN = 12
-HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + NONCE_LEN
+HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + AEAD_NONCE_LEN
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class ShieldHeader:
         key_id = data[off:off + KEY_ID_LEN]; off += KEY_ID_LEN
         counter_id = data[off:off + COUNTER_ID_LEN]; off += COUNTER_ID_LEN
         (counter_value,) = struct.unpack(">Q", data[off:off + 8]); off += 8
-        nonce = data[off:off + NONCE_LEN]
+        nonce = data[off:off + AEAD_NONCE_LEN]
         return cls(key_id, counter_id, counter_value, nonce)
 
 
@@ -109,8 +108,8 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
     if counter_value < 1:
         raise InvalidInputError("counter value must be positive")
     if nonce is None:
-        nonce = os.urandom(NONCE_LEN)
-    elif len(nonce) != NONCE_LEN:
+        nonce = os.urandom(AEAD_NONCE_LEN)
+    elif len(nonce) != AEAD_NONCE_LEN:
         raise InvalidInputError("nonce must be 12 bytes")
     header = ShieldHeader(key_id, counter_id, counter_value, nonce)
     header_bytes = header.to_bytes()

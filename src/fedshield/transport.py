@@ -163,6 +163,7 @@ class TcpTransport:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._lock = threading.Lock()
+        self._read = bytearray()  # the next frame's bytes received so far
 
     def send_frame(self, payload: bytes) -> None:
         wire = _frame(payload)
@@ -174,33 +175,34 @@ class TcpTransport:
                 self.close()  # part of the frame may be out: the stream is unframed
                 raise TransportClosedError(str(exc)) from exc
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def _fill(self, n: int) -> None:
+        """Receive until the next frame's first ``n`` bytes are held. A
+        timeout keeps what was read, so the next receive resumes the frame."""
+        while len(self._read) < n:
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(n - len(self._read))
             except socket.timeout:
                 raise TimeoutError("recv_frame timed out")
             except OSError as exc:
                 raise TransportClosedError(str(exc)) from exc
             if not chunk:
-                if chunks:
+                if self._read:
                     raise DecodeError("frame truncated by peer")
                 raise TransportClosedError("connection closed by peer")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            self._read += chunk
 
     def recv_frame(self, timeout: float | None = None,
                    max_size: int = MAX_FRAME) -> bytes:
         """The next frame; one announcing more than ``max_size`` bytes is
         refused after its 4-byte header, before any of its body is read."""
         self._sock.settimeout(timeout)
-        header = self._recv_exact(4)
-        (length,) = struct.unpack(">I", header)
+        self._fill(4)
+        (length,) = struct.unpack_from(">I", self._read)
         _check_size(length, max_size)
-        return self._recv_exact(length)
+        self._fill(4 + length)
+        body = bytes(self._read[4:])
+        self._read.clear()
+        return body
 
     def close(self) -> None:
         try:

@@ -280,8 +280,7 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_rollback_freshness(tmp_path):
     """Only the latest write decrypts; a read returns the last acknowledged value."""
     with criterion(5, "rollback-freshness", 30.0):
-        service = CounterService(tmp_path / "wal", generate_signing_key(),
-                                 use_fsync=False)
+        service = CounterService(tmp_path / "wal", generate_signing_key())
         key = b"\x5a" * 32
 
         def lookup(counter_id):

@@ -22,7 +22,7 @@ GOLDEN_TOKEN_HEX = (
 
 @pytest.fixture
 def service(tmp_path):
-    svc = CounterService(tmp_path / "wal", generate_signing_key(), use_fsync=False)
+    svc = CounterService(tmp_path / "wal", generate_signing_key())
     yield svc
     svc.close()
 
@@ -108,23 +108,23 @@ class TestAsyncSemantics:
 class TestCrashSafety:
     def test_restart_preserves_persisted_value(self, tmp_path):
         key = generate_signing_key()
-        svc = CounterService(tmp_path / "wal", key, use_fsync=False)
+        svc = CounterService(tmp_path / "wal", key)
         cid = svc.create_counter()
         svc.increment_async(cid)
         svc.close()
-        svc2 = CounterService(tmp_path / "wal", key, use_fsync=False)
+        svc2 = CounterService(tmp_path / "wal", key)
         assert svc2.read_stable(cid).value == 2
         svc2.close()
 
     def test_torn_tail_is_discarded(self, tmp_path):
         key = generate_signing_key()
-        svc = CounterService(tmp_path / "wal", key, use_fsync=False)
+        svc = CounterService(tmp_path / "wal", key)
         cid = svc.create_counter()
         svc.increment_async(cid)
         svc.close()
         with open(tmp_path / "wal", "ab") as fh:
             fh.write(b"\x01\x02\x03")  # partial record from a crash
-        svc2 = CounterService(tmp_path / "wal", key, use_fsync=False)
+        svc2 = CounterService(tmp_path / "wal", key)
         assert svc2.read_stable(cid).value == 2
         svc2.close()
 
@@ -135,7 +135,7 @@ def run_random_schedule(tmp_path, seed: int, tag: str) -> None:
     rng = random.Random(seed)
     key = generate_signing_key()
     path = tmp_path / f"wal-{tag}"
-    svc = CounterService(path, key, use_fsync=False)
+    svc = CounterService(path, key)
     acknowledged = {svc.create_counter(): 1}
     killed = []
     for _ in range(rng.randrange(4, 12)):
@@ -151,7 +151,7 @@ def run_random_schedule(tmp_path, seed: int, tag: str) -> None:
                     fh.write(rng.randbytes(rng.randrange(1, 28)))
             # a restart on the same log; the killed service is not closed
             killed.append(svc)
-            svc = CounterService(path, key, use_fsync=False)
+            svc = CounterService(path, key)
         else:
             cid = rng.choice(list(acknowledged))
             assert svc.read_stable(cid).value == acknowledged[cid], \

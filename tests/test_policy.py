@@ -18,14 +18,12 @@ from fedshield.errors import (
     PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
-    TemplateError,
 )
 from fedshield.policy import (
     DATASET_SECRET,
     PolicyManager,
     SessionConfig,
     parse_policy,
-    render_template,
     secret_key_id,
 )
 
@@ -65,13 +63,24 @@ def policy_doc(name="pact", extra_secret=None, extra_injection=None,
     return doc
 
 
+def standard_policy():
+    return json.loads(author_policy("standard", role_measurements(),
+                                    [("alice", bytes(32))], SessionConfig()))
+
+
 def provided_key_policy(key_hex):
     """The standard policy with its dataset key provided in the document."""
-    doc = json.loads(author_policy("provided", role_measurements(),
-                                   [("alice", bytes(32))], SessionConfig()))
+    doc = standard_policy()
     for spec in doc["secrets"]:
         if spec["secret_name"] == DATASET_SECRET:
             spec.update(kind="provided-value", value=key_hex)
+    return json.dumps(doc)
+
+
+def templated_rule_policy():
+    """The standard policy with text around its client rule's token."""
+    doc = standard_policy()
+    doc["injection"][0]["template"] = "key=$$dataset-key$$"
     return json.dumps(doc)
 
 
@@ -158,8 +167,13 @@ class TestValidation:
                 "name": "key.txt", "template": "$$model-key$$"}, "injection rule 2"),
         (None, {"role": "client", "mechanism": "environment-variable",
                 "name": "", "template": "$$data-key$$"}, "injection rule 2"),
+        (None, {"role": "client", "mechanism": "environment-variable",
+                "name": "X", "template": "key=$$data-key$$"}, "injection rule 2"),
+        (None, {"role": "client", "mechanism": "environment-variable",
+                "name": "X", "template": "$$data-key$$$$model-key$$"},
+         "injection rule 2"),
     ], ids=["provided-value", "random-hex", "key-with-value", "argument",
-            "file-template", "unnamed-variable"])
+            "file-template", "unnamed-variable", "text-around-token", "two-tokens"])
     def test_removed_feature_is_refused(self, extra_secret, extra_injection, named):
         doc = policy_doc(extra_secret=extra_secret, extra_injection=extra_injection)
         with pytest.raises(PolicyInvalidError, match=named):
@@ -184,26 +198,6 @@ class TestValidation:
         for doc in (missing, non_numeric):
             with pytest.raises(PolicyInvalidError, match="bad session config"):
                 parse_policy(json.dumps(doc))
-
-
-class TestRenderTemplate:
-    def test_simple_substitution(self):
-        assert render_template("key=$$K$$", {"K": "abc"}) == "key=abc"
-
-    def test_no_tokens_is_identity(self):
-        text = "plain text with $ and $$ but no full token"
-        assert render_template(text, {}) == text
-
-    def test_multi_occurrence(self):
-        assert render_template("a=$$X$$ b=$$X$$", {"X": "7"}) == "a=7 b=7"
-
-    def test_unresolvable_token_named(self):
-        with pytest.raises(TemplateError, match="MISSING"):
-            render_template("v=$$MISSING$$", {"OTHER": "1"})
-
-    def test_non_token_text_untouched(self):
-        text = "prefix $$A$$ middle $$B$$ suffix"
-        assert render_template(text, {"A": "1", "B": "2"}) == "prefix 1 middle 2 suffix"
 
 
 @pytest.fixture
@@ -270,8 +264,9 @@ class TestPolicyStore:
                 assert bytes.fromhex(key_hex) not in path.read_bytes()
 
     @pytest.mark.parametrize("stored", [provided_key_policy("5e" * 32).encode(),
+                                        templated_rule_policy().encode(),
                                         b"\xff\xfe not UTF-8"],
-                             ids=["provided-key", "not-utf-8"])
+                             ids=["provided-key", "templated-rule", "not-utf-8"])
     def test_stored_policy_the_manager_refuses_is_named(self, manager_setup, stored):
         platform, manager, _, _, _ = manager_setup
         (manager.store_dir / "policies" / "old.pol").write_bytes(stored)

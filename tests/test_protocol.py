@@ -156,7 +156,7 @@ def test_tokens_under_another_counter_key_are_refused(endpoint):
 
 
 def test_a_signed_token_for_another_counter_is_refused(tmp_path):
-    counters = CounterService(tmp_path / "wal", generate_signing_key(), use_fsync=False)
+    counters = CounterService(tmp_path / "wal", generate_signing_key())
     asked, other = counters.create_counter(), counters.create_counter()
     token = counters.read_stable(other)
     counters.close()

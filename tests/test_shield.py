@@ -35,8 +35,7 @@ GOLDEN_HEX = (
 
 @pytest.fixture
 def service(tmp_path):
-    svc = CounterService(tmp_path / "wal", generate_signing_key(),
-                         use_fsync=False)
+    svc = CounterService(tmp_path / "wal", generate_signing_key())
     yield svc
     svc.close()
 

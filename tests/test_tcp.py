@@ -186,6 +186,20 @@ def test_send_to_a_peer_that_never_reads_ends_within_its_bound(tcp_pair, monkeyp
         transport.send_frame(b"next")
 
 
+@pytest.mark.parametrize("cut", [500, 2], ids=["in-body", "in-header"])
+def test_receive_timed_out_mid_frame_resumes_that_frame(tcp_pair, cut):
+    transport, peer = tcp_pair
+    body = b"A" * 1000
+    wire = struct.pack(">I", len(body)) + body
+    peer.sendall(wire[:cut])
+    with pytest.raises(TimeoutError):
+        transport.recv_frame(timeout=0.1)
+    peer.sendall(wire[cut:] + struct.pack(">I", 3) + b"end")
+    assert transport.recv_frame(timeout=5.0) == body
+    assert transport.recv_frame(timeout=5.0) == b"end"
+    transport.close()
+
+
 def test_small_session_over_tcp(tmp_path):
     client_ids = ["client-1", "client-2"]
     datasets = {cid: synthetic_dataset(40, 3, seed=i, separation=4.0)
