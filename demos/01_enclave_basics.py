@@ -5,7 +5,7 @@ Run with: python demos/01_enclave_basics.py
 
 from fedshield import generate_platform, measure, spawn_enclave, verify_quote
 from fedshield.attestation import AttestationPolicy
-from fedshield.errors import SealAuthenticationError
+from fedshield.errors import HandshakeError, SealAuthenticationError
 
 # A code bundle is just bytes: program text, a wheel, a container image.
 # Its measurement is a digest over the bundle plus its canonical config.
@@ -26,19 +26,30 @@ print("\nplatform id:", enclave.identity.platform_id.hex())
 print("enclave measurement:", enclave.measurement.hex())
 
 # Quotes are signed evidence. The verifier issues a fresh nonce, pins the
-# measurements it trusts, and checks the quote against both.
+# measurement it trusts, and checks the quote against both; a refused quote
+# raises HandshakeError naming the first failing check.
 nonce = b"\x01" * 32
 quote = enclave.generate_quote(report_data=b"\x00" * 64, nonce=nonce)
 policy = AttestationPolicy(trusted_root=platform.root_public_key,
-                           expected_measurements=frozenset({digest}))
-print("\ngenuine quote verdict:", verify_quote(quote, policy, nonce))
+                           measurement=digest)
+
+
+def outcome(quote):
+    try:
+        verify_quote(quote, policy, nonce)
+    except HandshakeError as exc:
+        return f"refused ({exc.check})"
+    return "accepted"
+
+
+print("\ngenuine quote:", outcome(quote))
 
 replayed = enclave.generate_quote(b"\x00" * 64, b"\x02" * 32)
-print("replayed-nonce verdict:", verify_quote(replayed, policy, nonce))
+print("replayed-nonce quote:", outcome(replayed))
 
 rogue = spawn_enclave(platform, bundle + b" # patched", config)
 rogue_quote = rogue.generate_quote(b"\x00" * 64, nonce)
-print("modified-code verdict:", verify_quote(rogue_quote, policy, nonce))
+print("modified-code quote:", outcome(rogue_quote))
 
 # Sealing binds persisted state to (measurement, platform). The same
 # enclave unseals it; a different program on the same machine cannot.

@@ -16,10 +16,8 @@ platform = generate_platform()
 client = spawn_enclave(platform, b"client agent program", b"cfg\n")
 coordinator = spawn_enclave(platform, b"coordinator program", b"cfg\n")
 
-pin_coordinator = AttestationPolicy(platform.root_public_key,
-                                    frozenset({coordinator.measurement}))
-pin_client = AttestationPolicy(platform.root_public_key,
-                               frozenset({client.measurement}))
+pin_coordinator = AttestationPolicy(platform.root_public_key, coordinator.measurement)
+pin_client = AttestationPolicy(platform.root_public_key, client.measurement)
 
 
 def handshake_both(quote_provider_client=None):
@@ -71,6 +69,6 @@ def mitm_quote(enclave, report_data, nonce):
     return enclave.generate_quote(forged, nonce).to_bytes()
 
 results = handshake_both(quote_provider_client=mitm_quote)
-verdicts = [r for r in results if isinstance(r, HandshakeError)]
+refusals = [r for r in results if isinstance(r, HandshakeError)]
 print("MITM simulation aborted with check:",
-      verdicts[0].check if verdicts else "??")
+      refusals[0].check if refusals else "??")

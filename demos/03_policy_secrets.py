@@ -84,7 +84,7 @@ with tempfile.TemporaryDirectory() as store:
     try:
         manager.release_secrets(policy_hash, "client", evil, nonce)
     except AccessDeniedError as exc:
-        print("patched client denied:", exc.verdict.check)
+        print("patched client denied:", exc.check)
 
     coord_quote = coordinator.generate_quote(b"\x00" * 64, nonce)
     coord_bundle = manager.release_secrets(policy_hash, "coordinator",

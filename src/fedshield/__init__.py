@@ -22,7 +22,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .attestation import (
     AttestationPolicy,
-    AttestationVerdict,
     SecureChannel,
     attested_handshake,
     binding_report_data,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttestationPolicy",
-    "AttestationVerdict",
     "AuditLog",
     "ClientAgent",
     "CloneRun",

@@ -12,7 +12,7 @@ serialized quote, FINISH(4) = transcript MAC. Established channels exchange
 ``u64 BE per-direction counter | AEAD ciphertext`` frames.
 
 Rejections surface the first failing check only, in the fixed order
-decode, signature, nonce, measurement, svn, binding.
+decode, signature, nonce, measurement, binding. No policy checks ``svn``.
 """
 
 from __future__ import annotations
@@ -69,40 +69,18 @@ HANDSHAKE_FRAME_MAX = max(1 + QUOTE_NONCE_LEN + 1 + 255, 1 + QUOTE_LEN)
 class AttestationPolicy:
     """What a verifier requires of a peer's quote.
 
-    ``expected_measurements`` of ``None`` pins nothing and is reserved for
-    listeners that accept any attested code (the policy manager's upload
-    endpoint, where the client attests the manager rather than vice versa).
-    Quote age is bounded structurally by the handshake nonce, so there is
-    no wall-clock freshness field.
+    ``measurement`` of ``None`` pins nothing, for listeners that accept any
+    attested code (the policy manager's endpoint, where the client attests
+    the manager). The handshake nonce bounds a quote's age, so there is no
+    wall-clock freshness field.
     """
 
     trusted_root: bytes
-    expected_measurements: frozenset[bytes] | None
-    min_svn: int = 0
+    measurement: bytes | None
 
     def __post_init__(self):
         if len(self.trusted_root) != 32:
             raise InvalidInputError("trusted_root must be a raw 32-byte public key")
-        if self.expected_measurements is not None:
-            object.__setattr__(self, "expected_measurements",
-                               frozenset(self.expected_measurements))
-            if not self.expected_measurements:
-                raise InvalidInputError("expected_measurements must be non-empty")
-
-
-@dataclass(frozen=True)
-class AttestationVerdict:
-    accepted: bool
-    check: str | None = None  # first failing check when rejected
-    detail: str = ""
-
-    @classmethod
-    def ok(cls) -> "AttestationVerdict":
-        return cls(True)
-
-    @classmethod
-    def reject(cls, check: str, detail: str = "") -> "AttestationVerdict":
-        return cls(False, check, detail)
 
 
 def binding_report_data(ephemeral_public_key: bytes, role: str,
@@ -114,25 +92,22 @@ def binding_report_data(ephemeral_public_key: bytes, role: str,
 
 
 def verify_quote(quote: Quote | bytes, policy: AttestationPolicy,
-                 expected_nonce: bytes) -> AttestationVerdict:
-    """Check a quote against a policy and a freshness nonce.
+                 expected_nonce: bytes) -> Quote:
+    """Check a quote against a policy and a freshness nonce; return it.
 
-    Pure function: same inputs always yield the same verdict. Malformed
-    serialized quotes raise ``QuoteDecodeError`` rather than returning a
-    rejection.
+    Pure function. A refusal raises ``HandshakeError`` naming the first
+    failing check (signature, nonce, measurement); malformed bytes raise
+    ``QuoteDecodeError``.
     """
     if isinstance(quote, (bytes, bytearray)):
         quote = Quote.from_bytes(bytes(quote))
     if not verify_signature(policy.trusted_root, quote.signature, quote.signed_payload()):
-        return AttestationVerdict.reject("signature", "signature does not verify under trusted root")
+        raise HandshakeError("signature", "signature does not verify under trusted root")
     if quote.nonce != expected_nonce:
-        return AttestationVerdict.reject("nonce", "quote nonce does not match the issued challenge")
-    if (policy.expected_measurements is not None
-            and quote.identity.measurement not in policy.expected_measurements):
-        return AttestationVerdict.reject("measurement", "measurement is not pinned by policy")
-    if quote.identity.svn < policy.min_svn:
-        return AttestationVerdict.reject("svn", f"svn {quote.identity.svn} below minimum {policy.min_svn}")
-    return AttestationVerdict.ok()
+        raise HandshakeError("nonce", "quote nonce does not match the issued challenge")
+    if policy.measurement is not None and quote.identity.measurement != policy.measurement:
+        raise HandshakeError("measurement", "measurement is not pinned by policy")
+    return quote
 
 
 def _hkdf(shared: bytes, salt: bytes, info: bytes, length: int = 32) -> bytes:
@@ -265,12 +240,9 @@ def attested_handshake(enclave: Enclave, transport, policy: AttestationPolicy,
         peer_quote_raw = _expect(transport, MSG_QUOTE, timeout)
 
         try:
-            peer_quote = Quote.from_bytes(peer_quote_raw)
+            peer_quote = verify_quote(peer_quote_raw, policy, expected_nonce=local_nonce)
         except QuoteDecodeError as exc:
             raise HandshakeError("decode", str(exc)) from exc
-        verdict = verify_quote(peer_quote, policy, expected_nonce=local_nonce)
-        if not verdict.accepted:
-            raise HandshakeError(verdict.check, verdict.detail)
         expected_rd = binding_report_data(peer_eph, peer_role, local_nonce)
         if peer_quote.report_data != expected_rd:
             raise HandshakeError("binding", "quote does not bind the presented ephemeral key")

@@ -39,7 +39,7 @@ class KeyResolutionError(FedShieldError):
 
 
 class HandshakeError(FedShieldError):
-    """Attested handshake aborted. Carries the failing check when known."""
+    """A refused quote or aborted handshake; ``check`` names the failing check."""
 
     def __init__(self, check: str, detail: str = ""):
         self.check = check
@@ -73,11 +73,11 @@ class AlreadyGeneratedError(FedShieldError):
 
 
 class AccessDeniedError(FedShieldError):
-    """Secret release refused; carries the attestation verdict."""
+    """Secret release refused; ``check`` names the failing attestation check."""
 
-    def __init__(self, verdict, detail: str = ""):
-        self.verdict = verdict
-        super().__init__(detail or f"access denied ({verdict.check})")
+    def __init__(self, check: str):
+        self.check = check
+        super().__init__(f"access denied ({check})")
 
 
 class RoleUnknownError(FedShieldError):
@@ -105,9 +105,10 @@ class SessionFailedError(FedShieldError):
 
 
 class ServiceError(FedShieldError):
-    """An error response received over a service channel."""
+    """An error reply from a service; ``check`` is a denial's failing check."""
 
-    def __init__(self, kind: str, detail: str = ""):
+    def __init__(self, kind: str, detail: str = "", check: str | None = None):
         self.kind = kind
         self.detail = detail
+        self.check = check
         super().__init__(f"{kind}: {detail}" if detail else kind)

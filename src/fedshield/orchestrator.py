@@ -178,30 +178,36 @@ class ClientAgent:
             self.enclave, transport, self.coordinator_policy,
             role=ROLE_CLIENT, expected_peer_role=ROLE_COORDINATOR,
             quote_provider=self.quote_provider)
-        protocol.request(self.channel, protocol.JOIN, {
-            "client_id": self.client_id,
-            "dataset_hash": self.dataset_hash.hex(),
-        })
+        try:
+            protocol.request(self.channel, protocol.JOIN, {
+                "client_id": self.client_id,
+                "dataset_hash": self.dataset_hash.hex(),
+            })
+        except Exception:
+            self.channel.close()
+            raise
 
     def run(self) -> dict:
-        """Participate until the coordinator ends the session."""
+        """Participate until the coordinator ends the session, then close."""
         if self.channel is None:
             raise InvalidInputError("join before running")
-        while True:
-            mtype, body, params = protocol.recv_message(
-                self.channel, timeout=AGENT_RECV_TIMEOUT)
-            if mtype == protocol.MODEL_BROADCAST:
-                round_index = _int_field(body, "round")
-                self.params = _params_of(params)
-                self._train_and_submit(round_index, self.params)
-            elif mtype == protocol.SESSION_END:
-                if params:
+        try:
+            while True:
+                mtype, body, params = protocol.recv_message(
+                    self.channel, timeout=AGENT_RECV_TIMEOUT)
+                if mtype == protocol.MODEL_BROADCAST:
+                    round_index = _int_field(body, "round")
                     self.params = _params_of(params)
-                self.result = body
-                self.channel.close()
-                return body
-            else:
-                raise DecodeError(f"unexpected coordinator message {mtype}")
+                    self._train_and_submit(round_index, self.params)
+                elif mtype == protocol.SESSION_END:
+                    if params:
+                        self.params = _params_of(params)
+                    self.result = body
+                    return body
+                else:
+                    raise DecodeError(f"unexpected coordinator message {mtype}")
+        finally:
+            self.channel.close()
 
     def _train_and_submit(self, round_index: int, start: np.ndarray) -> None:
         seed = derive_training_seed(self.cfg.rng_seed, self.client_id, round_index)

@@ -36,6 +36,7 @@ from .errors import (
     AccessDeniedError,
     AlreadyGeneratedError,
     DecodeError,
+    HandshakeError,
     InvalidInputError,
     KeyResolutionError,
     NotFoundError,
@@ -159,9 +160,7 @@ class Policy:
         policy pins for the role, under ``trusted_root``."""
         if role not in self.allowed_measurements:
             raise RoleUnknownError(f"role {role!r} not declared in policy")
-        return AttestationPolicy(
-            trusted_root=trusted_root,
-            expected_measurements=frozenset({self.allowed_measurements[role]}))
+        return AttestationPolicy(trusted_root, self.allowed_measurements[role])
 
 
 def _hex32(doc: dict, key: str, context: str) -> bytes:
@@ -421,14 +420,15 @@ class PolicyManager:
         gate = policy.pin(role, self.trusted_root)
         if not self.secrets_generated(policy_hash):
             raise NotFoundError("secrets have not been generated for this policy")
-        verdict = verify_quote(quote, gate, expected_nonce)
-        if not verdict.accepted:
+        try:
+            verify_quote(quote, gate, expected_nonce)
+        except HandshakeError as exc:
             self.audit.append("secrets-denied", {
                 "policy_hash": policy_hash.hex(),
                 "role": role,
-                "check": verdict.check,
+                "check": exc.check,
             })
-            raise AccessDeniedError(verdict)
+            raise AccessDeniedError(exc.check) from exc
         keys = {}  # each named secret is unsealed once, and no other
         environment = {}
         for rule in policy.injection:

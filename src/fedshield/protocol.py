@@ -76,9 +76,10 @@ def send_ok(channel, body: dict | None = None) -> None:
     send_message(channel, RESPONSE_OK, body or {})
 
 
-def send_err(channel, kind: str, detail: str = "", **extra) -> None:
+def send_err(channel, kind: str, detail: str = "", check: str | None = None) -> None:
     body = {"error": kind, "detail": detail}
-    body.update(extra)
+    if check is not None:
+        body["check"] = check
     send_message(channel, RESPONSE_ERR, body)
 
 
@@ -89,7 +90,6 @@ def request(channel, mtype: int, body: dict) -> dict:
     if rtype == RESPONSE_OK:
         return rbody
     if rtype == RESPONSE_ERR:
-        error = ServiceError(rbody.get("error", "unknown"), rbody.get("detail", ""))
-        error.body = rbody  # e.g. the failing attestation check on denials
-        raise error
+        raise ServiceError(rbody.get("error", "unknown"), rbody.get("detail", ""),
+                           rbody.get("check"))
     raise DecodeError(f"unexpected response type {rtype}")

@@ -72,8 +72,7 @@ class ServiceEndpoint:
         self.manager = PolicyManager(store_dir, enclave, trusted_root)
         self.enclave = enclave
         # Any attested peer may connect; release decisions happen per request.
-        self.handshake_policy = AttestationPolicy(
-            trusted_root=trusted_root, expected_measurements=None)
+        self.handshake_policy = AttestationPolicy(trusted_root, None)
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self._accept_loop, daemon=True,
@@ -133,8 +132,7 @@ class ServiceEndpoint:
             else:
                 protocol.send_err(channel, "unknown-request", f"type {mtype}")
         except AccessDeniedError as exc:
-            protocol.send_err(channel, "access-denied", str(exc),
-                              check=exc.verdict.check)
+            protocol.send_err(channel, "access-denied", str(exc), check=exc.check)
         except FedShieldError as exc:
             protocol.send_err(channel, _error_kind(exc), str(exc))
         except Exception as exc:  # a handler fault must not end the service loop

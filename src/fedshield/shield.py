@@ -19,7 +19,9 @@ File extension: ``.sfl``. This module is the only one that writes or opens
 a ``.sfl``: ``write_shielded`` replaces it all or nothing (``replace_file``:
 a temporary ``.{name}.*`` file beside it, renamed over it), and
 ``open_shielded`` reads and decrypts it. Neither fsyncs. This module never
-stores keys; key ids resolve through the policy manager's injected secrets.
+stores keys. ``key_id`` is authenticated and checked by no reader: a role's
+file carries ``secret_key_id(policy hash, secret name)``, and
+``encrypt-data`` its ``--key-id`` or a fixed default.
 """
 
 from __future__ import annotations

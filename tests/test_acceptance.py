@@ -220,7 +220,7 @@ def test_relayed_quote_releases_nothing(tmp_path):
                 "role": "client",
                 "quote": b64(frames[2][1:]),
             })
-        assert err.value.body["check"] == "measurement"
+        assert err.value.check == "measurement"
         assert read_entries(dep.manager_dir / "audit.log")[-1].kind == "secrets-denied"
         channel.close()
     finally:

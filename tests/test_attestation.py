@@ -10,7 +10,6 @@ import pytest
 from fedshield.attestation import (
     MSG_KEYSHARE,
     AttestationPolicy,
-    AttestationVerdict,
     attested_handshake,
     binding_report_data,
     verify_quote,
@@ -23,7 +22,6 @@ from fedshield.errors import (
     DecodeError,
     FedShieldError,
     HandshakeError,
-    InvalidInputError,
     QuoteDecodeError,
 )
 from fedshield.services import ServiceEndpoint
@@ -35,48 +33,40 @@ NONCE = b"\x42" * 32
 RD = b"\x00" * 64
 
 
-def policy_for(platform, *enclaves, min_svn=0):
-    return AttestationPolicy(
-        trusted_root=platform.root_public_key,
-        expected_measurements=frozenset(e.measurement for e in enclaves),
-        min_svn=min_svn)
+def policy_for(platform, enclave):
+    return AttestationPolicy(platform.root_public_key, enclave.measurement)
+
+
+def refused_check(quote, policy):
+    with pytest.raises(HandshakeError) as info:
+        verify_quote(quote, policy, NONCE)
+    return info.value.check
 
 
 class TestVerifyQuote:
     def test_genuine_quote_accepted(self, platform, enclave_a):
         quote = enclave_a.generate_quote(RD, NONCE)
-        verdict = verify_quote(quote, policy_for(platform, enclave_a), NONCE)
-        assert verdict == AttestationVerdict.ok()
+        assert verify_quote(quote, policy_for(platform, enclave_a), NONCE) == quote
 
     def test_unpinned_measurement_rejected(self, platform, enclave_a, enclave_b):
         quote = enclave_b.generate_quote(RD, NONCE)
-        verdict = verify_quote(quote, policy_for(platform, enclave_a), NONCE)
-        assert not verdict.accepted and verdict.check == "measurement"
+        assert refused_check(quote, policy_for(platform, enclave_a)) == "measurement"
 
     def test_replayed_nonce_rejected(self, platform, enclave_a):
         quote = enclave_a.generate_quote(RD, b"\x00" * 32)  # stale challenge
-        verdict = verify_quote(quote, policy_for(platform, enclave_a), NONCE)
-        assert not verdict.accepted and verdict.check == "nonce"
+        assert refused_check(quote, policy_for(platform, enclave_a)) == "nonce"
 
     def test_bad_signature_rejected(self, platform, enclave_a):
         quote = enclave_a.generate_quote(RD, NONCE)
         data = bytearray(quote.to_bytes())
         data[-1] ^= 0x01
-        verdict = verify_quote(bytes(data), policy_for(platform, enclave_a), NONCE)
-        assert not verdict.accepted and verdict.check == "signature"
+        assert refused_check(bytes(data), policy_for(platform, enclave_a)) == "signature"
 
     def test_foreign_root_rejected(self, enclave_a):
         other = generate_platform()
         quote = enclave_a.generate_quote(RD, NONCE)
-        policy = AttestationPolicy(other.root_public_key,
-                                   frozenset({enclave_a.measurement}))
-        assert verify_quote(quote, policy, NONCE).check == "signature"
-
-    def test_low_svn_rejected(self, platform, enclave_a):
-        quote = enclave_a.generate_quote(RD, NONCE)
-        verdict = verify_quote(quote, policy_for(platform, enclave_a,
-                                                 min_svn=platform.svn + 1), NONCE)
-        assert not verdict.accepted and verdict.check == "svn"
+        policy = AttestationPolicy(other.root_public_key, enclave_a.measurement)
+        assert refused_check(quote, policy) == "signature"
 
     def test_check_order_signature_before_measurement(self, platform, enclave_a,
                                                       enclave_b):
@@ -84,27 +74,21 @@ class TestVerifyQuote:
         quote = enclave_b.generate_quote(RD, NONCE)
         data = bytearray(quote.to_bytes())
         data[-2] ^= 0xFF
-        verdict = verify_quote(bytes(data), policy_for(platform, enclave_a), NONCE)
-        assert verdict.check == "signature"
+        assert refused_check(bytes(data), policy_for(platform, enclave_a)) == "signature"
 
     def test_nonce_before_measurement(self, platform, enclave_a, enclave_b):
         quote = enclave_b.generate_quote(RD, b"\x07" * 32)
-        verdict = verify_quote(quote, policy_for(platform, enclave_a), NONCE)
-        assert verdict.check == "nonce"
+        assert refused_check(quote, policy_for(platform, enclave_a)) == "nonce"
 
     def test_malformed_bytes_raise_decode_not_reject(self, platform, enclave_a):
         with pytest.raises(QuoteDecodeError):
             verify_quote(b"\x00\x01garbage", policy_for(platform, enclave_a), NONCE)
 
     def test_pure_function(self, platform, enclave_a):
-        quote = enclave_a.generate_quote(RD, NONCE).to_bytes()
+        quote = enclave_a.generate_quote(RD, NONCE)
         policy = policy_for(platform, enclave_a)
-        verdicts = {verify_quote(quote, policy, NONCE) for _ in range(5)}
-        assert verdicts == {AttestationVerdict.ok()}
-
-    def test_empty_measurement_set_invalid(self, platform):
-        with pytest.raises(InvalidInputError):
-            AttestationPolicy(platform.root_public_key, frozenset())
+        outcomes = {verify_quote(quote.to_bytes(), policy, NONCE) for _ in range(5)}
+        assert outcomes == {quote}
 
 
 class TestHandshake:
@@ -245,10 +229,8 @@ class TestLowOrderKeyshare:
 
 
 def established_pair(platform, enclave_a, enclave_b, capture=None):
-    pol_a = AttestationPolicy(platform.root_public_key,
-                              frozenset({enclave_b.measurement}))
-    pol_b = AttestationPolicy(platform.root_public_key,
-                              frozenset({enclave_a.measurement}))
+    pol_a = policy_for(platform, enclave_b)
+    pol_b = policy_for(platform, enclave_a)
     chan_a, chan_b = run_handshake_pair(enclave_a, "client", pol_a,
                                         enclave_b, "coordinator", pol_b,
                                         capture=capture)

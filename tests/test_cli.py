@@ -593,3 +593,20 @@ def test_coordinator_refuses_validation_set_the_policy_does_not_hash(
                 if entry.kind == "secrets-released"]
     assert "coordinator" not in released
     assert not (tmp_path / "state" / "validation.sfl").exists()
+
+
+def test_client_the_policy_does_not_pin_is_denied_its_secrets(tmp_path, cli_manager):
+    """A role verb refused its secrets names the failing check, and so does
+    the manager's audit log."""
+    bundles, flags = cli_manager
+    patched = tmp_path / "patched.tar"
+    patched.write_bytes(bundles["agent"].read_bytes() + b" # patched")
+    result = run_cli("run-client", "--coordinator", "127.0.0.1:1", *flags,
+                     "--bundle", patched, "--client-id", "alice",
+                     "--data", tmp_path / "alice.csv", check=False, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.strip() == "error: access-denied: access denied (measurement)"
+    entries = read_entries(tmp_path / "store" / "audit.log")
+    denied = [entry for entry in entries if entry.kind == "secrets-denied"]
+    assert denied == [entries[-1]]
+    assert denied[0].payload["check"] == "measurement"

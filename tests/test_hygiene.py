@@ -44,3 +44,11 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(_tree(path))
               for path in SOURCES if path.name != "__init__.py"}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_package_exports_exactly_what_it_imports():
+    init = Path(fedshield.__file__)
+    imported = [alias.asname or alias.name for node in _tree(init).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert sorted(fedshield.__all__) == sorted(imported)

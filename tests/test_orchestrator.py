@@ -168,6 +168,7 @@ class TestAdmission:
         rejected = deployment.join_all([], refused=[agent])
         with pytest.raises(ServiceError, match="roster"):
             raise rejected["intruder"]
+        assert agent.channel.closed
 
     def test_refused_only_join_leaves_the_listener_open(self, deployment):
         intruder = deployment.make_agent("intruder", dataset_of="client-1")
@@ -313,6 +314,7 @@ class TestRounds:
                               *MALFORMED_COORDINATOR_MESSAGES[case])
         with pytest.raises(DecodeError):
             agent.run()
+        assert agent.channel.closed
 
     def test_client_late_for_one_round_stays_admitted(self, tmp_path):
         dep = make_deployment(tmp_path, session=QUORUM_OF_TWO, round_deadline=2.0)

@@ -125,11 +125,11 @@ class TestPin:
         policy = parse_policy(json.dumps(policy_doc()))
         pin = policy.pin("coordinator", b"\x07" * 32)
         assert pin.trusted_root == b"\x07" * 32
-        assert pin.expected_measurements == frozenset({bytes.fromhex("22" * 32)})
+        assert pin.measurement == bytes.fromhex("22" * 32)
 
     def test_role_the_policy_does_not_pin_is_unknown(self):
         policy = parse_policy(json.dumps(policy_doc(measurements={"client": "33" * 32})))
-        assert policy.pin("client", b"\x07" * 32).min_svn == 0
+        assert policy.pin("client", b"\x07" * 32).measurement == bytes.fromhex("33" * 32)
         for role in ("coordinator", "policy_manager_self", "auditor"):
             with pytest.raises(RoleUnknownError, match=role):
                 policy.pin(role, b"\x07" * 32)
@@ -399,7 +399,7 @@ class TestReleaseGate:
                                 policy_hash, "client", bytes(quote_bytes), NONCE)
                         expected = ("signature" if not valid_sig
                                     else "nonce" if not fresh else "measurement")
-                        assert err.value.verdict.check == expected
+                        assert err.value.check == expected
 
     def test_role_scoping(self, manager_setup):
         # a genuine coordinator asking for the coordinator bundle gets only
@@ -413,7 +413,7 @@ class TestReleaseGate:
         assert "DATA_KEY" not in bundle.environment
         with pytest.raises(AccessDeniedError) as err:
             manager.release_secrets(policy_hash, "client", quote, NONCE)
-        assert err.value.verdict.check == "measurement"
+        assert err.value.check == "measurement"
 
     def test_release_unseals_only_the_secrets_the_role_reads(self, tmp_path, monkeypatch):
         # the standard policy: the client reads the dataset key, the

@@ -129,8 +129,7 @@ def endpoint(tmp_path):
     service = ServiceEndpoint(hub.listen("manager"), tmp_path, manager_enclave,
                               platform.root_public_key, generate_signing_key())
     service.start()
-    pin = AttestationPolicy(platform.root_public_key,
-                            frozenset({manager_enclave.measurement}))
+    pin = AttestationPolicy(platform.root_public_key, manager_enclave.measurement)
 
     def connect(counter_public_key):
         return connect_manager(client_enclave, hub.connect("manager"), pin,

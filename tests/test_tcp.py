@@ -40,7 +40,7 @@ def test_manager_and_counters_over_tcp(tmp_path):
         denied = dep.connect_manager(unpinned, role="client")
         with pytest.raises(ServiceError, match="access-denied") as err:
             denied.request_secrets(dep.policy_hash, "client")
-        assert err.value.body["check"] == "measurement"
+        assert err.value.check == "measurement"
         denied.close()
 
         token = channel.counter_create()
