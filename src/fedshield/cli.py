@@ -1,7 +1,7 @@
 """Operator command line.
 
-Verbs: keygen, measure, policy new|upload, encrypt-data, decrypt-data,
-counter init, run-manager, run-coordinator, run-client, audit verify, demo.
+Verbs: keygen, measure, policy new|upload, run-manager, run-coordinator,
+run-client, audit verify, demo.
 Service verbs run one role each over TCP, and each role provisions itself:
 `run-client` sets up through `orchestrator.start_client`, as `Deployment`
 does, and `run-coordinator` builds the `Coordinator` that
@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .audit import verify_audit
-from .counters import CounterService
 from .demo import JOIN_DEADLINE, author_policy, run_demo, scan_capture, scan_tree
 from .enclave import (
     generate_platform,
@@ -37,7 +35,6 @@ from .errors import FedShieldError, InvalidInputError
 from .orchestrator import ROUND_DEADLINE, Coordinator, start_client
 from .policy import SessionConfig, parse_policy
 from .services import ServiceEndpoint, connect_manager
-from .shield import KEY_ID_LEN, open_shielded, shield_encrypt, write_shielded
 from .transport import CaptureLog, TcpNetwork
 
 
@@ -67,7 +64,7 @@ def _require(args, *keys) -> None:
 
 def cmd_keygen(args) -> int:
     if args.kind == "platform":
-        platform = generate_platform(svn=args.svn)
+        platform = generate_platform()
         save_platform(platform, args.out)
         print(f"platform key file written to {args.out}")
         print(f"platform_id: {platform.platform_id.hex()}")
@@ -106,8 +103,8 @@ def cmd_policy_new(args) -> int:
                        if args.validation else None)
     document = author_policy(args.name, measurements, roster, session,
                              validation_hash=validation_hash)
-    Path(args.out).write_text(document + "\n")
     policy = parse_policy(document)
+    Path(args.out).write_text(document + "\n")
     print(f"policy written to {args.out}")
     print(f"policy_hash: {policy.policy_hash.hex()}")
     return 0
@@ -149,55 +146,6 @@ def cmd_policy_upload(args) -> int:
         manager.generate_secrets(policy_hash)
         print("secrets generated")
     manager.close()
-    return 0
-
-
-def _local_counters(args) -> CounterService:
-    return CounterService(Path(args.counter_dir) / "counters.wal",
-                          load_signing_key(args.counter_key))
-
-
-def cmd_counter_init(args) -> int:
-    Path(args.counter_dir).mkdir(parents=True, exist_ok=True)
-    service = _local_counters(args)
-    counter_id = service.create_counter()
-    service.close()
-    print(counter_id.hex())
-    return 0
-
-
-def cmd_encrypt_data(args) -> int:
-    # every input is checked before the counter moves: a failed run must
-    # not make the last written file stale
-    plaintext = Path(args.infile).read_bytes()
-    key = unhex(args.key_hex, 32)
-    key_id = unhex(args.key_id, KEY_ID_LEN) if args.key_id else sha256(b"cli-key")[:KEY_ID_LEN]
-    # so is --out, which write_shielded replaces all or nothing
-    out = Path(args.out)
-    if out.is_dir():
-        raise InvalidInputError(f"--out {out} is a directory")
-    if not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
-        raise InvalidInputError(f"--out {out}: {out.parent} is not a writable directory")
-    service = _local_counters(args)
-    if args.counter_id:
-        token = service.increment_async(unhex(args.counter_id))
-    else:
-        token = service.read_stable(service.create_counter())
-        print(f"counter_id: {token.counter_id.hex()}")
-    shielded = shield_encrypt(plaintext, key, key_id, token.counter_id, token.value)
-    service.close()
-    write_shielded(out, shielded)
-    print(f"shielded file written to {args.out}")
-    return 0
-
-
-def cmd_decrypt_data(args) -> int:
-    service = _local_counters(args)
-    _, plaintext = open_shielded(args.infile, unhex(args.key_hex),
-                                 lambda cid: service.read_stable(cid).value)
-    service.close()
-    Path(args.out).write_bytes(plaintext)
-    print(f"plaintext written to {args.out}")
     return 0
 
 
@@ -301,18 +249,14 @@ def cmd_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedshield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flag groups shared by several verbs.
+    # The flag group of every verb that runs inside an enclave.
     role_enclave = argparse.ArgumentParser(add_help=False)
     for flag in ("--key-file", "--bundle", "--config"):
         role_enclave.add_argument(flag, required=True)
-    local_counters = argparse.ArgumentParser(add_help=False)
-    for flag in ("--counter-dir", "--counter-key"):
-        local_counters.add_argument(flag, required=True)
 
     p = sub.add_parser("keygen", help="generate a platform or signing key file")
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=["platform", "signing"], default="platform")
-    p.add_argument("--svn", type=int, default=1)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("measure", help="print the measurement of a code bundle")
@@ -344,28 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counter-public-key", required=True)
     p.add_argument("--generate", action="store_true")
     p.set_defaults(func=cmd_policy_upload)
-
-    p = sub.add_parser("encrypt-data", parents=[local_counters],
-                       help="shield a file with freshness binding")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--key-hex", required=True)
-    p.add_argument("--key-id", default="")
-    p.add_argument("--counter-id", default="")
-    p.set_defaults(func=cmd_encrypt_data)
-
-    p = sub.add_parser("decrypt-data", parents=[local_counters],
-                       help="open a shielded file if it is current")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--key-hex", required=True)
-    p.set_defaults(func=cmd_decrypt_data)
-
-    counter = sub.add_parser("counter", help="monotonic counter operations")
-    counter_sub = counter.add_subparsers(dest="counter_command", required=True)
-    p = counter_sub.add_parser("init", parents=[local_counters],
-                               help="create a counter (stable value 1)")
-    p.set_defaults(func=cmd_counter_init)
 
     p = sub.add_parser("run-manager", parents=[role_enclave],
                        help="serve the policy manager + counter service")

@@ -20,8 +20,7 @@ a ``.sfl``: ``write_shielded`` replaces it all or nothing (``replace_file``:
 a temporary ``.{name}.*`` file beside it, renamed over it), and
 ``open_shielded`` reads and decrypts it. Neither fsyncs. This module never
 stores keys. ``key_id`` is authenticated and checked by no reader: a role's
-file carries ``secret_key_id(policy hash, secret name)``, and
-``encrypt-data`` its ``--key-id`` or a fixed default.
+file carries ``secret_key_id(policy hash, secret name)``.
 """
 
 from __future__ import annotations

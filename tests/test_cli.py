@@ -1,5 +1,6 @@
 """Operator CLI smoke tests (subprocess level)."""
 
+import argparse
 import contextlib
 import json
 import socket
@@ -11,11 +12,9 @@ import pytest
 
 from fedshield import cli, demo, orchestrator
 from fedshield.audit import AuditVerdict, read_entries
-from fedshield.counters import CounterService
 from fedshield.demo import author_policy, role_measurements
 from fedshield.enclave import (
     generate_platform,
-    load_signing_key,
     measure,
     save_platform,
     spawn_enclave,
@@ -36,9 +35,12 @@ def run_cli(*args, check=True, **kwargs):
 
 
 def test_help_for_every_subcommand():
-    for verb in ["keygen", "measure", "policy", "encrypt-data", "decrypt-data",
-                 "counter", "run-manager", "run-coordinator", "run-client",
-                 "audit", "demo"]:
+    verbs = ["keygen", "measure", "policy", "run-manager", "run-coordinator",
+             "run-client", "audit", "demo"]
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == verbs
+    for verb in verbs:
         result = run_cli(verb, "--help")
         assert result.returncode == 0
 
@@ -61,95 +63,6 @@ def test_measure_matches_library(tmp_path):
     assert out.stdout.strip() == measure(b"program bytes here", b"lr=0.1\n").hex()
 
 
-def test_encrypt_decrypt_with_rollback(tmp_path):
-    run_cli("keygen", "--kind", "signing", "--out", tmp_path / "svc.json")
-    counter_dir = tmp_path / "counters"
-    counter_id = run_cli("counter", "init", "--counter-dir", counter_dir,
-                         "--counter-key", tmp_path / "svc.json").stdout.strip()
-    secret = tmp_path / "secret.txt"
-    secret.write_bytes(b"the plaintext training dataset, version 1")
-    key_hex = "ab" * 32
-    run_cli("encrypt-data", "--in", secret, "--out", tmp_path / "v1.sfl",
-            "--key-hex", key_hex, "--counter-id", counter_id,
-            "--counter-dir", counter_dir, "--counter-key", tmp_path / "svc.json")
-    run_cli("decrypt-data", "--in", tmp_path / "v1.sfl", "--out",
-            tmp_path / "v1.out", "--key-hex", key_hex,
-            "--counter-dir", counter_dir, "--counter-key", tmp_path / "svc.json")
-    assert (tmp_path / "v1.out").read_bytes() == secret.read_bytes()
-
-    # a second authorized write advances the counter; v1 must now be stale
-    secret.write_bytes(b"the plaintext training dataset, version 2")
-    run_cli("encrypt-data", "--in", secret, "--out", tmp_path / "v2.sfl",
-            "--key-hex", key_hex, "--counter-id", counter_id,
-            "--counter-dir", counter_dir, "--counter-key", tmp_path / "svc.json")
-    stale = run_cli("decrypt-data", "--in", tmp_path / "v1.sfl", "--out",
-                    tmp_path / "stale.out", "--key-hex", key_hex,
-                    "--counter-dir", counter_dir,
-                    "--counter-key", tmp_path / "svc.json", check=False)
-    assert stale.returncode == 1
-    assert "counter" in stale.stderr
-
-
-def test_failed_encrypt_data_leaves_the_counter_alone(tmp_path, capsys):
-    counters = ["--counter-dir", str(tmp_path / "counters"),
-                "--counter-key", str(tmp_path / "svc.json")]
-    assert cli.main(["keygen", "--kind", "signing", "--out",
-                     str(tmp_path / "svc.json")]) == 0
-    assert cli.main(["counter", "init", *counters]) == 0
-    counter_id = capsys.readouterr().out.strip().splitlines()[-1]
-    secret = tmp_path / "secret.txt"
-    secret.write_bytes(b"version 1")
-    write = ["encrypt-data", "--out", str(tmp_path / "v1.sfl"),
-             "--counter-id", counter_id, *counters]
-    assert cli.main([*write, "--in", str(secret), "--key-hex", "ab" * 32]) == 0
-
-    # a missing input and a short key both fail before the counter moves
-    assert cli.main([*write, "--in", str(tmp_path / "missing.txt"),
-                     "--key-hex", "ab" * 32]) == 1
-    assert cli.main([*write, "--in", str(secret), "--key-hex", "1122"]) == 1
-    assert capsys.readouterr().err.count("error: ") == 2
-    service = CounterService(tmp_path / "counters" / "counters.wal",
-                             load_signing_key(tmp_path / "svc.json"))
-    assert service.read_stable(bytes.fromhex(counter_id)).value == 2
-    service.close()
-    assert cli.main(["decrypt-data", "--in", str(tmp_path / "v1.sfl"),
-                     "--out", str(tmp_path / "v1.out"), "--key-hex", "ab" * 32,
-                     *counters]) == 0
-    assert (tmp_path / "v1.out").read_bytes() == b"version 1"
-
-
-@pytest.mark.parametrize("out", ["nodir/v2.sfl", "adir"])
-def test_encrypt_data_to_an_unwritable_out_leaves_the_counter_alone(tmp_path, capsys, out):
-    counters = ["--counter-dir", str(tmp_path / "counters"),
-                "--counter-key", str(tmp_path / "svc.json")]
-    assert cli.main(["keygen", "--kind", "signing", "--out",
-                     str(tmp_path / "svc.json")]) == 0
-    assert cli.main(["counter", "init", *counters]) == 0
-    counter_id = capsys.readouterr().out.strip().splitlines()[-1]
-    secret = tmp_path / "secret.txt"
-    secret.write_bytes(b"version 1")
-    write = ["encrypt-data", "--in", str(secret), "--key-hex", "ab" * 32,
-             "--counter-id", counter_id, *counters]
-    assert cli.main([*write, "--out", str(tmp_path / "v1.sfl")]) == 0
-
-    # a missing directory or a directory as the file: the run fails before
-    # the counter moves
-    (tmp_path / "adir").mkdir()
-    assert cli.main([*write, "--out", str(tmp_path / out)]) == 1
-    assert "error: " in capsys.readouterr().err
-    service = CounterService(tmp_path / "counters" / "counters.wal",
-                             load_signing_key(tmp_path / "svc.json"))
-    assert service.read_stable(bytes.fromhex(counter_id)).value == 2
-    service.close()
-    assert cli.main(["decrypt-data", "--in", str(tmp_path / "v1.sfl"),
-                     "--out", str(tmp_path / "v1.out"), "--key-hex", "ab" * 32,
-                     *counters]) == 0
-    assert (tmp_path / "v1.out").read_bytes() == b"version 1"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "adir", "counters", "secret.txt", "svc.json", "v1.out", "v1.sfl"]  # nothing staged
-    assert not any((tmp_path / "adir").iterdir())
-
-
 def test_policy_new(tmp_path):
     data = tmp_path / "alice.csv"
     data.write_bytes(dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=1)))
@@ -162,6 +75,20 @@ def test_policy_new(tmp_path):
     policy = parse_policy((tmp_path / "policy.json").read_text())
     assert policy.name == "cli-pact"
     assert policy.policy_hash.hex() in out.stdout
+
+
+def test_refused_policy_new_leaves_out_alone(tmp_path, capsys):
+    data = tmp_path / "alice.csv"
+    data.write_bytes(dataset_to_csv_bytes(synthetic_dataset(20, 3, seed=1)))
+    out = tmp_path / "policy.json"
+    out.write_bytes(b"the policy already here")
+    assert cli.main(["policy", "new", "--out", str(out), "--name", "bad",
+                     "--manager-measurement", "11" * 32,
+                     "--coordinator-measurement", "22" * 32,
+                     "--client-measurement", "33" * 32,
+                     "--client", f"alice={data}", "--max-rounds", "-3"]) == 1
+    assert capsys.readouterr().err == "error: max_rounds must be >= 1\n"
+    assert out.read_bytes() == b"the policy already here"
 
 
 def test_demo_and_audit_verify(tmp_path):
