@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         role_enclave.add_argument(flag, required=True)
 
     p = sub.add_parser("keygen", help="generate a platform or signing key file")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="a new file; an existing one is refused")
     p.add_argument("--kind", choices=["platform", "signing"], default="platform")
     p.set_defaults(func=cmd_keygen)
 

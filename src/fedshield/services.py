@@ -215,6 +215,7 @@ class ManagerChannel:
                                   token.counter_id, token.value)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
+        del shielded  # the ciphertext, before the file's own copy is read
         return open_shielded(path, key, self.stable_value)[1], bundle
 
     def close(self) -> None:

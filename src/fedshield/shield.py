@@ -18,9 +18,13 @@ they arrive (``services.ManagerChannel``), and this module never sees one.
 File extension: ``.sfl``. This module is the only one that writes or opens
 a ``.sfl``: ``write_shielded`` replaces it all or nothing (``replace_file``:
 a temporary ``.{name}.*`` file beside it, renamed over it), and
-``open_shielded`` reads and decrypts it. Neither fsyncs. This module never
-stores keys. ``key_id`` is authenticated and checked by no reader: a role's
-file carries ``secret_key_id(policy hash, secret name)``.
+``open_shielded`` reads and decrypts it. Neither fsyncs, and neither copies a
+whole file: the header and the body are written one after the other, and the
+body is taken by one exact-size unbuffered ``read``, so opening an N-byte file
+holds about N bytes of body and N of plaintext. ``ShieldedFile.to_bytes`` and
+``from_bytes`` give the same layout in memory. This module never stores keys.
+``key_id`` is authenticated and checked by no reader: a role's file carries
+``secret_key_id(policy hash, secret name)``.
 """
 
 from __future__ import annotations
@@ -147,16 +151,17 @@ def shield_decrypt(shielded: ShieldedFile, key: bytes,
     return plaintext
 
 
-def replace_file(path, data: bytes) -> None:
-    """Replace ``path`` with ``data``, all or nothing: the bytes go to a
-    temporary file beside it, which is renamed over it. On any failure the
-    temporary file is removed and ``path`` keeps its old bytes, or stays
-    absent."""
+def replace_file(path, *chunks: bytes) -> None:
+    """Replace ``path`` with the ``chunks`` one after the other, all or
+    nothing: the bytes go to a temporary file beside it, which is renamed
+    over it. On any failure the temporary file is removed and ``path`` keeps
+    its old bytes, or stays absent."""
     path = Path(path)
     fd, staged = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(staged, path)
     except BaseException:
         os.unlink(staged)
@@ -165,12 +170,14 @@ def replace_file(path, data: bytes) -> None:
 
 def write_shielded(path, shielded: ShieldedFile) -> None:
     """Replace ``path`` with ``shielded`` through ``replace_file``."""
-    replace_file(path, shielded.to_bytes())
+    replace_file(path, shielded.header.to_bytes(), shielded.body)
 
 
 def read_shielded(path) -> ShieldedFile:
-    with open(path, "rb") as fh:
-        return ShieldedFile.from_bytes(fh.read())
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = ShieldHeader.from_bytes(fh.read(HEADER_LEN))
+        return ShieldedFile(header, fh.read(size - HEADER_LEN))
 
 
 def open_shielded(path, key: bytes, freshness_check: Callable[[bytes], int]

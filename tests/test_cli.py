@@ -54,6 +54,19 @@ def test_keygen_platform_and_signing(tmp_path):
     assert "public_key" in out.stdout
 
 
+@pytest.mark.parametrize("kind", ["platform", "signing"])
+def test_keygen_refuses_an_existing_out(tmp_path, kind):
+    # a new platform key file orphans every blob sealed under the old one
+    out = tmp_path / "key.json"
+    run_cli("keygen", "--kind", kind, "--out", out)
+    old = out.read_bytes()
+    result = run_cli("keygen", "--kind", kind, "--out", out, check=False)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and str(out) in result.stderr
+    assert "Traceback" not in result.stderr
+    assert out.read_bytes() == old
+
+
 def test_measure_matches_library(tmp_path):
     bundle = tmp_path / "bundle.bin"
     config = tmp_path / "config.txt"
@@ -316,7 +329,10 @@ def start_service(*args):
             return proc, printed, line.split()[-1]
         name, _, value = line.partition(": ")
         printed[name] = value.strip()
-    proc.wait(timeout=10)
+    try:
+        proc.wait(timeout=10)
+    finally:
+        proc.stdout.close()
     raise AssertionError(f"{args[0]} did not come up: {printed}")
 
 
@@ -361,6 +377,7 @@ def test_run_manager_and_policy_upload(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=10)
+        server.stdout.close()
 
 
 @contextlib.contextmanager
@@ -439,6 +456,7 @@ def test_session_over_tcp_from_plaintext_csv(tmp_path, cli_manager):
         if coordinator is not None:
             coordinator.kill()
             coordinator.wait(timeout=10)
+            coordinator.stdout.close()
     assert (tmp_path / "alice.sfl").exists()
     assert (tmp_path / "state" / "validation.sfl").exists()
     assert "accepted" in run_cli("audit", "verify", tmp_path / "state" / "audit.log").stdout

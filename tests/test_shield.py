@@ -1,6 +1,9 @@
 """Shielded-file codec: round trips, header authentication, freshness."""
 
+import io
+import os
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -18,6 +21,7 @@ from fedshield.shield import (
     ShieldedFile,
     ShieldHeader,
     open_shielded,
+    read_shielded,
     shield_decrypt,
     shield_encrypt,
     write_shielded,
@@ -84,23 +88,47 @@ class TestFiles:
         write_shielded(out / "data.sfl", second)
         header, plaintext = open_shielded(out / "data.sfl", key, lookup)
         assert (header, header.counter_id, plaintext) == (second.header, cid, b"version 2")
+        assert (out / "data.sfl").read_bytes() == second.to_bytes()
         assert [p.name for p in out.iterdir()] == ["data.sfl"]  # nothing staged
 
-    def test_failed_write_keeps_the_old_file(self, service, tmp_path):
-        class Unserializable(ShieldedFile):
-            def to_bytes(self):
-                raise OSError("no space left")
+    def test_failed_write_keeps_the_old_file(self, service, tmp_path, monkeypatch):
+        class FullDisk(io.FileIO):
+            """A disk with room for the header only."""
+            def write(self, data):
+                if self.tell() + len(data) > HEADER_LEN:
+                    raise OSError("no space left")
+                return super().write(data)
 
         out = tmp_path / "out"
         out.mkdir()
         shielded, _, _ = fresh_file(service, b"version 1", b"\x05" * 32)
         write_shielded(out / "data.sfl", shielded)
         old = (out / "data.sfl").read_bytes()
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(fd, mode))
         with pytest.raises(OSError, match="no space left"):
-            write_shielded(out / "data.sfl",
-                           Unserializable(shielded.header, shielded.body))
+            write_shielded(out / "data.sfl", shielded)
         assert (out / "data.sfl").read_bytes() == old
         assert [p.name for p in out.iterdir()] == ["data.sfl"]  # nothing staged
+
+    def test_write_and_open_hold_the_body_once(self, service, tmp_path):
+        # writing makes no whole-file copy; reading holds the body once, and
+        # opening the body and the plaintext
+        payload = random.Random(5).randbytes(8 << 20)
+        shielded, lookup, _ = fresh_file(service, payload, b"\x05" * 32)
+        path = tmp_path / "data.sfl"
+        size = HEADER_LEN + len(shielded.body)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: write_shielded(path, shielded)) < 0.1 * size
+        assert peak(lambda: read_shielded(path)) < 1.1 * size
+        assert peak(lambda: open_shielded(path, b"\x05" * 32, lookup)) < 2.2 * size
 
 
 class TestGoldenFile:
