@@ -16,7 +16,9 @@ feature whose ``repr`` is plain decimal; the exponent-form and non-finite
 ones, which it spells otherwise, are written by ``repr`` itself, so the
 bytes are those of a ``repr`` per value. orjson also reads the rows of a
 clean file, one at a time, and every other file goes to ``csv`` and
-``float()``; either way each value decodes as ``float()`` reads it.
+``float()``; either way each value decodes as ``float()`` reads it. orjson
+misreads one token, ``-0``, as a zero: a row is searched for it only where
+orjson read a zero, and a row that holds it sends the file to the row parser.
 Parameter vectors serialize as
 ``u32 BE dimension | IEEE-754 binary64 BE entries``.
 """
@@ -29,7 +31,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import orjson
@@ -322,7 +324,7 @@ def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
     digits; ``repr`` writes the rest (see ``_repr_only``).
     """
     features = np.ascontiguousarray(dataset.features, dtype=np.float64)
-    lines = [",".join([f"x{i}" for i in range(dataset.dim)] + ["y"]).encode()]
+    lines = [_csv_header(dataset.dim)]
     for row, repr_only, label in zip(features, _repr_only(features),
                                      dataset.labels.tolist()):
         cells, start = [], 0
@@ -333,6 +335,12 @@ def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
         lines.append(b",".join([cell for cell in cells if cell]))
     lines.append(b"")
     return b"\n".join(lines)
+
+
+@lru_cache(maxsize=4)
+def _csv_header(dim: int) -> bytes:
+    """``x0,...,x{dim-1},y``, built once per width: about 8 ms at dim 50,000."""
+    return ",".join([f"x{i}" for i in range(dim)] + ["y"]).encode()
 
 
 def _repr_only(features: np.ndarray) -> np.ndarray:
@@ -387,17 +395,22 @@ def _read_clean_table(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     A clean file ends in LF, its header matches ``_CLEAN_HEADER``, no field
     may pass the csv module's size limit, and each row holds only
-    ``_CLEAN_ROW_BYTES``, no token -0, parses as the body of a JSON array
-    and is as wide as the header. orjson refuses the numbers float() reads
-    that JSON does not spell (``1e400``, ``nan``, ``+1``, ``.5``, ``1.``,
-    ``00``) and empty fields. Its integers fit in 64 bits, and numpy rounds
-    them to float64 as float() does.
+    ``_CLEAN_ROW_BYTES``, parses as the body of a JSON array, is as wide as
+    the header and holds no token -0. orjson refuses the numbers float()
+    reads that JSON does not spell (``1e400``, ``nan``, ``+1``, ``.5``,
+    ``1.``, ``00``) and empty fields. Its integers fit in 64 bits, and numpy
+    rounds them to float64 as float() does. It reads -0 as the integer 0,
+    so a row is searched for that token only where a zero was read: the
+    label's token when the label is 0, the whole row when a feature is.
     """
     header = data[:data.find(b"\n")]
     if (not data.endswith(b"\n") or not _CLEAN_HEADER.fullmatch(header)
             or _may_exceed_field_limit(data)):
         return None
-    rows, columns = data.count(b"\n") - 1, header.count(b",")
+    rows, end = 0, data.find(b"\n", len(header) + 1)
+    while end >= 0:  # find runs at memchr speed; bytes.count scans byte by byte
+        rows, end = rows + 1, data.find(b"\n", end + 1)
+    columns = header.count(b",")
     if rows < 1 or rows * (2 * columns + 1) > len(data):  # a field and a comma: 2 bytes
         return None
     # The features outlive the rows they are parsed from. Allocated first,
@@ -413,7 +426,7 @@ def _read_clean_table(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         # a copy of one row, never of the file
         row = b"".join((b"[", view[start:end], b"]"))
         start = end + 1
-        if row.translate(None, _CLEAN_ROW_BYTES) != b"[]" or _NEGATIVE_ZERO.search(row):
+        if row.translate(None, _CLEAN_ROW_BYTES) != b"[]":
             return None
         try:
             values = orjson.loads(row)
@@ -421,8 +434,11 @@ def _read_clean_table(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
             return None
         if len(values) != columns + 1:
             return None
-        features[i] = values[:-1]
-        labels[i] = values[-1]
+        labels[i] = label = values.pop()
+        features[i] = values
+        if (label == 0 and _NEGATIVE_ZERO.search(row, row.rfind(b",") + 1)
+                or not features[i].all() and _NEGATIVE_ZERO.search(row)):
+            return None
     return features, labels
 
 

@@ -239,35 +239,42 @@ def start_client(manager: ManagerChannel, client_id: str, enclave: Enclave,
 
 
 class Coordinator:
-    """Round driver and checkpoint owner for one federated session."""
+    """Round driver and checkpoint owner for one federated session.
+
+    The coordinator holds ``manager`` through the session. A construction
+    that raises closes it, so the endpoint stops serving that channel."""
 
     def __init__(self, policy: Policy, enclave: Enclave, state_dir: str | Path,
                  trusted_root: bytes, validation_csv: bytes, manager: ManagerChannel,
                  *, round_deadline: float = ROUND_DEADLINE):
-        if policy.validation_dataset_hash not in (None, sha256(validation_csv)):
-            raise InvalidInputError(
-                f"validation set hashes to {sha256(validation_csv).hex()}, not to "
-                f"the policy's {policy.validation_dataset_hash.hex()}")
-        self.policy = policy
-        self.cfg = policy.session
-        self.enclave = enclave
-        self.state_dir = Path(state_dir)
-        plaintext, self.secrets = manager.provision(
-            policy.policy_hash, "coordinator", self.state_dir / "validation.sfl",
-            validation_csv)
-        self.validation = dataset_from_csv_bytes(plaintext)
-        self.checkpoint_key = self.secrets.key_bytes(CHECKPOINT_KEY)
-        self.checkpoint_key_id = secret_key_id(policy.policy_hash, CHECKPOINT_SECRET)
-        self.manager = manager
-        self.round_deadline = round_deadline
-        self.client_policy = policy.pin("client", trusted_root)
-        self.audit = AuditLog(self.state_dir / "audit.log")
-        self.records: list[RoundRecord] = []
-        self.admitted: dict[str, object] = {}
-        self.counter_id: bytes | None = None
-        zeros = np.zeros(self.validation.dim + 1)
-        self.model = GlobalModel(0, zeros, serialize_params(zeros))
-        self._resume_or_init()
+        try:
+            if policy.validation_dataset_hash not in (None, sha256(validation_csv)):
+                raise InvalidInputError(
+                    f"validation set hashes to {sha256(validation_csv).hex()}, not to "
+                    f"the policy's {policy.validation_dataset_hash.hex()}")
+            self.policy = policy
+            self.cfg = policy.session
+            self.enclave = enclave
+            self.state_dir = Path(state_dir)
+            plaintext, self.secrets = manager.provision(
+                policy.policy_hash, "coordinator", self.state_dir / "validation.sfl",
+                validation_csv)
+            self.validation = dataset_from_csv_bytes(plaintext)
+            self.checkpoint_key = self.secrets.key_bytes(CHECKPOINT_KEY)
+            self.checkpoint_key_id = secret_key_id(policy.policy_hash, CHECKPOINT_SECRET)
+            self.manager = manager
+            self.round_deadline = round_deadline
+            self.client_policy = policy.pin("client", trusted_root)
+            self.audit = AuditLog(self.state_dir / "audit.log")
+            self.records: list[RoundRecord] = []
+            self.admitted: dict[str, object] = {}
+            self.counter_id: bytes | None = None
+            zeros = np.zeros(self.validation.dim + 1)
+            self.model = GlobalModel(0, zeros, serialize_params(zeros))
+            self._resume_or_init()
+        except BaseException:  # a refused coordinator holds no channel
+            manager.close()
+            raise
 
     # -- checkpointing -----------------------------------------------------
 

@@ -188,7 +188,7 @@ numerals = st.builds("{}{}{}{}".format, st.sampled_from(["", "-"]), st.integers(
                      st.sampled_from(["", ".5", ".05"]),
                      st.just("") | st.integers(-345, 307).map("e{}".format))
 feature_fields = mostly(st.floats().map(repr) | numerals, odd_fields | orjson_fields)
-label_fields = mostly(st.sampled_from(["0", "1", "1.0", "-0.0", "1e0"]), odd_fields)
+label_fields = mostly(st.sampled_from(["0", "1", "1.0", "-0.0", "1e0", "-0"]), odd_fields)
 line_ends = mostly(st.just("\n"), st.sampled_from(["\r\n", "\r", "\n\n", "\x0b", "\u2028"]))
 header_names = mostly(st.just("x0"), st.sampled_from(['"a,b"', "", "a\x00"]))
 
@@ -251,6 +251,12 @@ ROW_NUMBER = re.compile(r"CSV row (\d+)")
 @example(b"x0,y\n1.0,2\n1.0\n")               # the label error comes first
 @example(b"x0,x1,y\n1.0,1\n")                 # every row narrower than the header
 @example(b"x0,y\n-0,1\n")                     # orjson reads -0 as the integer 0
+@example(b"x0,y\n1.0,-0\n")                   # ... and -0 as a label
+@example(b"x0,y\n1.0,-0  \n")                 # ... with spaces after it
+@example(b"y\n-0\n")                          # ... with no comma before it
+@example(b"x0,y\n0.5, -0\n")                  # ... with a space before it
+@example(b"x0,x1,y\n1.0,2.0,1\n0.5,-0,0\n")   # a -0 feature in a later row
+@example(b"x0,y\n1e-0,1\n")                   # not a -0 token
 @example(b"x0,y\n1,,0\n")                     # an empty field
 @example(b"x0,x1,y\ntrue,null,1\n")           # JSON literals float() refuses
 @example(b"x0,y\n[1],1\n")                    # a JSON array in a field

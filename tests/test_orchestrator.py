@@ -20,6 +20,7 @@ from fedshield.errors import (
     DecodeError,
     FedShieldError,
     IntegrityError,
+    InvalidInputError,
     RollbackDetectedError,
     ServiceError,
     SessionFailedError,
@@ -460,6 +461,7 @@ class TestCrashRecovery:
             params_before = dep.coordinator.model.params.copy()
             dep.coordinator._close_clients()  # simulated kill
 
+            dep.coordinator.manager.close()
             revived = dep.start_coordinator(validation_csv(dep))
             assert revived.model.round_index == 2
             assert revived.model.history == history_before
@@ -497,6 +499,7 @@ class TestCrashRecovery:
             counters = wal_counter_ids(dep)
             validation_sfl = (dep.state_dir / "validation.sfl").read_bytes()
 
+            dep.coordinator.manager.close()
             dep.coordinator = dep.start_coordinator(validation_csv(dep))
             assert dep.coordinator.model.round_index == 2
             assert wal_counter_ids(dep) == counters
@@ -522,6 +525,7 @@ class TestCrashRecovery:
         try:
             counters = wal_counter_ids(dep)
             for _ in range(2):  # killed before round 1 committed, twice
+                dep.coordinator.manager.close()
                 dep.coordinator = dep.start_coordinator(validation_csv(dep))
                 assert dep.coordinator.model.round_index == 0
                 assert wal_counter_ids(dep) == counters
@@ -554,6 +558,29 @@ class TestCrashRecovery:
         finally:
             dep.close()
 
+    @pytest.mark.parametrize("refusal", ["rollback", "validation-hash"])
+    def test_refused_revival_closes_its_manager_channel(self, tmp_path, monkeypatch,
+                                                        refusal):
+        # an open channel keeps an endpoint thread waiting on it for good
+        dep = make_deployment(tmp_path)
+        try:
+            run_two_rounds(dep)
+            stale = (dep.state_dir / "checkpoint-b.sfl").read_bytes()  # round 1
+            (dep.state_dir / "checkpoint-a.sfl").write_bytes(stale)
+            csv, error = validation_csv(dep), RollbackDetectedError
+            if refusal == "validation-hash":
+                csv, error = csv + b"1.0,2.0,3.0,4.0,1\n", InvalidInputError
+            channels = []
+            connect = dep.connect_manager
+            monkeypatch.setattr(dep, "connect_manager", lambda *args, **kwargs: (
+                channels.append(connect(*args, **kwargs)) or channels[-1]))
+            for _ in range(3):
+                with pytest.raises(error):
+                    dep.start_coordinator(csv)
+            assert len(channels) == 3
+            assert all(manager.channel.closed for manager in channels)
+        finally:
+            dep.close()
 
     @pytest.mark.parametrize("damage", ["truncated", "last-byte-flipped"])
     def test_damaged_stale_slot_does_not_hide_the_current_one(self, tmp_path, damage):
@@ -575,7 +602,9 @@ class TestCrashRecovery:
                 return blob[:-1] + bytes([blob[-1] ^ 0x01])
 
             slot_a.write_bytes(damaged(stale))
-            assert dep.start_coordinator(validation_csv(dep)).model.round_index == 3
+            revived = dep.start_coordinator(validation_csv(dep))
+            revived.manager.close()
+            assert revived.model.round_index == 3
 
             # no slot opens: the error names each slot's failure
             slot_b.write_bytes(damaged(current))
@@ -613,7 +642,9 @@ class TestCrashRecovery:
             log = dep.state_dir / "audit.log"
             kinds = [e.kind for e in read_entries(log)]
             log.write_bytes(log.read_bytes()[:-40])  # killed while appending round 2
-            assert dep.start_coordinator(validation_csv(dep)).model.round_index == 2
+            revived = dep.start_coordinator(validation_csv(dep))
+            revived.manager.close()
+            assert revived.model.round_index == 2
             assert [e.kind for e in read_entries(log)] == kinds[:-1] + ["resume"]
             assert verify_audit(log).ok
         finally:
