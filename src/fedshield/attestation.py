@@ -153,7 +153,7 @@ class SecureChannel:
         if len(body) < 8 + 16:
             self.close()
             raise DecodeError("channel frame too short")
-        header, ciphertext = body[:8], body[8:]
+        header, ciphertext = body[:8], memoryview(body)[8:]
         (counter,) = struct.unpack(">Q", header)
         if counter != self._recv_counter:
             self.close()

@@ -124,10 +124,10 @@ def serialize_params(params: np.ndarray) -> bytes:
     vec = np.asarray(params, dtype=np.float64)
     if vec.ndim != 1:
         raise InvalidInputError("parameter vector must be one-dimensional")
-    return struct.pack(">I", vec.size) + vec.astype(">f8").tobytes()
+    return b"".join((struct.pack(">I", vec.size), vec.astype(">f8")))
 
 
-def deserialize_params(data: bytes) -> np.ndarray:
+def deserialize_params(data: bytes | memoryview) -> np.ndarray:
     if len(data) < 4:
         raise InvalidInputError("parameter serialization too short")
     (dim,) = struct.unpack(">I", data[:4])
@@ -144,8 +144,8 @@ def params_hash(blob: bytes) -> bytes:
 def make_update(client_id: str, round_index: int, params: np.ndarray,
                 num_examples: int, *, params_hash: bytes | None = None) -> ModelUpdate:
     """An update of ``params``. ``params_hash``, when given, must be the
-    SHA-256 of their serialization, such as a hash already checked against
-    the bytes the update arrived as; it is kept, not computed again."""
+    SHA-256 of their serialization, such as the hash of the bytes the update
+    arrived as; it is kept, not computed again."""
     update = ModelUpdate(client_id, round_index, params, num_examples)
     if params_hash is not None:
         object.__setattr__(update, "params_hash", params_hash)  # cached_property's slot
@@ -238,8 +238,11 @@ def local_train(start: np.ndarray, data: Dataset, cfg, seed: int,
     Each epoch gathers its shuffled rows once and each batch is a view of
     that copy; the results are bit-identical to gathering every batch on
     its own. The weights are updated in place and the bias is a Python
-    float. Every step ends in a finiteness check, so a NaN or an infinity
-    raises ``NumericalDivergenceError`` and no update is returned.
+    float. A NaN or an infinity raises ``NumericalDivergenceError`` and no
+    update is returned. It is checked for once, after the last step: a
+    non-finite weight or bias stays non-finite through every later step
+    (``inf - x`` is ``inf`` or NaN, ``nan - x`` is NaN), so a check after
+    each step would raise on the same runs.
     """
     params = np.array(start, dtype=np.float64)
     if params.shape != (data.dim + 1,):
@@ -261,11 +264,10 @@ def local_train(start: np.ndarray, data: Dataset, cfg, seed: int,
                 grad_w *= lr
                 w -= grad_w
                 b -= lr * grad_b
-                if not (math.isfinite(b) and np.isfinite(w).all()):
-                    raise NumericalDivergenceError(
-                        "weights became non-finite during training")
             # freed before the next epoch's gather, which reuses the block
             del features, labels
+    if not (math.isfinite(b) and np.isfinite(w).all()):
+        raise NumericalDivergenceError("weights became non-finite during training")
     params[-1] = b
     return make_update(client_id, round_index, params, data.n)
 

@@ -20,12 +20,13 @@ message trailer (empty on a failed SESSION_END); a broadcast is encoded once
 and sent on every channel under its own key.
 
 Each parameter vector is serialized once, where it is made, and carries
-those bytes (``ModelUpdate.blob``, ``GlobalModel.blob``): a client hashes
-and sends the same blob, and the coordinator sends a committed model's blob
-with the next broadcast or SESSION_END and seals it into the checkpoint body,
-``u32 BE head length | canonical JSON head | blob``. A resumed model's blob
-is the bytes its checkpoint held; a current slot that does not decode, as
-one in an older layout, is refused.
+those bytes (``ModelUpdate.blob``, ``GlobalModel.blob``): a client sends its
+update's blob and declares no hash, and the coordinator hashes the trailer it
+received, once, for the audited ``update_hashes``. The coordinator sends a
+committed model's blob with the next broadcast or SESSION_END and seals it
+into the checkpoint body, ``u32 BE head length | canonical JSON head | blob``.
+A resumed model's blob is the bytes its checkpoint held; a current slot that
+does not decode, as one in an older layout, is refused.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import logging
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ from .fl import (
     evaluate,
     local_train,
     make_update,
+    params_hash,
     serialize_params,
 )
 from .outliers import clone_aggregate, flag_outliers, score_clients
@@ -141,11 +143,13 @@ class RoundRecord:
     dropped: dict[str, str] = field(default_factory=dict)
 
     def payload(self) -> dict:
-        """The audit payload of this round."""
-        doc = asdict(self)
-        doc["round"] = doc.pop("round_index")
-        doc["committed_hash"] = self.committed_hash.hex()
-        return doc
+        """The audit payload of this round. It holds the record's own lists
+        and dicts, not copies: a record is not changed once it is made."""
+        return {"round": self.round_index, "admitted": self.admitted,
+                "update_hashes": self.update_hashes,
+                "committed_hash": self.committed_hash.hex(), "accuracy": self.accuracy,
+                "loss": self.loss, "counter_value": self.counter_value,
+                "flags": self.flags, "clone": self.clone, "dropped": self.dropped}
 
 
 class ClientAgent:
@@ -220,7 +224,6 @@ class ClientAgent:
             "client_id": update.client_id,
             "round": update.round_index,
             "num_examples": update.num_examples,
-            "params_hash": update.params_hash.hex(),
         }, update.blob)
 
 
@@ -447,13 +450,10 @@ class Coordinator:
         if num_examples < 1:
             raise DecodeError("update num_examples must be >= 1")
         params = _params_of(trailer)
-        declared = unhex(body.get("params_hash", ""), 32)
-        if sha256(trailer) != declared:
-            raise DecodeError("update hash mismatch")
         if params.shape != (self.validation.dim + 1,):
             raise DecodeError("update dimension mismatch")
         return make_update(client_id, round_index, params, num_examples,
-                           params_hash=declared)
+                           params_hash=params_hash(trailer))
 
     def _run_guard(self, round_index: int, updates: dict[str, ModelUpdate]
                    ) -> tuple[set[str], dict | None]:

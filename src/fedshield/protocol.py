@@ -3,11 +3,15 @@
 Every message travelling inside a secure channel is ``u8 type | u32 BE head
 length | canonical JSON object | trailer``; only types 31, 32 and 34 may
 carry a trailer, the raw ``fl.serialize_params`` bytes of a parameter
-vector. A message in the older ``u8 type | JSON`` layout reads a head length
-of at least 0x7B000000, past any frame, so it fails to decode. Request types
-10-12 belong to the policy manager, 20-22 to the counter service, 30-32 and
-34 to the round protocol; 100/101 are the generic response types. Type 33 is
-unassigned: a round peer that receives it ends in DecodeError.
+vector, which ``decode_message`` returns as a read-only view of the message.
+An UPDATE_SUBMIT head is ``{"client_id", "num_examples", "round"}``; it
+declares no hash, since the coordinator hashes the trailer it receives, and a
+field it does not read is ignored. A message in the older ``u8 type | JSON``
+layout reads a head length of at least 0x7B000000, past any frame, so it
+fails to decode. Request types 10-12 belong to the policy manager, 20-22 to
+the counter service, 30-32 and 34 to the round protocol; 100/101 are the
+generic response types. Type 33 is unassigned: a round peer that receives it
+ends in DecodeError.
 """
 
 from __future__ import annotations
@@ -47,8 +51,11 @@ def encode_message(mtype: int, body: dict, params: bytes = b"") -> bytes:
     return _PREFIX.pack(mtype, len(head)) + head + params
 
 
-def decode_message(data: bytes) -> tuple[int, dict, bytes]:
-    """``(type, head, trailer)`` of one message; DecodeError if malformed."""
+def decode_message(data: bytes) -> tuple[int, dict, memoryview | bytes]:
+    """``(type, head, trailer)`` of one message; DecodeError if malformed.
+
+    The trailer is a read-only view of ``data``, not a copy, or ``b""`` when
+    the message has none; it holds ``data`` alive while it is referenced."""
     if len(data) < _PREFIX.size:
         raise DecodeError("message shorter than its prefix")
     mtype, head_len = _PREFIX.unpack_from(data)
@@ -58,17 +65,19 @@ def decode_message(data: bytes) -> tuple[int, dict, bytes]:
     body = canonical_loads(data[_PREFIX.size:end])
     if not isinstance(body, dict):
         raise DecodeError("message head must be a JSON object")
-    params = data[end:]
-    if params and mtype not in PARAMS_TYPES:
+    if end == len(data):
+        return mtype, body, b""
+    if mtype not in PARAMS_TYPES:
         raise DecodeError(f"message type {mtype} carries no parameter trailer")
-    return mtype, body, params
+    return mtype, body, memoryview(data).toreadonly()[end:]
 
 
 def send_message(channel, mtype: int, body: dict, params: bytes = b"") -> None:
     channel.send(encode_message(mtype, body, params))
 
 
-def recv_message(channel, timeout: float | None = None) -> tuple[int, dict, bytes]:
+def recv_message(channel, timeout: float | None = None
+                 ) -> tuple[int, dict, memoryview | bytes]:
     return decode_message(channel.recv(timeout=timeout))
 
 

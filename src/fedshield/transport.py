@@ -52,10 +52,11 @@ def _check_size(length: int, max_size: int) -> None:
         raise DecodeError(f"frame of {length} bytes exceeds the {max_size}-byte limit")
 
 
-def _frame(payload: bytes) -> bytes:
+def _frame_prefix(payload: bytes) -> bytes:
+    """The u32 BE length prefix of a frame; InvalidInputError past MAX_FRAME."""
     if len(payload) > MAX_FRAME:
         raise InvalidInputError("frame exceeds maximum size")
-    return struct.pack(">I", len(payload)) + payload
+    return struct.pack(">I", len(payload))
 
 
 class InProcessTransport:
@@ -72,8 +73,9 @@ class InProcessTransport:
     def send_frame(self, payload: bytes) -> None:
         if self._closed:
             raise TransportClosedError("transport closed")
+        prefix = _frame_prefix(payload)
         if self._capture is not None:
-            self._capture.record(self.label, _frame(payload))
+            self._capture.record(self.label, prefix + payload)
         self._tx.put(bytes(payload))
 
     def recv_frame(self, timeout: float | None = None,
@@ -166,7 +168,7 @@ class TcpTransport:
         self._read = bytearray()  # the next frame's bytes received so far
 
     def send_frame(self, payload: bytes) -> None:
-        wire = _frame(payload)
+        wire = _frame_prefix(payload) + payload
         with self._lock:
             try:
                 self._sock.settimeout(SEND_TIMEOUT)
@@ -200,7 +202,8 @@ class TcpTransport:
         (length,) = struct.unpack_from(">I", self._read)
         _check_size(length, max_size)
         self._fill(4 + length)
-        body = bytes(self._read[4:])
+        del self._read[:4]  # moves the buffer's start; the body is copied once
+        body = bytes(self._read)
         self._read.clear()
         return body
 

@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedshield.errors import InvalidInputError, NumericalDivergenceError
 from fedshield.fl import (
@@ -57,6 +60,22 @@ def finite_difference_gradient(params, features, labels, h=1e-6):
     return grad
 
 
+def per_step_checked_train(start, data, config, seed):
+    """SGD as ``local_train`` runs it, each batch gathered on its own and
+    raising as soon as a step leaves a non-finite parameter."""
+    params, rng = start.copy(), np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for _ in range(config.local_epochs):
+            order = rng.permutation(data.n)
+            for lo in range(0, data.n, config.batch_size):
+                batch = order[lo:lo + config.batch_size]
+                params -= config.learning_rate * gradient(
+                    params, data.features[batch], data.labels[batch])
+                if not np.isfinite(params).all():
+                    raise NumericalDivergenceError("non-finite step")
+    return params
+
+
 class TestGradient:
     def test_zero_learning_rate_keeps_params(self):
         data = synthetic_dataset(50, 4, seed=1)
@@ -105,6 +124,30 @@ class TestGradient:
             with pytest.raises(NumericalDivergenceError):
                 local_train(np.zeros(3), data,
                             cfg(learning_rate=1e250, batch_size=1), seed=seed)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 4), st.integers(1, 5),
+           st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1e300) | st.sampled_from([0.1, 1.0, 1e10, 1e150]))
+    def test_one_finiteness_check_decides_as_a_check_per_step(
+            self, data, n, dim, batch_size, local_epochs, seed, lr):
+        # the reference checks after every step; local_train checks once,
+        # after the last: a non-finite weight stays non-finite, so both raise
+        # on the same runs and return the same bits on the others
+        values = st.floats(-1e3, 1e3) | st.sampled_from(
+            [1e200, -1e200, 1e300, math.inf, -math.inf])
+        features = data.draw(arrays(np.float64, (n, dim), elements=values))
+        labels = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+        start = data.draw(arrays(np.float64, dim + 1, elements=values))
+        config = cfg(learning_rate=lr, batch_size=batch_size, local_epochs=local_epochs)
+        dataset = Dataset(features, labels)
+        try:
+            expected = serialize_params(per_step_checked_train(start, dataset, config, seed))
+        except NumericalDivergenceError:
+            with pytest.raises(NumericalDivergenceError):
+                local_train(start, dataset, config, seed=seed)
+        else:
+            assert local_train(start, dataset, config, seed=seed).blob == expected
 
     def test_sigmoid_stable_at_extremes(self):
         z = np.array([-1e6, -50.0, 0.0, 50.0, 1e6])

@@ -93,19 +93,16 @@ def run_round_with_saboteur(deployment, sabotage):
 
 def submission(client_id="client-3", round_index=1, dim=5, num_examples=60,
                blob=None):
-    """UPDATE_SUBMIT (type, head, trailer) with the trailer's true hash."""
+    """UPDATE_SUBMIT (type, head, trailer) as a client agent sends it."""
     blob = serialize_params(np.zeros(dim)) if blob is None else blob
     return (protocol.UPDATE_SUBMIT,
-            {"client_id": client_id, "round": round_index,
-             "num_examples": num_examples, "params_hash": sha256(blob).hex()},
+            {"client_id": client_id, "round": round_index, "num_examples": num_examples},
             blob)
 
 
 REJECTED_UPDATES = {
     "wrong-client-id": submission(client_id="client-1"),
     "future-round": submission(round_index=2),
-    "hash-mismatch": (protocol.UPDATE_SUBMIT,
-                      {**submission()[1], "params_hash": "00" * 32}, submission()[2]),
     "malformed-params": submission(blob=b"\x00\x00"),
     "zero-examples": submission(num_examples=0),
     "dimension-mismatch": submission(dim=7),
@@ -290,13 +287,39 @@ class TestRounds:
         finally:
             deployment.close()
 
+    def test_declared_update_hash_is_ignored(self, tmp_path):
+        # the coordinator hashes the trailer it received; a hash a head
+        # still declares is an unknown field like any other
+        mtype, head, blob = submission()
+        deployment = make_deployment(tmp_path, session=QUORUM_OF_TWO)
+        try:
+            record, _ = run_round_with_saboteur(
+                deployment, lambda channel: protocol.send_message(
+                    channel, mtype, {**head, "params_hash": "00" * 32}, blob))
+            assert record.dropped == {}
+            assert record.update_hashes["client-3"] == sha256(blob).hex()
+            entry = read_entries(deployment.state_dir / "audit.log")[-1]
+            assert entry.payload["update_hashes"]["client-3"] == sha256(blob).hex()
+        finally:
+            deployment.close()
+
+    def test_agent_sends_the_update_head_without_a_hash(self, deployment):
+        agent = deployment.make_agent("client-1")
+        deployment.join_all([agent])
+        agent._train_and_submit(1, np.zeros(5))
+        mtype, head, trailer = protocol.recv_message(
+            deployment.coordinator.admitted["client-1"], timeout=5)
+        assert mtype == protocol.UPDATE_SUBMIT
+        assert head == {"client_id": "client-1", "num_examples": 60, "round": 1}
+        assert agent.sent_update_tails == [bytes(trailer[-SENT_TAIL_BYTES:])]
+
     def test_guard_falls_back_to_leave_one_out_over_the_responders(self, tmp_path):
         session = replace(QUORUM_OF_TWO, clone_count=3, clone_subset_size=2)
         deployment = make_deployment(tmp_path, session=session)
         try:
             record, _ = run_round_with_saboteur(
                 deployment, lambda channel: protocol.send_message(
-                    channel, *REJECTED_UPDATES["hash-mismatch"]))
+                    channel, *REJECTED_UPDATES["malformed-params"]))
             assert record.dropped == {"client-3": "DecodeError"}
             # two responders cannot fill subsets of two: one clone leaves
             # out each responder instead

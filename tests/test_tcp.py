@@ -14,11 +14,16 @@ import pytest
 from fedshield.attestation import ROLE_COORDINATOR, AttestationPolicy, attested_handshake
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, Deployment
 from fedshield.enclave import spawn_enclave
-from fedshield.errors import DecodeError, ServiceError, TransportClosedError
+from fedshield.errors import (
+    DecodeError,
+    InvalidInputError,
+    ServiceError,
+    TransportClosedError,
+)
 from fedshield.fl import synthetic_dataset
 from fedshield.policy import SessionConfig
 from fedshield import transport as transport_module
-from fedshield.transport import Hub, TcpNetwork
+from fedshield.transport import CaptureLog, Hub, TcpNetwork, transport_pair
 
 
 def test_manager_and_counters_over_tcp(tmp_path):
@@ -233,3 +238,15 @@ def test_closed_listener_refuses_accept_and_connect(network):
             listener.accept(timeout=0.5)
     with pytest.raises(TransportClosedError):
         net.connect("service")
+
+
+@pytest.mark.parametrize("captured", [False, True], ids=["bare", "captured"])
+def test_in_process_send_past_max_frame_is_refused(monkeypatch, captured):
+    # refused at the sender, as a TCP send is, whether or not a capture log
+    # is attached; recv_frame's max_size default was bound at import
+    monkeypatch.setattr(transport_module, "MAX_FRAME", 16)
+    sender, receiver = transport_pair(CaptureLog() if captured else None)
+    with pytest.raises(InvalidInputError):
+        sender.send_frame(bytes(17))
+    sender.send_frame(bytes(16))
+    assert receiver.recv_frame(timeout=1.0) == bytes(16)
