@@ -49,6 +49,7 @@ from .errors import (
     InvalidInputError,
     QuoteDecodeError,
 )
+from .transport import MAX_FRAME
 
 MSG_HELLO = 1
 MSG_KEYSHARE = 2
@@ -63,6 +64,8 @@ ROLE_POLICY_MANAGER = "policy-manager"
 # peer is not yet authenticated, so a larger announced frame is refused
 # before its body is buffered.
 HANDSHAKE_FRAME_MAX = max(1 + QUOTE_NONCE_LEN + 1 + 255, 1 + QUOTE_LEN)
+# A channel frame's bytes besides its payload: the counter and the AES-GCM tag.
+CHANNEL_OVERHEAD = 8 + 16
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,13 @@ class SecureChannel:
         ciphertext = self._send.encrypt(_counter_nonce(counter), payload, header)
         self._transport.send_frame(header + ciphertext)
 
-    def recv(self, timeout: float | None = None) -> bytes:
+    def recv(self, timeout: float | None = None, max_size: int = MAX_FRAME) -> bytes:
+        """The next payload. A frame announcing more than ``max_size`` bytes,
+        overhead included, is refused from its header with DecodeError."""
         if self.closed:
             raise ChannelIntegrityError("channel is closed")
-        body = self._transport.recv_frame(timeout=timeout)
-        if len(body) < 8 + 16:
+        body = self._transport.recv_frame(timeout=timeout, max_size=max_size)
+        if len(body) < CHANNEL_OVERHEAD:
             self.close()
             raise DecodeError("channel frame too short")
         header, ciphertext = body[:8], memoryview(body)[8:]

@@ -14,17 +14,19 @@ LF line ends, and read as UTF-8 with LF or CRLF line ends; any malformed
 dataset raises InvalidInputError. orjson writes the ``repr`` digits of every
 feature whose ``repr`` is plain decimal; the exponent-form and non-finite
 ones, which it spells otherwise, are written by ``repr`` itself, so the
-bytes are those of a ``repr`` per value. orjson also reads the rows of a
-clean file, one at a time, and every other file goes to ``csv`` and
-``float()``; either way each value decodes as ``float()`` reads it. orjson
-misreads one token, ``-0``, as a zero: a row is searched for it only where
-orjson read a zero, and a row that holds it sends the file to the row parser.
+bytes are those of a ``repr`` per value; a row with no such value is one
+orjson call. orjson also reads a clean file, one block of rows per call, and
+every other file goes to ``csv`` and ``float()``; either way each value
+decodes as ``float()`` reads it. orjson misreads one token, ``-0``, as a
+zero: it is searched for only where orjson read a zero, and a file that holds
+it goes to the row parser.
 Parameter vectors serialize as
 ``u32 BE dimension | IEEE-754 binary64 BE entries``.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -323,20 +325,26 @@ def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
     Features are written as the ``repr`` of their float64 value (an integer
     1 as ``1.0``, a float32 as its float64 repr), labels as integers.
     orjson writes the runs of plain-decimal values with the same shortest
-    digits; ``repr`` writes the rest (see ``_repr_only``).
+    digits, a row with no other value in one call; ``repr`` writes the rest
+    (see ``_repr_only``).
     """
     features = np.ascontiguousarray(dataset.features, dtype=np.float64)
-    lines = [_csv_header(dataset.dim)]
-    for row, repr_only, label in zip(features, _repr_only(features),
-                                     dataset.labels.tolist()):
-        cells, start = [], 0
-        for i in np.flatnonzero(repr_only).tolist():
-            cells += [_orjson_cells(row[start:i]), repr(float(row[i])).encode()]
-            start = i + 1
-        cells += [_orjson_cells(row[start:]), str(int(label)).encode()]
-        lines.append(b",".join([cell for cell in cells if cell]))
-    lines.append(b"")
-    return b"\n".join(lines)
+    repr_only = _repr_only(features)
+    mixed = repr_only.any(axis=1).tolist()
+    label_cells = (b",0\n", b",1\n") if dataset.dim else (b"0\n", b"1\n")
+    parts = [_csv_header(dataset.dim), b"\n"]
+    for i, (row, label) in enumerate(zip(features, (dataset.labels != 0).tolist())):
+        if mixed[i]:
+            cells, start = [], 0
+            for j in np.flatnonzero(repr_only[i]).tolist():
+                cells += [_orjson_cells(row[start:j]), repr(float(row[j])).encode()]
+                start = j + 1
+            cells.append(_orjson_cells(row[start:]))
+            parts.append(b",".join([cell for cell in cells if cell]))
+        else:
+            parts.append(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+        parts.append(label_cells[label])
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=4)
@@ -361,21 +369,25 @@ def _orjson_cells(values: np.ndarray) -> bytes:
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
 
 
-# The bytes of a clean data row. orjson reads every number they spell as
-# float() does, or refuses it, except the token -0 (see _NEGATIVE_ZERO).
-_CLEAN_ROW_BYTES = b"0123456789+-.eE, "
-# Non-empty printable ASCII without a quote: csv splits it at every comma.
-_CLEAN_HEADER = re.compile(rb"[ !#-~]+")
+# The bytes of a clean block of rows. orjson reads every number they spell
+# as float() does, or refuses it, except the token -0 (see _NEGATIVE_ZERO).
+_CLEAN_BLOCK_BYTES = b"0123456789+-.eE, \n"
+# A header is clean if it is non-empty and holds none but these, printable
+# ASCII without a quote: csv splits it at every comma.
+_CLEAN_HEADER_BYTES = bytes([0x20, 0x21, *range(0x23, 0x7F)])
 # orjson reads -0 as the integer 0, losing the sign float("-0") keeps.
 _NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+# The bytes of rows parsed in one orjson call: a block is the whole rows
+# that fit, or one longer row.
+_BLOCK_BYTES = 1 << 16
 
 
 def dataset_from_csv_bytes(data: bytes) -> Dataset:
     """Decode a dataset file; any malformed input raises InvalidInputError.
 
-    A clean file (see ``_read_clean_table``) is read by orjson, one row at
-    a time. Every other file, CRLF ones included, goes to the row-by-row
-    parser, which decodes it exactly or names the failing row.
+    A clean file (see ``_read_clean_table``) is read by orjson, one block of
+    rows at a time. Every other file, CRLF ones included, goes to the
+    row-by-row parser, which decodes it exactly or names the failing row.
     """
     table = _read_clean_table(data)
     if table is None:
@@ -391,55 +403,73 @@ def dataset_from_csv_bytes(data: bytes) -> Dataset:
     return Dataset(features, labels)
 
 
+def _clean_header(header: bytes) -> bool:
+    return bool(header) and not header.translate(None, _CLEAN_HEADER_BYTES)
+
+
 def _read_clean_table(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The features and labels of a clean file, or None when the row parser
     must read it.
 
-    A clean file ends in LF, its header matches ``_CLEAN_HEADER``, no field
-    may pass the csv module's size limit, and each row holds only
-    ``_CLEAN_ROW_BYTES``, parses as the body of a JSON array, is as wide as
+    A clean file ends in LF, its header is clean (see ``_CLEAN_HEADER_BYTES``),
+    no field may pass the csv module's size limit, and each row holds only
+    ``_CLEAN_BLOCK_BYTES``, parses as the body of a JSON array, is as wide as
     the header and holds no token -0. orjson refuses the numbers float()
     reads that JSON does not spell (``1e400``, ``nan``, ``+1``, ``.5``,
     ``1.``, ``00``) and empty fields. Its integers fit in 64 bits, and numpy
-    rounds them to float64 as float() does. It reads -0 as the integer 0,
-    so a row is searched for that token only where a zero was read: the
-    label's token when the label is 0, the whole row when a feature is.
+    rounds them to float64 as float() does. The rows are read in blocks of
+    about ``_BLOCK_BYTES``, each one bracketed copy, one ``translate``, one
+    ``orjson.loads`` and one ``np.array``. orjson reads -0 as the integer 0,
+    so the token is searched for only where a zero was read: a block's text
+    when one of its features is, and the label's token, after the row's last
+    comma, when the label is 0 and the row ends in a space or in ``-0``.
     """
     header = data[:data.find(b"\n")]
-    if (not data.endswith(b"\n") or not _CLEAN_HEADER.fullmatch(header)
+    if (not data.endswith(b"\n") or not _clean_header(header)
             or _may_exceed_field_limit(data)):
         return None
-    rows, end = 0, data.find(b"\n", len(header) + 1)
-    while end >= 0:  # find runs at memchr speed; bytes.count scans byte by byte
-        rows, end = rows + 1, data.find(b"\n", end + 1)
-    columns = header.count(b",")
+    # the LF that ends the header, then the one that ends each row; find runs
+    # at memchr speed, bytes.count byte by byte
+    ends, end = [len(header)], data.find(b"\n", len(header) + 1)
+    while end >= 0:
+        ends.append(end)
+        end = data.find(b"\n", end + 1)
+    rows, columns = len(ends) - 1, header.count(b",")
     if rows < 1 or rows * (2 * columns + 1) > len(data):  # a field and a comma: 2 bytes
         return None
-    # The features outlive the rows they are parsed from. Allocated first,
-    # they lie below that scratch, so the heap can shrink once it is freed.
-    # Allocated last, they can land above it and keep it resident: in the
-    # wide-model benchmark, about 30 MB of peak RSS for the coordinator's
-    # validation set, depending on the heap layout.
+    # The features outlive the blocks they are parsed from. Allocated first,
+    # after only the line ends, they lie below that scratch, so the heap can
+    # shrink once it is freed. Allocated last, they can land above it and
+    # keep it resident: in the wide-model benchmark, about 30 MB of peak RSS
+    # for the coordinator's validation set, depending on the heap layout.
     features, labels = np.empty((rows, columns)), np.empty(rows)
     view = memoryview(data)
-    start = len(header) + 1
-    for i in range(rows):
-        end = data.index(b"\n", start)
-        # a copy of one row, never of the file
-        row = b"".join((b"[", view[start:end], b"]"))
-        start = end + 1
-        if row.translate(None, _CLEAN_ROW_BYTES) != b"[]":
+    i = 0
+    while i < rows:  # rows i to j - 1
+        j = max(bisect.bisect_right(ends, ends[i] + _BLOCK_BYTES, i + 1) - 1, i + 1)
+        # a copy of one block, never of the file
+        block = b"".join((b"[[", view[ends[i] + 1:ends[j]], b"]]"))
+        if block.translate(None, _CLEAN_BLOCK_BYTES) != b"[[]]":
             return None
-        try:
-            values = orjson.loads(row)
-        except orjson.JSONDecodeError:
+        try:  # a ragged block is a ValueError, as orjson's refusal is
+            table = np.array(orjson.loads(block.replace(b"\n", b"],[")), dtype=np.float64)
+        except ValueError:
             return None
-        if len(values) != columns + 1:
+        if table.shape != (j - i, columns + 1):
             return None
-        labels[i] = label = values.pop()
-        features[i] = values
-        if (label == 0 and _NEGATIVE_ZERO.search(row, row.rfind(b",") + 1)
-                or not features[i].all() and _NEGATIVE_ZERO.search(row)):
+        features[i:j], labels[i:j] = table[:, :-1], table[:, -1]
+        if not features[i:j].all() and _NEGATIVE_ZERO.search(block):
+            return None
+        i = j
+    # a label token that reads 0 is -0 only if it ends in a space or in -0
+    zero = np.flatnonzero(labels == 0)
+    zero_ends = np.array(ends)[zero + 1]
+    text = np.frombuffer(data, np.uint8)
+    last = text[zero_ends - 1]
+    suspect = (last == ord(" ")) | (last == ord("0")) & (text[zero_ends - 2] == ord("-"))
+    for row in zero[suspect].tolist():
+        start, end = ends[row], ends[row + 1]
+        if _NEGATIVE_ZERO.search(data, max(data.rfind(b",", start, end), start) + 1, end):
             return None
     return features, labels
 

@@ -345,7 +345,8 @@ class Coordinator:
             })
             return
         try:
-            mtype, body, _ = protocol.recv_message(channel, timeout=self.round_deadline)
+            mtype, body, _ = protocol.recv_message(channel, timeout=self.round_deadline,
+                                                   max_size=protocol.round_frame_max())
         except (FedShieldError, TimeoutError) as exc:
             channel.close()
             self.audit.append("admission", {
@@ -408,11 +409,14 @@ class Coordinator:
         updates: dict[str, ModelUpdate] = {}
         dropped: dict[str, str] = {}
         deadline = time.time() + self.round_deadline
+        # a frame larger than an update with its serialized parameters is
+        # refused from its header, before its body is buffered
+        max_size = protocol.round_frame_max(4 + 8 * (self.validation.dim + 1))
         for client_id in sorted(self.admitted):
             channel = self.admitted[client_id]
             try:
-                updates[client_id] = self._next_update(channel, client_id,
-                                                       round_index, deadline)
+                updates[client_id] = self._next_update(channel, client_id, round_index,
+                                                       deadline, max_size)
             except TimeoutError:
                 dropped[client_id] = "timeout"
             except FedShieldError as exc:  # a bad frame or update evicts
@@ -421,13 +425,14 @@ class Coordinator:
         return updates, dropped
 
     def _next_update(self, channel, client_id: str, round_index: int,
-                     deadline: float) -> ModelUpdate:
+                     deadline: float, max_size: int) -> ModelUpdate:
         """Read until the client's update for this round arrives. A late
         update for a past round is discarded; reading never goes past the
         deadline, apart from the short first wait every client gets."""
         budget = max(deadline - time.time(), 0.05)
         while budget > 0:
-            mtype, body, params = protocol.recv_message(channel, timeout=budget)
+            mtype, body, params = protocol.recv_message(channel, timeout=budget,
+                                                        max_size=max_size)
             update = self._parse_update(client_id, round_index, mtype, body, params)
             if update is not None:
                 return update

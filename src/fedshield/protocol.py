@@ -11,15 +11,19 @@ layout reads a head length of at least 0x7B000000, past any frame, so it
 fails to decode. Request types 10-12 belong to the policy manager, 20-22 to
 the counter service, 30-32 and 34 to the round protocol; 100/101 are the
 generic response types. Type 33 is unassigned: a round peer that receives it
-ends in DecodeError.
+ends in DecodeError. The coordinator caps the frame of a JOIN or an
+UPDATE_SUBMIT at ``round_frame_max``, so a larger one is refused from its
+header, before its body is read.
 """
 
 from __future__ import annotations
 
 import struct
 
+from .attestation import CHANNEL_OVERHEAD
 from .encoding import canonical_bytes, canonical_loads
 from .errors import DecodeError, ServiceError
+from .transport import MAX_FRAME
 
 UPLOAD_POLICY = 10
 GENERATE = 11
@@ -42,6 +46,15 @@ PARAMS_TYPES = frozenset({MODEL_BROADCAST, UPDATE_SUBMIT, SESSION_END})
 REQUEST_TIMEOUT = 30.0  # seconds a request waits for its response
 
 _PREFIX = struct.Struct(">BI")  # type, head length
+# The largest JSON head of a JOIN or an UPDATE_SUBMIT, client id included:
+# a client whose id does not fit is refused at its JOIN.
+ROUND_HEAD_MAX = 4096
+
+
+def round_frame_max(trailer: int = 0) -> int:
+    """The largest channel frame of a round message with a head of at most
+    ``ROUND_HEAD_MAX`` bytes and a trailer of ``trailer`` bytes."""
+    return CHANNEL_OVERHEAD + _PREFIX.size + ROUND_HEAD_MAX + trailer
 
 
 def encode_message(mtype: int, body: dict, params: bytes = b"") -> bytes:
@@ -76,9 +89,11 @@ def send_message(channel, mtype: int, body: dict, params: bytes = b"") -> None:
     channel.send(encode_message(mtype, body, params))
 
 
-def recv_message(channel, timeout: float | None = None
+def recv_message(channel, timeout: float | None = None, max_size: int = MAX_FRAME
                  ) -> tuple[int, dict, memoryview | bytes]:
-    return decode_message(channel.recv(timeout=timeout))
+    """The next message; a frame announcing more than ``max_size`` bytes is
+    refused from its header with DecodeError."""
+    return decode_message(channel.recv(timeout=timeout, max_size=max_size))
 
 
 def send_ok(channel, body: dict | None = None) -> None:

@@ -447,6 +447,18 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 1.5 * len(blob)
 
+    def test_csv_decode_of_a_tall_file_peaks_below_one_and_a_half_file_sizes(self):
+        # blocks are parsed one at a time: the decoder holds the features,
+        # the line ends and one block's scratch
+        blob = dataset_to_csv_bytes(synthetic_dataset(20_000, 20, seed=5))
+        tracemalloc.start()
+        try:
+            dataset_from_csv_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(blob)
+
     def test_csv_rejects_bad_labels(self):
         blob = b"x0,y\n1.0,2\n"
         with pytest.raises(InvalidInputError):

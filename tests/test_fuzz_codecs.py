@@ -30,7 +30,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from fedshield import enclave, protocol, shield  # noqa: E402
+from fedshield import enclave, fl, protocol, shield  # noqa: E402
 from fedshield.attestation import (  # noqa: E402
     MSG_FINISH,
     MSG_HELLO,
@@ -281,7 +281,35 @@ def test_dataset_from_csv_bytes_matches_reference(data):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-matrix_shapes = st.tuples(st.integers(1, 4), st.integers(0, 12))
+@pytest.mark.parametrize("budget", [1, 16])
+def test_dataset_from_csv_bytes_matches_reference_in_small_blocks(monkeypatch, budget):
+    # the differential fuzz again, with every row a block of its own, or a
+    # few short rows to a block: drawn files span several blocks, and rows
+    # straddle a budget
+    monkeypatch.setattr(fl, "_BLOCK_BYTES", budget)
+    test_dataset_from_csv_bytes_matches_reference()
+
+
+# the header check as a regex, before a translate replaced it
+CLEAN_HEADER = re.compile(rb"[ !#-~]+")
+
+
+@FUZZ
+@given(st.binary(max_size=12) | st.text(alphabet="01.,-e\r \x1c_\"xyinfa\x00\x7f~!#\u2028",
+                                        max_size=12).map(str.encode))
+@example(b"")
+def test_clean_header_is_the_regex(header):
+    assert fl._clean_header(header) == bool(CLEAN_HEADER.fullmatch(header))
+
+
+def test_clean_header_is_the_regex_on_every_byte():
+    for one in map(bytes, zip(range(256))):
+        assert fl._clean_header(one) == bool(CLEAN_HEADER.fullmatch(one))
+
+
+# up to 40 rows, so that rows with and without an exponent-form or
+# non-finite value interleave
+matrix_shapes = st.tuples(st.integers(1, 40), st.integers(0, 12))
 # every float64, plain-decimal ones drawn often: orjson writes those
 float64_matrices = (
     hnp.arrays(np.uint64, matrix_shapes).map(lambda bits: bits.view(np.float64))
@@ -613,7 +641,7 @@ class CannedChannel:
     def send(self, frame):
         pass
 
-    def recv(self, timeout=None):
+    def recv(self, timeout=None, max_size=None):
         return self.reply
 
 

@@ -81,7 +81,7 @@ class ReplyChannel:
     def send(self, frame):
         pass
 
-    def recv(self, timeout=None):
+    def recv(self, timeout=None, max_size=None):
         return self.reply
 
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fedshield import protocol
 from fedshield.attestation import ROLE_COORDINATOR, AttestationPolicy, attested_handshake
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, Deployment
 from fedshield.enclave import spawn_enclave
@@ -120,6 +121,33 @@ def test_oversized_handshake_frame_is_refused_after_its_header(platform, enclave
     finally:
         peer.close()
         listener.close()
+
+
+def test_oversized_update_frame_is_refused_after_its_header(tmp_path):
+    client_ids = ["client-1", "client-2", "client-3"]
+    datasets = {cid: synthetic_dataset(30, 3, seed=i) for i, cid in enumerate(client_ids)}
+    dep = Deployment(tmp_path, datasets, synthetic_dataset(30, 3, seed=9),
+                     SessionConfig(min_clients=2, rng_seed=3),
+                     network=TcpNetwork(), round_deadline=5.0)
+    try:
+        agents = [dep.make_agent(cid) for cid in client_ids]
+        dep.join_all(agents)
+        dep.start_agents(agents[:2])
+        # client-3 announces one byte more than an update of dimension 3 + 1
+        # may take, and never sends the body
+        cap = protocol.round_frame_max(4 + 8 * (3 + 1))
+        agents[2].channel._transport._sock.sendall(struct.pack(">I", cap + 1))
+        coordinator = dep.coordinator
+        coordinator._broadcast(protocol.MODEL_BROADCAST, {"round": 1},
+                               coordinator.model.blob)
+        start = time.monotonic()
+        updates, dropped = coordinator._collect_updates(1)
+        elapsed = time.monotonic() - start
+    finally:
+        dep.close()
+    assert dropped == {"client-3": "DecodeError"}
+    assert sorted(updates) == ["client-1", "client-2"]
+    assert elapsed < 1.0
 
 
 @pytest.fixture
