@@ -142,9 +142,8 @@ def cmd_policy_upload(args) -> int:
     document = Path(args.policy).read_text()
     policy_hash = manager.upload_policy(document)
     print(f"uploaded: {policy_hash.hex()}")
-    if args.generate:
-        manager.generate_secrets(policy_hash)
-        print("secrets generated")
+    manager.generate_secrets(policy_hash)
+    print("secrets generated")
     manager.close()
     return 0
 
@@ -282,11 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_policy_new)
 
     p = policy_sub.add_parser("upload", parents=[role_enclave],
-                              help="upload a policy over an attested channel")
+                              help="upload a policy and generate its secrets")
     p.add_argument("--policy", required=True)
     p.add_argument("--manager", required=True, metavar="HOST:PORT")
     p.add_argument("--counter-public-key", required=True)
-    p.add_argument("--generate", action="store_true")
     p.set_defaults(func=cmd_policy_upload)
 
     p = sub.add_parser("run-manager", parents=[role_enclave],

@@ -64,14 +64,6 @@ class PolicyInvalidError(FedShieldError):
     """A policy document violates the schema or its internal invariants."""
 
 
-class PolicyConflictError(FedShieldError):
-    """A policy name is already bound to different content."""
-
-
-class AlreadyGeneratedError(FedShieldError):
-    """Secrets for this policy were already generated."""
-
-
 class AccessDeniedError(FedShieldError):
     """Secret release refused; ``check`` names the failing attestation check."""
 

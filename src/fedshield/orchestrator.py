@@ -333,7 +333,8 @@ class Coordinator:
     def handle_join(self, transport) -> None:
         """Admit or reject one connecting client and audit the decision.
         Rejected clients get an error response (or a closed transport) and
-        never any model bytes."""
+        never any model bytes; a client whose OK cannot be sent is closed
+        and not admitted."""
         try:
             channel = attested_handshake(
                 self.enclave, transport, self.client_policy,
@@ -366,25 +367,29 @@ class Coordinator:
                 presented = b""
             if presented != self.policy.roster_hash(client_id):
                 reason = "dataset-hash"
-        if reason is not None:
-            protocol.send_err(channel, "admission-rejected", reason)
-            channel.close()
-        else:
+        decision = {"client_id": client_id, "admitted": reason is None, "reason": reason}
+        try:
+            if reason is None:
+                protocol.send_ok(channel, {"admitted": True})
+            else:
+                protocol.send_err(channel, "admission-rejected", reason)
+        except FedShieldError as exc:  # a peer that is gone ends only its own join
+            if reason is None:
+                decision.update(admitted=False, reason="transport",
+                                detail=type(exc).__name__)
+        if decision["admitted"]:
             self.admitted[client_id] = channel
-            protocol.send_ok(channel, {"admitted": True})
-        self.audit.append("admission", {
-            "client_id": client_id,
-            "admitted": reason is None,
-            "reason": reason,
-        })
+        else:
+            channel.close()
+        self.audit.append("admission", decision)
 
     def accept_clients(self, listener, *, connections: int | None = None,
                        deadline: float) -> None:
         """Handle ``connections`` joins, admitted or not, or with no count
         until the roster is admitted; stop at ``deadline`` or a closed listener."""
-        end, handled = time.time() + deadline, 0
-        while time.time() < end and (handled < connections if connections is not None
-                                     else len(self.admitted) < len(self.policy.roster)):
+        end, handled = time.monotonic() + deadline, 0
+        while time.monotonic() < end and (handled < connections if connections is not None
+                                          else len(self.admitted) < len(self.policy.roster)):
             try:
                 transport = listener.accept(timeout=0.2)
             except TimeoutError:
@@ -408,7 +413,7 @@ class Coordinator:
                          ) -> tuple[dict[str, ModelUpdate], dict[str, str]]:
         updates: dict[str, ModelUpdate] = {}
         dropped: dict[str, str] = {}
-        deadline = time.time() + self.round_deadline
+        deadline = time.monotonic() + self.round_deadline
         # a frame larger than an update with its serialized parameters is
         # refused from its header, before its body is buffered
         max_size = protocol.round_frame_max(4 + 8 * (self.validation.dim + 1))
@@ -429,14 +434,14 @@ class Coordinator:
         """Read until the client's update for this round arrives. A late
         update for a past round is discarded; reading never goes past the
         deadline, apart from the short first wait every client gets."""
-        budget = max(deadline - time.time(), 0.05)
+        budget = max(deadline - time.monotonic(), 0.05)
         while budget > 0:
             mtype, body, params = protocol.recv_message(channel, timeout=budget,
                                                         max_size=max_size)
             update = self._parse_update(client_id, round_index, mtype, body, params)
             if update is not None:
                 return update
-            budget = deadline - time.time()
+            budget = deadline - time.monotonic()
         raise TimeoutError("only stale updates before the round deadline")
 
     def _parse_update(self, client_id: str, round_index: int, mtype: int,

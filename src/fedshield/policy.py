@@ -6,7 +6,9 @@ dataset hashes, the session hyperparameters, which secrets exist, and how
 they are injected into attested computations. Policy identity is the
 SHA-256 hash of the canonical encoding (sorted keys, UTF-8, no
 insignificant whitespace), so the hash is invariant under key reordering
-of the source document. Policies are immutable once uploaded.
+of the source document; the hash, not the ``name``, addresses a policy, so
+two documents that share a name are two policies, both stored and served.
+Policies are immutable once uploaded.
 
 Every secret is a ``symmetric-key-256`` the manager generates (a ``value``
 in the document is refused, so no key is stored in clear), and every
@@ -17,7 +19,9 @@ secrets exist on disk only as sealed blobs under the manager's enclave.
 
 Persistence layout: ``policies/<hash>.pol``, ``secrets/<hash>/<name>.sealed``,
 append-only ``audit.log``. Each file is replaced all or nothing, and a
-policy's secrets are generated once all their sealed files exist.
+policy's secrets are generated once all their sealed files exist. Upload
+and generation are idempotent, so no earlier request from any peer can make
+an honest one fail.
 """
 
 from __future__ import annotations
@@ -34,13 +38,11 @@ from .enclave import AEAD_KEY_LEN, Enclave, Quote, SealedBlob
 from .encoding import canonical_bytes, canonical_loads, sha256
 from .errors import (
     AccessDeniedError,
-    AlreadyGeneratedError,
     DecodeError,
     HandshakeError,
     InvalidInputError,
     KeyResolutionError,
     NotFoundError,
-    PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
 )
@@ -358,9 +360,6 @@ class PolicyManager:
         with self._write_lock:
             if policy.policy_hash in self._policies:
                 return policy.policy_hash
-            if any(p.name == policy.name for p in self._policies.values()):
-                raise PolicyConflictError(
-                    f"policy name {policy.name!r} already bound to different content")
             replace_file(self.store_dir / "policies" / f"{policy.policy_hash.hex()}.pol",
                          policy.document.encode())
             self._policies[policy.policy_hash] = policy
@@ -385,13 +384,13 @@ class PolicyManager:
         return self._secret_dir(policy_hash) / f"{secret}.sealed"
 
     def generate_secrets(self, policy_hash: bytes) -> None:
-        """Seal every declared secret; a partial set left by a killed run is
-        regenerated in full, and none of it was released."""
+        """Seal every declared secret, or nothing once all are sealed; a
+        partial set left by a killed run is regenerated in full, and none of
+        it was released."""
         policy = self.get_policy(policy_hash)
         with self._write_lock:
             if self.secrets_generated(policy_hash):
-                raise AlreadyGeneratedError(
-                    f"secrets for {policy_hash.hex()} already generated")
+                return
             self._secret_dir(policy_hash).mkdir(parents=True, exist_ok=True)
             for secret in policy.secrets:
                 blob = self.enclave.seal(token_bytes(AEAD_KEY_LEN))

@@ -6,12 +6,16 @@ anchors (the counter service signs tokens with its own key); co-hosting is
 purely a deployment convenience. Inbound handshakes pin no measurement:
 callers attest the service, and the service gates secret release on the
 quote that opened the request's channel, which the handshake verified over
-this endpoint's nonce and bound to the channel's keys. On the caller
-side, ``ManagerChannel`` verifies every counter token it receives under the
-counter service's key, and that an increment or read names the counter
-asked for. Its ``provision`` is every role's one set-up step: one secret
-release, then the role's dataset shielded and reopened, or reused when a
-current file already holds the same bytes.
+this endpoint's nonce and bound to the channel's keys. No policy request
+depends on an earlier one from another peer: an upload of a stored
+document and a GENERATE for a generated policy succeed and change nothing.
+An error reply's kind is ``policy-invalid``, ``role-unknown``,
+``not-found``, ``decode``, ``access-denied``, ``unknown-request`` or
+``internal``. On the caller side, ``ManagerChannel`` verifies every counter
+token it receives under the counter service's key, and that an increment or
+read names the counter asked for. Its ``provision`` is every role's one
+set-up step: one secret release, then the role's dataset shielded and
+reopened, or reused when a current file already holds the same bytes.
 """
 
 from __future__ import annotations
@@ -27,13 +31,11 @@ from .enclave import Enclave
 from .encoding import b64, unb64, unhex
 from .errors import (
     AccessDeniedError,
-    AlreadyGeneratedError,
     DecodeError,
     FedShieldError,
     FreshnessTokenError,
     IntegrityError,
     NotFoundError,
-    PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
     RollbackDetectedError,
@@ -47,8 +49,6 @@ logger = logging.getLogger(__name__)
 
 _ERROR_KINDS = [
     (PolicyInvalidError, "policy-invalid"),
-    (PolicyConflictError, "policy-conflict"),
-    (AlreadyGeneratedError, "already-generated"),
     (RoleUnknownError, "role-unknown"),
     (NotFoundError, "not-found"),
     (DecodeError, "decode"),

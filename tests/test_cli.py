@@ -364,16 +364,22 @@ def test_run_manager_and_policy_upload(tmp_path):
         counter_pub = printed.get("counter service public key")
         assert counter_pub, "manager did not come up"
 
-        out = run_cli("policy", "upload",
-                      "--policy", tmp_path / "policy.json",
-                      "--manager", address,
-                      "--key-file", tmp_path / "platform.json",
-                      "--bundle", bundle, "--config", config,
-                      "--counter-public-key", counter_pub,
-                      "--generate")
-        assert "uploaded:" in out.stdout
-        assert "secrets generated" in out.stdout
-        assert (tmp_path / "store" / "policies").glob("*.pol")
+        # a re-run upload, as after a lost reply, exits 0 and keeps the secrets
+        outputs, sealed = [], []
+        for _ in range(2):
+            outputs.append(run_cli("policy", "upload",
+                                   "--policy", tmp_path / "policy.json",
+                                   "--manager", address,
+                                   "--key-file", tmp_path / "platform.json",
+                                   "--bundle", bundle, "--config", config,
+                                   "--counter-public-key", counter_pub).stdout)
+            sealed.append({path.name: path.read_bytes()
+                           for path in (tmp_path / "store" / "secrets").rglob("*.sealed")})
+        assert outputs[0] == outputs[1]
+        assert "uploaded:" in outputs[0]
+        assert "secrets generated" in outputs[0]
+        assert len(list((tmp_path / "store" / "policies").glob("*.pol"))) == 1
+        assert len(sealed[0]) == 3 and sealed[0] == sealed[1]
     finally:
         server.terminate()
         server.wait(timeout=10)
@@ -411,7 +417,7 @@ def serving_manager(root, programs: dict[str, bytes], config: bytes, name: str,
     try:
         flags = ("--manager", manager_address, "--policy", root / "policy.json",
                  "--counter-public-key", printed["counter service public key"], *role)
-        run_cli("policy", "upload", *flags, "--bundle", bundles["agent"], "--generate")
+        run_cli("policy", "upload", *flags, "--bundle", bundles["agent"])
         yield bundles, flags
     finally:
         manager.kill()

@@ -52,3 +52,17 @@ def test_package_exports_exactly_what_it_imports():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names]
     assert sorted(fedshield.__all__) == sorted(imported)
+
+
+def test_every_error_class_is_raised():
+    """A removed rule leaves no dead exception type behind."""
+    classes = [node.name for node in _tree(Path(fedshield.__file__).parent / "errors.py").body
+               if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert [name for name in classes if name not in raised] == []

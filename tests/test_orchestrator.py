@@ -1,5 +1,6 @@
 """Coordinator rounds, admission gating, crash recovery, determinism."""
 
+import itertools
 import logging
 import threading
 import time
@@ -136,6 +137,31 @@ class RawPeer:
         self.join = act
 
 
+class ReplyFailingListener:
+    """A listener whose first ``broken`` accepted transports raise
+    TransportClosedError on the first frame sent after the handshake, as a
+    peer that reset its socket after its JOIN."""
+
+    HANDSHAKE_FRAMES = 4  # HELLO, KEYSHARE, QUOTE, FINISH
+
+    def __init__(self, listener, broken):
+        self.listener = listener
+        self.broken = broken
+
+    def accept(self, timeout=None):
+        transport = self.listener.accept(timeout=timeout)
+        if self.broken:
+            self.broken -= 1
+            real_send, sends = transport.send_frame, itertools.count()
+
+            def send_frame(payload):
+                if next(sends) >= self.HANDSHAKE_FRAMES:
+                    raise TransportClosedError("[Errno 104] Connection reset by peer")
+                real_send(payload)
+            transport.send_frame = send_frame
+        return transport
+
+
 @pytest.fixture
 def deployment(tmp_path):
     dep = make_deployment(tmp_path)
@@ -200,6 +226,36 @@ class TestAdmission:
         assert admissions[0] == {"client_id": None, "admitted": False,
                                  "reason": "roster", "detail": "TransportClosedError"}
         assert admissions[1]["admitted"] is True
+
+    def test_a_reply_that_cannot_be_sent_does_not_stop_admission(self, deployment):
+        intruder = deployment.make_agent("intruder", dataset_of="client-1")
+        vanished = deployment.make_agent("client-1")
+        agents = [deployment.make_agent(cid) for cid in deployment.client_ids]
+        refused = {}
+
+        def join_in_order():
+            for agent in [intruder, vanished, *agents]:
+                try:
+                    agent.join(deployment.network.connect(deployment.listener.name))
+                except FedShieldError as exc:
+                    refused[agent.client_id] = exc
+
+        joiner = threading.Thread(target=join_in_order, daemon=True)
+        joiner.start()
+        deployment.coordinator.accept_clients(
+            ReplyFailingListener(deployment.listener, broken=2), connections=5,
+            deadline=demo.JOIN_DEADLINE)
+        joiner.join(timeout=demo.JOIN_DEADLINE)
+        assert sorted(deployment.coordinator.admitted) == deployment.client_ids
+        assert sorted(refused) == ["client-1", "intruder"]
+        assert intruder.channel.closed and vanished.channel.closed
+        admissions = [e.payload for e in read_entries(deployment.state_dir / "audit.log")
+                      if e.kind == "admission"]
+        assert admissions[:2] == [
+            {"client_id": "intruder", "admitted": False, "reason": "roster"},
+            {"client_id": "client-1", "admitted": False, "reason": "transport",
+             "detail": "TransportClosedError"}]
+        assert [entry["admitted"] for entry in admissions[2:]] == [True] * 3
 
     def test_unpinned_measurement_never_gets_model_bytes(self, tmp_path):
         capture = CaptureLog()
@@ -362,6 +418,33 @@ class TestRounds:
             assert second.dropped == {}
             assert sorted(dep.coordinator.admitted) == dep.client_ids
         finally:
+            dep.close()
+
+    def test_wall_clock_step_does_not_move_the_round_deadline(self, tmp_path,
+                                                              monkeypatch):
+        dep = make_deployment(tmp_path, session=QUORUM_OF_TWO, round_deadline=0.5)
+        try:
+            agents = [dep.make_agent(cid) for cid in dep.client_ids]
+            dep.join_all(agents)
+            dep.start_agents(agents[:2])  # client-3 stays silent
+            first = dep.coordinator.admitted["client-1"]
+            real_recv, real_time = first.recv, time.time
+
+            def recv_after_a_step_back(*args, **kwargs):
+                # the round has started: the wall clock steps back an hour
+                monkeypatch.setattr(time, "time", lambda: real_time() - 3600)
+                return real_recv(*args, **kwargs)
+            first.recv = recv_after_a_step_back
+            record = {}
+            driver = threading.Thread(
+                target=lambda: record.update(round=dep.coordinator.run_round(1)),
+                daemon=True)
+            driver.start()
+            driver.join(timeout=10 * dep.round_deadline)
+            assert not driver.is_alive(), "the silent client was waited on past the deadline"
+            assert record["round"].dropped == {"client-3": "timeout"}
+        finally:
+            monkeypatch.undo()
             dep.close()
 
     def test_quorum_failure_aborts_session(self, tmp_path):

@@ -9,23 +9,24 @@ import pytest
 
 from fedshield import demo, shield
 from fedshield.demo import author_policy, role_measurements
-from fedshield.enclave import generate_platform, spawn_enclave
+from fedshield.enclave import generate_platform, generate_signing_key, spawn_enclave
 from fedshield.errors import (
     AccessDeniedError,
     KeyResolutionError,
-    AlreadyGeneratedError,
     NotFoundError,
-    PolicyConflictError,
     PolicyInvalidError,
     RoleUnknownError,
 )
 from fedshield.policy import (
+    DATASET_KEY,
     DATASET_SECRET,
     PolicyManager,
     SessionConfig,
     parse_policy,
     secret_key_id,
 )
+from fedshield.services import ServiceEndpoint, connect_manager
+from fedshield.transport import Hub
 
 MANAGER_BUNDLE = b"policy manager program"
 COORD_BUNDLE = b"coordinator program"
@@ -232,23 +233,27 @@ class TestPolicyStore:
         second = manager.upload_policy(shuffled_json(doc, rng))
         assert first == second
 
-    def test_name_conflict_rejected(self, manager_setup):
+    def test_documents_sharing_a_name_are_two_policies(self, manager_setup):
         _, manager, _, _, doc = manager_setup
-        manager.upload_policy(json.dumps(doc))
+        first = manager.upload_policy(json.dumps(doc))
         doc["session"]["max_rounds"] += 5  # same name, different content
-        with pytest.raises(PolicyConflictError):
-            manager.upload_policy(json.dumps(doc))
+        second = manager.upload_policy(json.dumps(doc))
+        assert first != second
+        assert manager.get_policy(first).name == manager.get_policy(second).name
+        assert len(list((manager.store_dir / "policies").glob("*.pol"))) == 2
 
-    def test_reopened_store_serves_policies_and_guards_names(self, manager_setup):
+    def test_reopened_store_serves_every_policy(self, manager_setup):
         platform, manager, _, _, doc = manager_setup
-        policy_hash = manager.upload_policy(json.dumps(doc))
+        first = manager.upload_policy(json.dumps(doc))
+        doc["session"]["max_rounds"] += 5
+        second = manager.upload_policy(json.dumps(doc))
         reopened = PolicyManager(manager.store_dir, manager.enclave,
                                  platform.root_public_key)
-        assert reopened.get_policy(policy_hash).document == \
-            manager.get_policy(policy_hash).document
-        doc["session"]["max_rounds"] += 5
-        with pytest.raises(PolicyConflictError):
-            reopened.upload_policy(json.dumps(doc))
+        for policy_hash in (first, second):
+            assert reopened.get_policy(policy_hash).document == \
+                manager.get_policy(policy_hash).document
+            assert reopened.upload_policy(
+                manager.get_policy(policy_hash).document) == policy_hash
         with pytest.raises(NotFoundError):
             reopened.get_policy(b"\x00" * 32)
 
@@ -326,12 +331,15 @@ class TestSecretGeneration:
                 assert key_bytes not in blob
                 assert key_hex.encode() not in blob
 
-    def test_double_generation_rejected(self, manager_setup):
+    def test_second_generation_changes_nothing(self, manager_setup):
         _, manager, _, _, doc = manager_setup
         policy_hash = manager.upload_policy(json.dumps(doc))
         manager.generate_secrets(policy_hash)
-        with pytest.raises(AlreadyGeneratedError):
-            manager.generate_secrets(policy_hash)
+        files = sorted(manager.store_dir.rglob("*"))
+        before = {path: path.read_bytes() for path in files if path.is_file()}
+        manager.generate_secrets(policy_hash)
+        assert sorted(manager.store_dir.rglob("*")) == files
+        assert {path: path.read_bytes() for path in before} == before
 
     def test_generation_killed_midway_is_completed_by_a_retry(self, manager_setup,
                                                               monkeypatch):
@@ -360,8 +368,9 @@ class TestSecretGeneration:
         restarted.generate_secrets(policy_hash)
         bundle = restarted.release_secrets(policy_hash, "client", quote, NONCE)
         assert len(bytes.fromhex(bundle.environment["DATA_KEY"])) == 32
-        with pytest.raises(AlreadyGeneratedError):
-            restarted.generate_secrets(policy_hash)
+        restarted.generate_secrets(policy_hash)  # a completed set is kept
+        again = restarted.release_secrets(policy_hash, "client", quote, NONCE)
+        assert again.environment == bundle.environment
 
     def test_release_before_generation_rejected(self, manager_setup):
         _, manager, _, client, doc = manager_setup
@@ -477,3 +486,81 @@ class TestKeyResolution:
                                          client.generate_quote(RD, NONCE), NONCE)
         with pytest.raises(KeyResolutionError):
             bundle.key_bytes("NO_SUCH_KEY")
+
+
+class ServedStore:
+    """A manager endpoint over one store, which ``serve`` starts anew, with
+    a client enclave the standard policy pins and a modified one it does
+    not: any peer may attest the endpoint and send it requests."""
+
+    def __init__(self, store):
+        self.platform = generate_platform()
+        self.store = store
+        self.counter_key = generate_signing_key()
+        self.enclave = spawn_enclave(self.platform, demo.MANAGER_BUNDLE, demo.ROLE_CONFIG)
+        self.pinned = spawn_enclave(self.platform, demo.CLIENT_BUNDLE, demo.ROLE_CONFIG)
+        self.unpinned = spawn_enclave(self.platform, demo.CLIENT_BUNDLE + b" modified",
+                                      demo.ROLE_CONFIG)
+        self.pin = parse_policy(json.dumps(standard_policy())).pin(
+            "policy_manager_self", self.platform.root_public_key)
+        self.serve()
+
+    def serve(self):
+        self.hub = Hub()
+        self.endpoint = ServiceEndpoint(self.hub.listen("manager"), self.store,
+                                        self.enclave, self.platform.root_public_key,
+                                        self.counter_key)
+        self.endpoint.start()
+
+    def connect(self, enclave):
+        return connect_manager(enclave, self.hub.connect("manager"), self.pin, "client",
+                               self.endpoint.counters.public_key)
+
+
+@pytest.fixture
+def served(tmp_path):
+    served = ServedStore(tmp_path / "store")
+    yield served
+    served.endpoint.stop()
+
+
+class TestNoFirstWriterRule:
+    """What an unpinned peer uploads or generates first cannot make the
+    honest set-up fail."""
+
+    def test_a_squatted_name_does_not_stop_the_honest_upload(self, served):
+        squat = standard_policy()  # the honest name, the peer's own measurement
+        squat["allowed_measurements"]["client"] = served.unpinned.measurement.hex()
+        peer = served.connect(served.unpinned)
+        squat_hash = peer.upload_policy(json.dumps(squat))
+        peer.generate_secrets(squat_hash)
+        peer.close()
+        document = json.dumps(standard_policy())
+        for restarted in (False, True):
+            if restarted:
+                served.endpoint.stop()
+                served.serve()
+            honest = served.connect(served.pinned)
+            policy_hash = honest.upload_policy(document)
+            honest.generate_secrets(policy_hash)
+            bundle = honest.request_secrets(policy_hash, "client")
+            assert len(bundle.key_bytes(DATASET_KEY)) == 32
+            honest.close()
+            assert policy_hash != squat_hash
+            assert served.endpoint.manager.get_policy(squat_hash).name == "standard"
+
+    def test_a_peer_generating_first_does_not_stop_the_honest_generation(self, served):
+        document = json.dumps(standard_policy())
+        peer = served.connect(served.unpinned)
+        policy_hash = peer.upload_policy(document)
+        peer.generate_secrets(policy_hash)
+        peer.close()
+        secret_dir = served.store / "secrets" / policy_hash.hex()
+        sealed = {path.name: path.read_bytes() for path in secret_dir.iterdir()}
+        honest = served.connect(served.pinned)
+        assert honest.upload_policy(document) == policy_hash
+        honest.generate_secrets(policy_hash)
+        assert {path.name: path.read_bytes() for path in secret_dir.iterdir()} == sealed
+        bundle = honest.request_secrets(policy_hash, "client")
+        assert len(bundle.key_bytes(DATASET_KEY)) == 32
+        honest.close()

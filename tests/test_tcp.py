@@ -34,10 +34,11 @@ def test_manager_and_counters_over_tcp(tmp_path):
     try:
         client_enclave = spawn_enclave(dep.platform, CLIENT_BUNDLE, ROLE_CONFIG)
         channel = dep.connect_manager(client_enclave, role="client")
-        with pytest.raises(ServiceError, match="already-generated"):
-            channel.generate_secrets(dep.policy_hash)
         bundle = channel.request_secrets(dep.policy_hash, "client")
         assert len(bytes.fromhex(bundle.environment["DATASET_KEY"])) == 32
+        # a second GENERATE, as a re-run upload sends it, keeps the secrets
+        channel.generate_secrets(dep.policy_hash)
+        assert channel.request_secrets(dep.policy_hash, "client") == bundle
 
         # an unpinned enclave attests the channel but is denied its secrets,
         # and the failing check crosses the wire with the error
