@@ -1,4 +1,7 @@
-"""Shielded files bound to a monotonic counter: rollback is detectable.
+"""A checkpoint bound to a monotonic counter: rollback is detectable.
+
+A counter protects state that is overwritten, such as the coordinator's
+checkpoint; a dataset file is written once and binds no counter.
 
 Run with: python demos/04_rollback_protection.py
 """
@@ -22,22 +25,23 @@ with tempfile.TemporaryDirectory() as d:
     def lookup(cid):
         return service.read_stable(cid).value
 
-    # Every protected file gets its own counter; each authorized overwrite
-    # increments it, and the header embeds the value at write time.
+    # The checkpoint gets its own counter; each authorized overwrite (one
+    # per committed round) increments it, and the header embeds the value
+    # at write time.
     counter_id = service.create_counter()
-    v1 = shield_encrypt(b"dataset rows, version 1", key, key_id, counter_id,
+    v1 = shield_encrypt(b"checkpoint, round 1", key, key_id, counter_id,
                         lookup(counter_id))
     print("v1 header counter value:", v1.header.counter_value)
     print("v1 decrypts:", shield_decrypt(v1, key, lookup))
 
-    # Overwrite: increment, then write version 2.
+    # The next commit: increment, then overwrite with round 2.
     token = service.increment_async(counter_id)
-    v2 = shield_encrypt(b"dataset rows, version 2", key, key_id, counter_id,
+    v2 = shield_encrypt(b"checkpoint, round 2", key, key_id, counter_id,
                         token.value)
     print("\nv2 decrypts:", shield_decrypt(v2, key, lookup))
 
-    # An attacker who swaps the old file back gets caught: the header says
-    # counter 1 but the stable counter says 2.
+    # A host that swaps the round-1 checkpoint back gets caught: the header
+    # says counter 1 but the stable counter says 2.
     try:
         shield_decrypt(v1, key, lookup)
     except RollbackDetectedError as exc:

@@ -2,8 +2,8 @@
 
 Local and global training run inside software-simulated trusted-execution
 enclaves; a policy manager releases secrets only to attested code; all
-model exchange travels over mutually attested encrypted channels; sealed
-storage is rollback-protected by a signed monotonic counter service; and a
+model exchange travels over mutually attested encrypted channels; the
+checkpoint is rollback-protected by a signed monotonic counter service; and a
 clone-and-sample guard flags poisoning clients by their influence on
 validation utility.
 """

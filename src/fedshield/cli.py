@@ -154,9 +154,9 @@ def cmd_run_manager(args) -> int:
     endpoint = ServiceEndpoint(listener, args.store_dir, enclave,
                                platform.root_public_key,
                                load_signing_key(args.counter_key))
-    print(f"manager measurement: {enclave.measurement.hex()}")
-    print(f"counter service public key: {endpoint.counters.public_key.hex()}")
-    print(f"listening on {listener.address[0]}:{listener.address[1]}")
+    print(f"manager measurement: {enclave.measurement.hex()}", flush=True)
+    print(f"counter service public key: {endpoint.counters.public_key.hex()}", flush=True)
+    print(f"listening on {listener.address[0]}:{listener.address[1]}", flush=True)
     thread = endpoint.start()
     try:
         thread.join()
@@ -179,15 +179,15 @@ def cmd_run_coordinator(args) -> int:
                               platform.root_public_key, validation_csv, manager,
                               round_deadline=args.round_deadline)
     listener = TcpNetwork().listen(args.listen)
-    print(f"coordinator measurement: {enclave.measurement.hex()}")
-    print(f"listening on {listener.address[0]}:{listener.address[1]}")
+    print(f"coordinator measurement: {enclave.measurement.hex()}", flush=True)
+    print(f"listening on {listener.address[0]}:{listener.address[1]}", flush=True)
     coordinator.accept_clients(listener, deadline=args.join_deadline)
     model = coordinator.run_session()
     listener.close()
     manager.close()
-    print(f"session finished at round {model.round_index}")
+    print(f"session finished at round {model.round_index}", flush=True)
     for round_index, accuracy, loss in model.history:
-        print(f"  round {round_index}: accuracy={accuracy:.4f} loss={loss:.4f}")
+        print(f"  round {round_index}: accuracy={accuracy:.4f} loss={loss:.4f}", flush=True)
     return 0
 
 
@@ -197,15 +197,19 @@ def cmd_run_client(args) -> int:
     _require(args, "manager", "coordinator", "policy", "counter_public_key")
     platform, enclave = _role_enclave(args)
     policy, manager_pin = _manager_pin(args, platform)
-    # a missing input file fails before the manager is contacted
-    plaintext = Path(args.data).read_bytes()
+    # a missing or shielded input file fails before the manager is contacted
+    data = Path(args.data)
+    if data.suffix == ".sfl":
+        raise InvalidInputError(f"--data {data} is a shielded file; pass the dataset CSV")
+    plaintext = data.read_bytes()
     agent, _ = start_client(_manager_channel(args, enclave, manager_pin, role="client"),
                             args.client_id, enclave, policy, platform.root_public_key,
-                            Path(args.data).with_suffix(".sfl"), plaintext)
+                            data.with_suffix(".sfl"), plaintext)
     agent.join(TcpNetwork().connect(args.coordinator))
-    print(f"{args.client_id}: admitted")
+    print(f"{args.client_id}: admitted", flush=True)
     result = agent.run()
-    print(f"{args.client_id}: session ended ({result.get('reason', result.get('status'))})")
+    print(f"{args.client_id}: session ended "
+          f"({result.get('reason', result.get('status'))})", flush=True)
     return 0
 
 

@@ -13,9 +13,9 @@ An error reply's kind is ``policy-invalid``, ``role-unknown``,
 ``not-found``, ``decode``, ``access-denied``, ``unknown-request`` or
 ``internal``. On the caller side, ``ManagerChannel`` verifies every counter
 token it receives under the counter service's key, and that an increment or
-read names the counter asked for. Its ``provision`` is every role's one
-set-up step: one secret release, then the role's dataset shielded and
-reopened, or reused when a current file already holds the same bytes.
+read names the counter asked for; only the checkpoint uses counters. Its
+``provision``, every role's one set-up step, is one secret release, then the
+role's dataset shielded as a file that binds no counter and read back.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from .errors import (
     NotFoundError,
     PolicyInvalidError,
     RoleUnknownError,
-    RollbackDetectedError,
-    ServiceError,
     TransportClosedError,
 )
 from .policy import ROLE_DATASET_KEYS, InjectionBundle, PolicyManager, secret_key_id
-from .shield import open_shielded, shield_encrypt, write_shielded
+from .shield import NO_COUNTER, open_shielded, shield_encrypt, write_shielded
 
 logger = logging.getLogger(__name__)
 
@@ -196,27 +194,21 @@ class ManagerChannel:
 
     def provision(self, policy_hash: bytes, role: str, path,
                   plaintext: bytes) -> tuple[bytes, InjectionBundle]:
-        """Request ``role``'s secrets and open ``plaintext`` from ``path``,
-        shielded under the role's dataset key, the way its consumer does:
-        freshness from a stable read. A current file there that holds
-        exactly ``plaintext`` is reused; anything else is replaced by a new
-        file under a new counter. Returns the opened bytes and the bundle."""
+        """Request ``role``'s secrets, shield ``plaintext`` at ``path`` under
+        the role's dataset key as a file that binds no counter, and read it
+        back: ``IntegrityError`` unless it holds exactly ``plaintext``, which
+        is returned with the bundle."""
         bundle = self.request_secrets(policy_hash, role)
         variable, secret_name = ROLE_DATASET_KEYS[role]
         key = bundle.key_bytes(variable)
-        try:
-            if open_shielded(path, key, self.stable_value)[1] == plaintext:
-                return plaintext, bundle
-        except (OSError, DecodeError, IntegrityError, RollbackDetectedError,
-                ServiceError):
-            pass  # missing, foreign, tampered, stale or of an unknown counter
-        token = self.counter_create()
         shielded = shield_encrypt(plaintext, key, secret_key_id(policy_hash, secret_name),
-                                  token.counter_id, token.value)
+                                  NO_COUNTER, 0)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_shielded(path, shielded)
         del shielded  # the ciphertext, before the file's own copy is read
-        return open_shielded(path, key, self.stable_value)[1], bundle
+        if open_shielded(path, key)[1] != plaintext:
+            raise IntegrityError(f"{path} does not read back the dataset written to it")
+        return plaintext, bundle
 
     def close(self) -> None:
         self.channel.close()

@@ -1,4 +1,4 @@
-"""Authenticated-encryption file container with counter-bound freshness.
+"""Authenticated-encryption file container, bound to a counter or to none.
 
 Header layout (big-endian, 59 bytes):
 
@@ -7,13 +7,13 @@ Header layout (big-endian, 59 bytes):
 
 The body is AES-256-GCM ciphertext+tag over the payload with the exact
 header bytes as associated data, so any header mutation fails
-authentication before freshness is even considered. Decryption succeeds
-only when the embedded counter value equals the stable counter value:
-strict equality detects both rollback and forward-dating, since every
-authorized overwrite increments the counter by one.
-
-A file binds a plain (counter id, value); counter tokens are verified where
-they arrive (``services.ManagerChannel``), and this module never sees one.
+authentication before the header is acted on. A file that binds a counter
+(a checkpoint) carries its id and a positive value, and opens only under a
+freshness check that finds that value stable: every authorized overwrite
+increments the counter by one, so this detects rollback and forward-dating
+alike. A file that binds no counter (a role's dataset) carries ``NO_COUNTER``
+and value 0, and opens only without a check. Counter tokens are verified
+where they arrive (``services.ManagerChannel``); this module never sees one.
 
 File extension: ``.sfl``. This module is the only one that writes or opens
 a ``.sfl``: ``write_shielded`` replaces it all or nothing (``replace_file``:
@@ -52,6 +52,7 @@ MAGIC = b"SFL1"
 VERSION = 1
 KEY_ID_LEN = 16
 HEADER_LEN = 4 + 2 + 1 + KEY_ID_LEN + COUNTER_ID_LEN + 8 + AEAD_NONCE_LEN
+NO_COUNTER = bytes(COUNTER_ID_LEN)  # the counter_id of a file that binds no counter
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,17 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
                    counter_id: bytes, counter_value: int,
                    *, nonce: bytes | None = None) -> ShieldedFile:
     """Seal a payload under a key and bind it to a counter's positive
-    value, which readers require to be the counter's stable value."""
+    value, which readers require to be the counter's stable value, or, with
+    ``NO_COUNTER`` and value 0, to no counter."""
     if len(key) != AEAD_KEY_LEN:
         raise InvalidInputError(f"shield key must be {AEAD_KEY_LEN} bytes")
     if len(key_id) != KEY_ID_LEN:
         raise InvalidInputError("key_id must be 16 bytes")
     if len(counter_id) != COUNTER_ID_LEN:
         raise InvalidInputError("counter_id must be 16 bytes")
-    if counter_value < 1:
+    if counter_id == NO_COUNTER and counter_value != 0:
+        raise InvalidInputError("a file that binds no counter carries value 0")
+    if counter_id != NO_COUNTER and counter_value < 1:
         raise InvalidInputError("counter value must be positive")
     if nonce is None:
         nonce = os.urandom(AEAD_NONCE_LEN)
@@ -123,23 +127,28 @@ def shield_encrypt(plaintext: bytes, key: bytes, key_id: bytes,
 
 
 def shield_decrypt(shielded: ShieldedFile, key: bytes,
-                   freshness_check: Callable[[bytes], int]) -> bytes:
+                   freshness_check: Callable[[bytes], int] | None = None) -> bytes:
     """Open a shielded file iff the tag verifies and the file is current.
 
     ``freshness_check(counter_id) -> stable value`` is the caller's counter
-    lookup, typically a stable read verified where it arrived. Stale or
-    forward-dated files raise ``RollbackDetectedError`` after the tag check;
-    its message says which of the two the file is.
+    lookup, typically a stable read verified where it arrived; without one,
+    only a file that binds no counter opens. A file of the other kind raises
+    ``IntegrityError`` before any lookup, and a stale or forward-dated one
+    ``RollbackDetectedError``, whose message says which of the two it is.
     """
     if len(key) != AEAD_KEY_LEN:
         raise InvalidInputError(f"shield key must be {AEAD_KEY_LEN} bytes")
-    header_bytes = shielded.header.to_bytes()
+    header = shielded.header
     try:
-        plaintext = AESGCM(key).decrypt(shielded.header.nonce, shielded.body, header_bytes)
+        plaintext = AESGCM(key).decrypt(header.nonce, shielded.body, header.to_bytes())
     except InvalidTag as exc:
         raise IntegrityError("shielded file failed authentication") from exc
-    written = shielded.header.counter_value
-    stable = freshness_check(shielded.header.counter_id)
+    if (freshness_check is None) != (header.counter_id == NO_COUNTER):
+        raise IntegrityError(f"shielded file binds {'no' if freshness_check else 'a'} counter")
+    if freshness_check is None:
+        return plaintext
+    written = header.counter_value
+    stable = freshness_check(header.counter_id)
     if written < stable:
         raise RollbackDetectedError(
             f"file written at counter {written} is older than the stable "
@@ -180,7 +189,8 @@ def read_shielded(path) -> ShieldedFile:
         return ShieldedFile(header, fh.read(size - HEADER_LEN))
 
 
-def open_shielded(path, key: bytes, freshness_check: Callable[[bytes], int]
+def open_shielded(path, key: bytes,
+                  freshness_check: Callable[[bytes], int] | None = None
                   ) -> tuple[ShieldHeader, bytes]:
     """The header and plaintext of the file at ``path``, under the checks of
     ``shield_decrypt``."""

@@ -3,9 +3,12 @@
 import argparse
 import contextlib
 import json
+import os
+import select
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,20 @@ def test_missing_input_file_fails_before_contacting_manager(tmp_path, verb):
     assert str(missing) in result.stderr
     assert "Traceback" not in result.stderr
     assert "cannot connect" not in result.stderr
+
+
+def test_run_client_refuses_a_shielded_data_file(tmp_path):
+    """``--data alice.sfl`` names the file run-client would shield the CSV
+    to; it is refused before the manager is contacted, and keeps its bytes."""
+    argv = run_client_argv(tmp_path, role_measurements())
+    argv[argv.index("--manager") + 1] = f"127.0.0.1:{closed_port()}"
+    shielded = tmp_path / "alice.sfl"
+    shielded.write_bytes(b"SFL1 shielded rows")
+    result = run_cli(*argv, check=False)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: --data {shielded} ")
+    assert "cannot connect" not in result.stderr
+    assert shielded.read_bytes() == b"SFL1 shielded rows"
 
 
 def test_session_file_pins_policy_hash(tmp_path):
@@ -334,6 +351,36 @@ def start_service(*args):
     finally:
         proc.stdout.close()
     raise AssertionError(f"{args[0]} did not come up: {printed}")
+
+
+def test_run_manager_prints_its_address_through_a_pipe_unbuffered(tmp_path):
+    """A serving verb flushes what it prints, so a reader on a pipe sees its
+    address without ``python -u`` or ``PYTHONUNBUFFERED``."""
+    run_cli("keygen", "--out", tmp_path / "platform.json")
+    run_cli("keygen", "--kind", "signing", "--out", tmp_path / "svc.json")
+    (tmp_path / "manager.bundle").write_bytes(b"manager program")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [*CLI, "run-manager", "--listen", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"),
+         "--key-file", str(tmp_path / "platform.json"),
+         "--bundle", str(tmp_path / "manager.bundle"),
+         "--config", str(tmp_path / "manager.bundle"),
+         "--counter-key", str(tmp_path / "svc.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    try:
+        out, deadline = b"", time.monotonic() + 10
+        while b"listening on " not in out:
+            left = deadline - time.monotonic()
+            assert left > 0, f"no address within 10 s: {out!r}"
+            if select.select([proc.stdout], [], [], left)[0]:
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                assert chunk, f"run-manager exited: {out!r}"
+                out += chunk
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_run_manager_and_policy_upload(tmp_path):

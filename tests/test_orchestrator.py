@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedshield import demo, orchestrator, protocol
+from fedshield import demo, orchestrator, protocol, services
 from fedshield.attestation import ROLE_CLIENT, ROLE_COORDINATOR, attested_handshake
 from fedshield.audit import read_entries, verify_audit
 from fedshield.demo import CLIENT_BUNDLE, ROLE_CONFIG, run_demo
@@ -41,7 +41,7 @@ from fedshield.orchestrator import (
     derive_training_seed,
 )
 from fedshield.policy import SessionConfig
-from fedshield.shield import open_shielded, shield_encrypt, write_shielded
+from fedshield.shield import NO_COUNTER, open_shielded, shield_encrypt, write_shielded
 from fedshield.transport import CaptureLog, Hub
 
 
@@ -593,7 +593,7 @@ class TestCrashRecovery:
         finally:
             dep.close()
 
-    def test_resume_reuses_the_shielded_datasets(self, tmp_path):
+    def test_resume_and_a_reprovision_add_no_counter(self, tmp_path):
         dep = make_deployment(tmp_path)
         try:
             agents = [dep.make_agent(cid) for cid in dep.client_ids]
@@ -603,25 +603,20 @@ class TestCrashRecovery:
             dep.coordinator.run_round(2)
             dep.coordinator._close_clients()  # simulated kill
             counters = wal_counter_ids(dep)
-            validation_sfl = (dep.state_dir / "validation.sfl").read_bytes()
+            assert len(counters) == 1  # the checkpoint's
 
             dep.coordinator.manager.close()
             dep.coordinator = dep.start_coordinator(validation_csv(dep))
             assert dep.coordinator.model.round_index == 2
             assert wal_counter_ids(dep) == counters
-            assert (dep.state_dir / "validation.sfl").read_bytes() == validation_sfl
 
-            # a client's rerun takes the same path; other bytes are shielded anew
+            # a client's rerun takes the same path, with its own bytes or others
             data_sfl = tmp_path / "clients" / "client-1" / "data.sfl"
-            shielded = data_sfl.read_bytes()
             client = dep.connect_manager(dep.agents["client-1"].enclave, role="client")
-            own = dataset_to_csv_bytes(dep.agents["client-1"].dataset)
-            assert client.provision(dep.policy_hash, "client", data_sfl, own)[0] == own
-            assert data_sfl.read_bytes() == shielded
+            for cid in ("client-1", "client-2"):
+                csv = dataset_to_csv_bytes(dep.agents[cid].dataset)
+                assert client.provision(dep.policy_hash, "client", data_sfl, csv)[0] == csv
             assert wal_counter_ids(dep) == counters
-            other = dataset_to_csv_bytes(dep.agents["client-2"].dataset)
-            assert client.provision(dep.policy_hash, "client", data_sfl, other)[0] == other
-            assert len(wal_counter_ids(dep) - counters) == 1
             client.close()
         finally:
             dep.close()
@@ -741,6 +736,26 @@ class TestCrashRecovery:
         finally:
             dep.close()
 
+    def test_a_checkpoint_slot_that_binds_no_counter_is_refused(self, tmp_path):
+        dep = make_deployment(tmp_path)
+        try:
+            run_two_rounds(dep)
+            coordinator = dep.coordinator
+            slot_a = dep.state_dir / "checkpoint-a.sfl"  # round 2, current
+            _, body = open_shielded(slot_a, coordinator.checkpoint_key,
+                                    coordinator.manager.stable_value)
+            write_shielded(slot_a, shield_encrypt(body, coordinator.checkpoint_key,
+                                                  coordinator.checkpoint_key_id,
+                                                  NO_COUNTER, 0))
+            with pytest.raises(RollbackDetectedError,
+                               match="checkpoint-a.sfl: .*binds no counter"):
+                dep.start_coordinator(validation_csv(dep))
+            (dep.state_dir / "checkpoint-b.sfl").unlink()
+            with pytest.raises(IntegrityError, match="checkpoint-a.sfl: .*binds no counter"):
+                dep.start_coordinator(validation_csv(dep))
+        finally:
+            dep.close()
+
     def test_revival_over_a_torn_audit_tail(self, tmp_path):
         dep = make_deployment(tmp_path)
         try:
@@ -753,6 +768,47 @@ class TestCrashRecovery:
             assert revived.model.round_index == 2
             assert [e.kind for e in read_entries(log)] == kinds[:-1] + ["resume"]
             assert verify_audit(log).ok
+        finally:
+            dep.close()
+
+
+class TestProvision:
+    def test_set_up_creates_no_counter_and_provision_only_requests_secrets(
+            self, tmp_path, monkeypatch):
+        dep = make_deployment(tmp_path)
+        try:
+            assert wal_counter_ids(dep) == set()
+            sent = []
+            request = protocol.request
+            monkeypatch.setattr(protocol, "request", lambda channel, mtype, body: (
+                sent.append(mtype) or request(channel, mtype, body)))
+            client = dep.connect_manager(dep.agents["client-1"].enclave, role="client")
+            csv = dataset_to_csv_bytes(dep.agents["client-1"].dataset)
+            client.provision(dep.policy_hash, "client",
+                             tmp_path / "clients" / "client-1" / "data.sfl", csv)
+            client.close()
+            assert sent == [protocol.REQUEST_SECRETS]
+        finally:
+            dep.close()
+
+    def test_an_authentic_file_swapped_in_before_the_read_back_is_refused(
+            self, tmp_path, monkeypatch):
+        dep = make_deployment(tmp_path)
+        try:
+            data_sfl = tmp_path / "clients" / "client-1" / "data.sfl"
+            earlier = data_sfl.read_bytes()  # client-1's own rows, under its key
+            write = services.write_shielded
+
+            def write_then_swap(path, shielded):
+                write(path, shielded)
+                data_sfl.write_bytes(earlier)
+
+            monkeypatch.setattr(services, "write_shielded", write_then_swap)
+            client = dep.connect_manager(dep.agents["client-1"].enclave, role="client")
+            other = dataset_to_csv_bytes(dep.agents["client-2"].dataset)
+            with pytest.raises(IntegrityError, match="does not read back"):
+                client.provision(dep.policy_hash, "client", data_sfl, other)
+            client.close()
         finally:
             dep.close()
 

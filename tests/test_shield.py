@@ -18,6 +18,7 @@ from fedshield.errors import (
 )
 from fedshield.shield import (
     HEADER_LEN,
+    NO_COUNTER,
     ShieldedFile,
     ShieldHeader,
     open_shielded,
@@ -234,6 +235,34 @@ class TestFreshness:
         for stale in versions[:-1]:
             with pytest.raises(RollbackDetectedError):
                 shield_decrypt(stale, key, lookup)
+
+
+class TestFileKind:
+    """A header says whether its file binds a counter; a reader says which
+    kind it expects, and a file of the other kind does not open."""
+
+    def test_a_freshness_check_refuses_a_file_that_binds_no_counter(self, tmp_path):
+        key = b"\x0d" * 32
+        write_shielded(tmp_path / "data.sfl",
+                       shield_encrypt(b"rows", key, b"\x00" * 16, NO_COUNTER, 0))
+        assert open_shielded(tmp_path / "data.sfl", key)[1] == b"rows"
+        looked_up = []
+        with pytest.raises(IntegrityError, match="binds no counter"):
+            open_shielded(tmp_path / "data.sfl", key, looked_up.append)
+        assert looked_up == []
+
+    def test_an_open_without_a_freshness_check_refuses_a_file_that_binds_one(
+            self, service, tmp_path):
+        shielded, lookup, _ = fresh_file(service, b"rows", b"\x0e" * 32)
+        write_shielded(tmp_path / "checkpoint.sfl", shielded)
+        with pytest.raises(IntegrityError, match="binds a counter"):
+            open_shielded(tmp_path / "checkpoint.sfl", b"\x0e" * 32)
+        assert open_shielded(tmp_path / "checkpoint.sfl", b"\x0e" * 32, lookup)[1] == b"rows"
+
+    @pytest.mark.parametrize("value", [1, -1])
+    def test_a_file_that_binds_no_counter_carries_value_0(self, value):
+        with pytest.raises(InvalidInputError, match="binds no counter carries value 0"):
+            shield_encrypt(b"x", b"\x00" * 32, b"\x00" * 16, NO_COUNTER, value)
 
 
 class TestValidation:
